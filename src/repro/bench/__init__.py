@@ -1,14 +1,14 @@
 """First-class benchmark subsystem: sections, history, regression gates.
 
-Benchmarking used to live in one 745-line ``benchmarks/perf_simulator.py``
-monolith that overwrote a single ``BENCH_simulator.json`` snapshot; the
-performance trajectory (the 9.7x engine rewrite, the 7x bound-pruned
-search, the ~200x array kernel) was invisible, and regressions were only
-caught by hand-tuned per-section guards buried in ``check()``.  This
-package promotes all of that to a subsystem:
+Benchmarking used to live in one 745-line monolith script that
+overwrote a single ``BENCH_simulator.json`` snapshot; the performance
+trajectory (the 9.7x engine rewrite, the ~200x array kernel) was
+invisible, and regressions were only caught by hand-tuned per-section
+guards buried in one ``check()``.  This package promotes all of that to
+a subsystem:
 
 - :mod:`repro.bench.registry` — the :class:`BenchmarkSection` protocol
-  and the plugin registry the CLI and the compat shim both consume;
+  and the plugin registry the CLI consumes;
 - :mod:`repro.bench.sections` — the monolith's scenarios (engine, cache,
   search, resilience, parallel, vectorized) decomposed into registered
   sections, with every legacy guard threshold preserved as a
@@ -21,10 +21,7 @@ package promotes all of that to a subsystem:
   median-of-last-K history comparison inside a noise band, partitioned
   by host fingerprint, with structured pass/warn/fail verdicts;
 - :mod:`repro.bench.runner` — orchestration behind
-  ``python -m repro bench`` (and ``--check`` gate-only mode);
-- :mod:`repro.bench.legacy` — the old ``perf_simulator.py`` entry point
-  (``collect``/``check``/``main``) reimplemented on the registry, so the
-  monolith shrinks to a shim without changing CI semantics.
+  ``python -m repro bench`` (and ``--check`` gate-only mode).
 
 See docs/BENCHMARKS.md for the history schema and how gates decide.
 """

@@ -1,7 +1,7 @@
 """Statistical regression detection against the rolling bench history.
 
 Each :class:`MetricGate` names one metric inside a section's record (a
-dotted path, e.g. ``"search.pruned_wall_seconds"``) and how to judge it:
+dotted path, e.g. ``"grid.warm_wall_seconds"``) and how to judge it:
 
 - ``"lower"`` / ``"higher"`` — noisy quantities (wall times, rates,
   speedups).  The fresh value is compared against the **median of the

@@ -6,9 +6,8 @@ itself (``run(rounds) -> metrics``), where its metrics live in the legacy
 must hold on every run regardless of history (``guards``), and which
 metrics the statistical regression detector tracks against the rolling
 history (``gates``).  Sections register themselves at import time; the
-CLI, the runner, and the legacy ``perf_simulator.py`` shim all consume
-the same registry, so adding a benchmark is one decorated declaration —
-no CLI or CI changes needed.
+CLI and the runner consume the same registry, so adding a benchmark is
+one decorated declaration — no CLI or CI changes needed.
 """
 
 from __future__ import annotations

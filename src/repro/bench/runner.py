@@ -1,12 +1,11 @@
-"""Orchestration behind ``python -m repro bench`` and the legacy shim.
+"""Orchestration behind ``python -m repro bench``.
 
 :func:`run_bench` runs the selected sections, judges every metric gate
 against the rolling history, folds the sections' absolute floors into
 the same verdict stream (metric ``"guard"``, always a fail), and hands
 back a :class:`BenchReport`.  Persistence — appending the history
 record, rotating, writing the snapshot — is the caller's business, so
-the runner is equally usable from the CLI, the legacy entry point, and
-tests.
+the runner is equally usable from the CLI and from tests.
 
 :func:`compose_snapshot` rebuilds the ``BENCH_simulator.json`` view
 from per-section metrics: the ``engine`` section's metrics form the

@@ -25,11 +25,10 @@ import time
 from repro.bench.gates import MetricGate
 from repro.bench.registry import BenchmarkSection, register_section
 
-# -- scenario constants (values unchanged from benchmarks/perf_simulator.py) --
+# -- scenario constants -------------------------------------------------------
 
 NUM_SLAVES = 10
 CORES_PER_NODE = 24
-DEFAULT_ROUNDS = 3
 
 #: Fig. 3 setting: the 3-slave motivation cluster, 2SSD placement.
 SWEEP_SLAVES = 3
@@ -44,9 +43,8 @@ SEARCH_VCPUS = (8, 16, 32)
 # meaningful without checking out old revisions.
 SCAN_LOOP_BASELINE_SECONDS = 0.777
 
-#: Legacy snapshot check: fresh wall times may not exceed this multiple of
-#: the recorded ones — generous, because CI machines are noisy.  The
-#: history gates reuse it as their fail band.
+#: Wall-time tolerance: a fresh wall time may not exceed this multiple of
+#: the history median — generous, because CI machines are noisy.
 WALL_TOLERANCE = 4.0
 
 #: Minimum cold/warm speedup the result cache must deliver.
@@ -57,10 +55,6 @@ MIN_CACHE_SPEEDUP = 2.0
 #: speculation policy may cost a clean run.
 STRAGGLER_SLOWDOWN = 2.5
 MAX_CLEAN_SPECULATION_OVERHEAD = 0.05
-
-#: Largest share of the grid the bound-pruned search may still evaluate
-#: — pruning must discard at least half (measured: ~93% discarded).
-MAX_PRUNE_EVAL_FRACTION = 0.5
 
 #: Array-kernel throughput floors (candidates scored per second, one
 #: core) and the minimum batch-vs-scalar speedup with numpy installed.
@@ -91,7 +85,7 @@ MAX_SUPERVISION_OVERHEAD = 0.05
 SUPERVISION_ITEMS = 32
 
 #: History-gate band shared by wall-time metrics: warn at half the
-#: legacy tolerance, fail at the legacy tolerance itself.
+#: tolerance, fail at the tolerance itself.
 _WALL_BAND = {"warn_ratio": WALL_TOLERANCE / 2, "fail_ratio": WALL_TOLERANCE}
 
 
@@ -392,7 +386,7 @@ register_section(BenchmarkSection(
 ))
 
 
-# -- parallel: bound-pruned search and process-parallel grids -----------------
+# -- parallel: process-parallel grids and supervision -------------------------
 
 
 def _supervision_work(seed: int) -> int:
@@ -409,12 +403,12 @@ def _supervision_work(seed: int) -> int:
 
 
 def run_parallel(rounds: int) -> dict:
-    """PR-5 accelerators: bound-pruned search and process-parallel grids.
+    """Process-parallel grids and the supervised execution tier.
 
-    Correctness (identical best, bit-identical records) is asserted on
-    every run; the wall-clock and pruning guards live in the section's
-    floors and gates.  The ``supervision`` block times the fault-
-    tolerant execution tier's clean path against a raw chunked map.
+    Correctness (bit-identical records) is asserted on every run; the
+    wall-clock guards live in the section's floors and gates.  The
+    ``supervision`` block times the fault-tolerant execution tier's
+    clean path against a raw chunked map.
     """
     from repro.cluster import HYBRID_CONFIGS, make_paper_cluster
     from repro.parallel import available_cpus
@@ -422,25 +416,6 @@ def run_parallel(rounds: int) -> dict:
     from repro.pipeline.sources import ResolvedSource
 
     workload, predictor = _gatk4_predictor()
-
-    def cold_search(**kwargs):
-        # A fresh optimizer per round: no cache, so the search is cold.
-        optimizer = _paper_optimizer(predictor)
-        start = time.perf_counter()
-        result = optimizer.grid_search(vcpu_grid=SEARCH_VCPUS, **kwargs)
-        return time.perf_counter() - start, result
-
-    exhaustive_walls, pruned_walls = [], []
-    exhaustive = pruned = None
-    for _ in range(max(1, rounds)):
-        wall, exhaustive = cold_search()
-        exhaustive_walls.append(wall)
-        wall, pruned = cold_search(prune=True)
-        pruned_walls.append(wall)
-    assert pruned.best.config == exhaustive.best.config, (
-        "pruned search must return the exhaustive optimum"
-    )
-    assert pruned.best.cost_dollars == exhaustive.best.cost_dollars
 
     # Cold Fig.-3-shaped sweep, serial vs two worker processes, fresh
     # caches on both sides so every cell really simulates.
@@ -502,20 +477,7 @@ def run_parallel(rounds: int) -> dict:
     overhead = min(supervised_walls) / min(raw_walls) - 1.0
 
     return {
-        "benchmark": "pr5-parallel-and-pruning",
-        "search": {
-            "vcpu_grid": list(SEARCH_VCPUS),
-            "num_candidates": exhaustive.num_evaluated,
-            "best_config": pruned.best.config.label(),
-            "best_cost_dollars": round(pruned.best.cost_dollars, 4),
-            "exhaustive_wall_seconds": round(min(exhaustive_walls), 4),
-            "pruned_wall_seconds": round(min(pruned_walls), 4),
-            "pruned_evaluated": pruned.num_evaluated,
-            "pruned_skipped": pruned.num_pruned,
-            "prune_speedup": round(
-                min(exhaustive_walls) / min(pruned_walls), 2
-            ),
-        },
+        "benchmark": "parallel-grid-and-supervision",
         "grid": {
             "num_slaves": SWEEP_SLAVES,
             "core_counts": list(PARALLEL_GRID_CORES),
@@ -540,21 +502,9 @@ def run_parallel(rounds: int) -> dict:
 
 def guard_parallel(metrics: dict) -> list[str]:
     failures = []
-    search, grid = metrics["search"], metrics["grid"]
-    # Pruning must keep cutting most of the grid (the array kernel made
-    # wall time a wash — the win is skipped model evaluations);
-    # parallelism must pay for itself wherever two workers can actually
+    grid = metrics["grid"]
+    # Parallelism must pay for itself wherever two workers can actually
     # run at once.
-    if search["pruned_evaluated"] > (
-        search["num_candidates"] * MAX_PRUNE_EVAL_FRACTION
-    ):
-        failures.append(
-            f"parallel: pruned search evaluated {search['pruned_evaluated']}"
-            f" of {search['num_candidates']} candidates — the bound must"
-            f" discard at least {1 - MAX_PRUNE_EVAL_FRACTION:.0%} of the grid"
-        )
-    if search["pruned_skipped"] == 0:
-        failures.append("parallel: the pruning bound discarded no candidates")
     if (
         grid["usable_cpus"] >= 2
         and grid["parallel_speedup"] < MIN_PARALLEL_SPEEDUP
@@ -583,17 +533,11 @@ def guard_parallel(metrics: dict) -> list[str]:
 
 register_section(BenchmarkSection(
     name="parallel",
-    title="bound-pruned search + two-worker process-parallel grid (PR 5)",
+    title="two-worker process-parallel grid + clean-path supervision",
     snapshot_key="parallel",
     run=run_parallel,
     guards=guard_parallel,
     gates=(
-        MetricGate("search.best_config", "exact", fingerprint_scoped=False),
-        MetricGate("search.best_cost_dollars", "exact", rel_tolerance=1e-6,
-                   fingerprint_scoped=False),
-        MetricGate("search.pruned_evaluated", "exact",
-                   fingerprint_scoped=False),
-        MetricGate("search.pruned_wall_seconds", "lower", **_WALL_BAND),
         MetricGate("grid.warm_wall_seconds", "lower", **_WALL_BAND),
         MetricGate("supervision.supervised_wall_seconds", "lower",
                    **_WALL_BAND),
@@ -961,7 +905,6 @@ def run_service(rounds: int) -> dict:
                 and served["best"]["runtime_seconds"]
                 == reference.best.runtime_seconds
                 and served["num_evaluated"] == reference.num_evaluated
-                and served["num_pruned"] == reference.num_pruned
             ), (
                 "service grid search diverged from CostOptimizer"
                 f".grid_search: {served['best']} != {reference.best!r}"

@@ -47,17 +47,13 @@ reserved for unexpected crashes.
     execution policy of a parallel run (per-cell wall-clock deadline
     and attempt budget; exhausted cells exit 5 with the completed ones
     checkpointed).
-``optimize --workload NAME [--cluster-workers N] [--workers K] [--prune]
-[--top K] [--json]``
+``optimize --workload NAME [--cluster-workers N] [--top K] [--json]``
     Search cloud configurations for the cheapest run (Section VI).
-    ``--cluster-workers`` is the modeled cluster's node count ``N``;
-    ``--prune`` enables the branch-and-bound lower-bound search, which
-    returns the identical optimum (see docs/PERFORMANCE.md).  The whole
-    grid is scored by the array kernel (:mod:`repro.model.arrays`);
-    ``--workers`` is validated but no longer changes how candidates are
-    evaluated.  ``--top K`` prints the K cheapest feasible
-    configurations instead of just the winner, and ``--json`` emits the
-    search outcome as a machine-readable record.
+    ``--cluster-workers`` is the modeled cluster's node count ``N``.
+    The whole feasible grid is scored exhaustively, in one pass of the
+    array kernel (:mod:`repro.model.arrays`).  ``--top K`` prints the K
+    cheapest feasible configurations instead of just the winner, and
+    ``--json`` emits the search outcome as a machine-readable record.
 ``bench [--sections a,b] [--rounds N] [--check] [--skip-slow] [--json]
 [--history FILE] [--output FILE] [--max-history N] [--list]``
     Run the registered benchmark sections (:mod:`repro.bench`).  A
@@ -798,27 +794,20 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         min_hdfs_gb=hdfs_gb, min_local_gb=local_gb,
         cache=cache,
     )
-    result = optimizer.grid_search(
-        vcpu_grid=(4, 8, 16, 32), workers=args.workers, prune=args.prune,
-        execution=_execution(args),
-    )
+    result = optimizer.grid_search(vcpu_grid=(4, 8, 16, 32))
     r1 = optimizer.evaluate(r1_spark_recommendation(num_workers=nodes))
     r2 = optimizer.evaluate(r2_cloudera_recommendation(num_workers=nodes))
     _save_cache(cache)
     # Stable sort on cost: ties keep grid order, so top[0] is exactly
-    # the search's ``best``.  Under --prune only non-pruned candidates
-    # can be ranked; a pruned candidate provably cannot beat rank 1, but
-    # deeper ranks are "cheapest among candidates the bound kept".
+    # the search's ``best``.
     top = sorted(result.evaluated, key=lambda e: e.cost_dollars)[: args.top]
 
     if args.json:
         payload = {
             "workload": workload.name,
             "cluster_workers": nodes,
-            "prune": args.prune,
             "backend": backend_name(),
             "num_evaluated": result.num_evaluated,
-            "num_pruned": result.num_pruned,
             "top": [
                 {
                     "rank": rank,
@@ -857,12 +846,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         ["R2 (Cloudera)", r2.config.label(), fmt_duration(r2.runtime_seconds),
          f"${r2.cost_dollars:.2f}"],
     ]
-    pruned = (
-        f", {result.num_pruned} bound-pruned" if result.num_pruned else ""
-    )
     print(render_table(
         f"cheapest cloud configuration for {workload.name}"
-        f" ({result.num_evaluated} candidates{pruned})",
+        f" ({result.num_evaluated} candidates)",
         ["config", "details", "runtime", "cost"], rows))
     print(f"savings: {result.savings_versus(r1) * 100:.0f}% vs R1,"
           f" {result.savings_versus(r2) * 100:.0f}% vs R2")
@@ -1073,7 +1059,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _add_workers_flag(sub: argparse.ArgumentParser) -> None:
-    """The process-parallelism flag shared by ``pipeline`` and ``optimize``."""
+    """The process-parallelism flags of ``pipeline``, ``serve`` and ``loadgen``."""
     sub.add_argument(
         "--workers", type=int, default=None, metavar="K",
         help="fan independent evaluations across K worker processes"
@@ -1231,17 +1217,10 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--profile-nodes", type=int, default=3)
     optimize.add_argument("--cache", default=None,
                           help="pipeline result-cache file to reuse/update")
-    optimize.add_argument("--prune", action="store_true",
-                          help="branch-and-bound search on the Eq.-1 cost"
-                               " lower bound (same optimum, fewer model"
-                               " evaluations)")
     optimize.add_argument("--top", type=int, default=1, metavar="K",
-                          help="print the K cheapest feasible configurations"
-                               " (with --prune, ranks beyond 1 rank only the"
-                               " candidates the bound kept)")
+                          help="print the K cheapest feasible configurations")
     optimize.add_argument("--json", action="store_true",
                           help="emit the search outcome as JSON")
-    _add_workers_flag(optimize)
 
     bench = sub.add_parser(
         "bench",

@@ -7,21 +7,17 @@
 - :mod:`repro.cloud.instance` — machine types and their hourly prices.
 - :mod:`repro.cloud.pricing` — Table V disk prices and the cost function
   ``Cost = f(P, DiskTypes, DiskSize_HDFS, DiskSize_local, Time)``.
-- :mod:`repro.cloud.optimizer` — grid search (optionally parallel and
-  bound-pruned) plus coordinate descent over the configuration space,
-  using the Doppio model for ``Time``.
-- :mod:`repro.cloud.bounds` — the admissible Eq.-1 runtime/cost lower
-  bound that makes the pruned search exact.
+- :mod:`repro.cloud.optimizer` — exhaustive grid search (one array-kernel
+  pass over the whole grid) plus coordinate descent over the
+  configuration space, using the Doppio model for ``Time``.
 - :mod:`repro.cloud.recommendations` — the R1 (Apache Spark) and R2
   (Cloudera) reference provisioning rules the paper compares against.
 """
 
-from repro.cloud.bounds import RuntimeLowerBound
 from repro.cloud.disks import (
     PersistentDiskSpec,
     PD_STANDARD,
     PD_SSD,
-    bandwidth_upper_bound,
     make_persistent_disk,
 )
 from repro.cloud.instance import MachineType, N1_STANDARD, machine_for_vcpus
@@ -42,11 +38,9 @@ from repro.cloud.recommendations import (
 )
 
 __all__ = [
-    "RuntimeLowerBound",
     "PersistentDiskSpec",
     "PD_STANDARD",
     "PD_SSD",
-    "bandwidth_upper_bound",
     "make_persistent_disk",
     "MachineType",
     "N1_STANDARD",

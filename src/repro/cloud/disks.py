@@ -119,41 +119,6 @@ PD_SSD = PersistentDiskSpec(
 SPEC_BY_KIND = {PD_STANDARD.kind: PD_STANDARD, PD_SSD.kind: PD_SSD}
 
 
-def bandwidth_upper_bound(
-    kind: str, size_gb: float, request_size: float, is_write: bool = False
-) -> float:
-    """Cheap upper bound on a built disk's effective bandwidth.
-
-    :func:`make_persistent_disk` anchors the exact spec values
-    ``min(T, I * rs)`` at :data:`_ANCHOR_SIZES` and interpolates
-    *linearly in log-log space* between them.  ``log(min(T, I * e^x))``
-    is the minimum of two affine functions of ``x`` — concave — so every
-    interpolation chord lies on or below the spec curve: within the
-    anchored range the table can only under-shoot the closed formula.
-    Below the smallest anchor the table clamps *flat* (it may exceed the
-    formula there), which clamping the request size up to the smallest
-    anchor covers; above the largest anchor the formula is
-    non-decreasing in ``rs`` while the table stays flat, so no clamp is
-    needed.  Hence for every request size::
-
-        table.bandwidth(rs) <= bandwidth_upper_bound(kind, S, rs)
-
-    which is what makes the optimizer's Eq.-1 runtime lower bound
-    (:mod:`repro.cloud.bounds`) admissible without building any table.
-    """
-    try:
-        spec = SPEC_BY_KIND[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown persistent disk kind {kind!r};"
-            f" expected one of {sorted(SPEC_BY_KIND)}"
-        ) from None
-    clamped = max(request_size, _ANCHOR_SIZES[0])
-    if is_write:
-        return spec.write_bandwidth(size_gb, clamped)
-    return spec.read_bandwidth(size_gb, clamped)
-
-
 def make_persistent_disk(
     kind: str, size_gb: float, name: str | None = None
 ) -> StorageDevice:

@@ -15,28 +15,16 @@ of the gradient-descent procedure the paper describes; both honour
 capacity feasibility (disks must actually hold the job's data).
 
 Candidates are scored through the array-native Eq.-1 kernel
-(:mod:`repro.model.arrays`): the search builds one
-:class:`~repro.model.arrays.CandidateBatch` (or one per
-branch-and-bound chunk), scores it as parallel arrays, and materializes
-``EvaluatedConfiguration`` records from the score columns — bitwise
-identical to the historical per-candidate path, hundreds of times
-faster.  The scalar :meth:`CostOptimizer.evaluate` remains for single
-configurations (reference points, descent starts, cache-threaded
-what-ifs).
-
-``grid_search`` additionally takes two independent knobs:
-
-- ``workers=k`` is accepted for interface compatibility (and still
-  validates like the rest of the pipeline); the batch kernel scores the
-  whole grid in-process faster than candidates could be pickled to a
-  pool, so every worker count returns bit-identical results trivially;
-- ``prune=True`` runs branch-and-bound on the admissible
-  :class:`~repro.cloud.bounds.RuntimeLowerBound`, whose block bounds
-  are themselves evaluated vectorized: candidates whose optimistic cost
-  already meets or exceeds the incumbent best are discarded without
-  scoring.  The pruned search provably returns the same ``best`` as
-  exhaustive (see ``docs/PERFORMANCE.md``), and the result reports
-  evaluated-vs-pruned counts.
+(:mod:`repro.model.arrays`): ``grid_search`` builds one
+:class:`~repro.model.arrays.CandidateBatch` for the whole feasible grid,
+scores it in one pass, and materializes ``EvaluatedConfiguration``
+records from the score columns — bitwise identical to the historical
+per-candidate path, hundreds of times faster.  At that speed an
+exhaustive scan outruns any branch-and-bound pruning of the grid (see
+``docs/PERFORMANCE.md``), so every search scores every feasible
+candidate.  The scalar :meth:`CostOptimizer.evaluate` remains for
+single configurations (reference points, descent starts,
+cache-threaded what-ifs).
 """
 
 from __future__ import annotations
@@ -44,24 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cloud.bounds import RuntimeLowerBound
 from repro.cloud.disks import SPEC_BY_KIND, make_persistent_disk
 from repro.cloud.instance import machine_for_vcpus
 from repro.cloud.pricing import CloudConfiguration
 from repro.core.predictor import Predictor
 from repro.errors import OptimizationError
 from repro.model.arrays import CandidateBatch, Eq1BatchEvaluator
-from repro.parallel import ExecutionPolicy, resolve_backend, validate_execution
 from repro.units import GB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.cache import ResultCache
-
-#: Candidates bound-checked per branch-and-bound round.  Fixed — the
-#: evaluated/pruned counts of a pruned search are part of the search's
-#: observable contract, so the block size must not drift with the
-#: environment (workers, backend) scoring it.
-_PRUNE_CHUNK = 64
 
 #: Default provisioned-size grid, in GB (the paper sweeps 20 GB - 4 TB).
 DEFAULT_SIZE_GRID_GB: tuple[float, ...] = (
@@ -88,27 +68,15 @@ class EvaluatedConfiguration:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Search outcome: the winner plus every point evaluated.
-
-    ``num_pruned`` counts the feasible candidates a branch-and-bound
-    search discarded on their cost lower bound alone (0 for exhaustive
-    searches); ``num_evaluated + num_pruned`` is the whole feasible
-    grid.
-    """
+    """Search outcome: the winner plus every point evaluated."""
 
     best: EvaluatedConfiguration
     evaluated: tuple[EvaluatedConfiguration, ...]
-    num_pruned: int = 0
 
     @property
     def num_evaluated(self) -> int:
         """How many feasible configurations were scored."""
         return len(self.evaluated)
-
-    @property
-    def num_considered(self) -> int:
-        """Feasible grid size: scored plus bound-pruned candidates."""
-        return self.num_evaluated + self.num_pruned
 
     def savings_versus(self, other: EvaluatedConfiguration) -> float:
         """Fractional cost saving of the winner vs. a reference config."""
@@ -281,27 +249,12 @@ class CostOptimizer:
         disk_kinds: tuple[str, ...] = ("pd-standard", "pd-ssd"),
         hdfs_sizes_gb: tuple[float, ...] = DEFAULT_SIZE_GRID_GB,
         local_sizes_gb: tuple[float, ...] = DEFAULT_SIZE_GRID_GB,
-        workers: int | None = None,
-        prune: bool = False,
-        execution: ExecutionPolicy | None = None,
     ) -> OptimizationResult:
-        """Score every feasible grid point; ``best`` is always the optimum.
+        """Score every feasible grid point; ``best`` is the optimum.
 
         The feasible grid is scored through the array kernel as one
-        batch (or chunk-wise bound-filtered batches with
-        ``prune=True``), so all four ``workers`` × ``prune``
-        combinations return the identical ``best`` (and, without
-        pruning, the identical ``evaluated`` tuple) — only the
-        evaluated/pruned split changes.  ``workers`` keeps its pipeline
-        semantics for validation (``None``/``1``/``0``/``k`` accepted,
-        anything else is a :class:`~repro.errors.ConfigurationError`)
-        but no process pool is spun up: one in-process kernel pass
-        outruns pickling candidates to workers by orders of magnitude.
-        ``execution`` is validated the same way (an
-        :class:`~repro.parallel.ExecutionPolicy` or ``None``) so the
-        CLI threads one set of supervision flags through both
-        ``pipeline`` and ``optimize``; with no pool there is nothing to
-        supervise, and searches cannot fail partially.
+        batch; ``evaluated`` lists every candidate in canonical grid
+        order and ``best`` is the first one of minimal cost.
         """
         for kind in disk_kinds:
             if kind not in SPEC_BY_KIND:
@@ -311,20 +264,9 @@ class CostOptimizer:
         )
         if not candidates:
             raise OptimizationError("no feasible configuration on the grid")
-        # Validate the workers and execution requests exactly like the
-        # process-pool era did, then release the backend unused (see
-        # the docstring).
-        resolve_backend(workers).shutdown()
-        validate_execution(execution)
-        if prune:
-            evaluated, best, pruned = self._search_pruned(candidates)
-        else:
-            evaluated = self.score_candidates(candidates)
-            best = min(evaluated, key=lambda e: e.cost_dollars)
-            pruned = 0
-        return OptimizationResult(
-            best=best, evaluated=tuple(evaluated), num_pruned=pruned
-        )
+        evaluated = self.score_candidates(candidates)
+        best = min(evaluated, key=lambda e: e.cost_dollars)
+        return OptimizationResult(best=best, evaluated=tuple(evaluated))
 
     def _grid_candidates(
         self,
@@ -348,47 +290,6 @@ class CostOptimizer:
                                 vcpus, hdfs_kind, hdfs_gb, local_kind, local_gb
                             ))
         return candidates
-
-    def _search_pruned(
-        self,
-        candidates: list[CloudConfiguration],
-    ) -> tuple[list[EvaluatedConfiguration], EvaluatedConfiguration, int]:
-        """Branch-and-bound in grid order; same ``best`` as exhaustive.
-
-        Candidates are consumed in fixed-size chunks: each chunk's cost
-        lower bounds are evaluated as one vectorized block
-        (:meth:`~repro.cloud.bounds.RuntimeLowerBound.cost_bounds`,
-        bitwise equal to the scalar bound — so the evaluated/pruned
-        split is too), survivors are batch-scored in order, and the
-        incumbent advances with a strict ``<`` — the same tie-break as
-        ``min`` over the full grid.  The exhaustive winner is the
-        *first* global minimum in grid order; when its chunk arrives the
-        incumbent still costs strictly more, so its (admissible) bound
-        can never reach the incumbent and it is always evaluated —
-        hence ``best`` is identical.
-        """
-        bound = RuntimeLowerBound(self.predictor.report)
-        evaluated: list[EvaluatedConfiguration] = []
-        best: EvaluatedConfiguration | None = None
-        pruned = 0
-        for start in range(0, len(candidates), _PRUNE_CHUNK):
-            chunk = candidates[start:start + _PRUNE_CHUNK]
-            survivors: list[CloudConfiguration] = []
-            if best is None:
-                survivors = chunk
-            else:
-                incumbent = best.cost_dollars
-                for config, cost_lb in zip(chunk, bound.cost_bounds(chunk)):
-                    if cost_lb >= incumbent:
-                        pruned += 1
-                    else:
-                        survivors.append(config)
-            for item in self.score_candidates(survivors):
-                evaluated.append(item)
-                if best is None or item.cost_dollars < best.cost_dollars:
-                    best = item
-        assert best is not None  # candidates is non-empty
-        return evaluated, best, pruned
 
     def coordinate_descent(
         self,

@@ -5,7 +5,6 @@ from repro.model.arrays import (
     BatchScores,
     CandidateBatch,
     Eq1BatchEvaluator,
-    LowerBoundBatch,
     backend_name,
     score_batch,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "BatchScores",
     "CandidateBatch",
     "Eq1BatchEvaluator",
-    "LowerBoundBatch",
     "backend_name",
     "score_batch",
 ]

@@ -9,6 +9,10 @@ max of three affine terms in ``(M, N, P, BW)``, so a whole grid reduces
 to a handful of elementwise array operations plus small per-unique-disk
 lookup tables.
 
+:class:`Eq1BatchEvaluator` is the one scorer: the optimizer's
+exhaustive grid search, its descent rounds, the core sweeps and the
+service's micro-batches all score the exact model through it.
+
 Exactness contract
 ------------------
 ``score_batch`` reproduces the scalar path (``Predictor.model_for_devices``
@@ -60,9 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 # The cloud-layer helpers (device factories, pricing) are imported
 # lazily inside the functions that memoize their results:
-# ``repro.cloud.__init__`` itself imports this module (via ``bounds``),
-# so a module-level import here would be circular whenever the model
-# package loads first.
+# ``repro.cloud.__init__`` itself imports this module (via
+# ``optimizer``), so a module-level import here would be circular
+# whenever the model package loads first.
 
 __all__ = [
     "BOTTLENECK_LABELS",
@@ -70,7 +74,6 @@ __all__ = [
     "BatchScores",
     "CandidateBatch",
     "Eq1BatchEvaluator",
-    "LowerBoundBatch",
     "backend_name",
     "score_batch",
 ]
@@ -293,7 +296,7 @@ def _group_channels(channels, groups):
 
 
 def _stages_from_report(report: ProfilingReport, groups: list) -> tuple:
-    """Kernel stages for the exact model; unknown roles are an error.
+    """Kernel stages for a profiling report; unknown roles are an error.
 
     Mirrors ``Predictor._stage_variables`` against ``{"hdfs", "local"}``
     devices: empty channels are skipped, any other role has no target
@@ -328,93 +331,56 @@ def _stages_from_report(report: ProfilingReport, groups: list) -> tuple:
     return tuple(stages)
 
 
-def _stages_from_terms(stage_terms, groups: list) -> tuple:
-    """Kernel stages for the lower bound; non-disk roles are skipped.
-
-    ``stage_terms`` duck-types :class:`repro.cloud.bounds._StageTerms`
-    (whose channels are already filtered to disk roles).
-    """
-    stages = []
-    for terms in stage_terms:
-        reads = [c for c in terms.read_channels if c.role in _DISK_ROLES]
-        writes = [c for c in terms.write_channels if c.role in _DISK_ROLES]
-        stages.append(
-            _KernelStage(
-                name=getattr(terms, "name", ""),
-                num_tasks=terms.num_tasks,
-                t_avg=terms.t_avg,
-                gc_coeff=terms.gc_coeff,
-                delta_scale=terms.delta_scale,
-                fill_seconds=terms.fill_seconds,
-                delta_read=terms.delta_read,
-                delta_write=terms.delta_write,
-                read_groups=_group_channels(reads, groups),
-                write_groups=_group_channels(writes, groups),
-            )
-        )
-    return tuple(stages)
+# -- the evaluator ------------------------------------------------------------
 
 
-# -- the scoring engine -------------------------------------------------------
+class Eq1BatchEvaluator:
+    """Bit-exact batch form of the scalar Eq.-1 prediction stack.
 
-
-class _Engine:
-    """Shared batch scorer behind the exact evaluator and the lower bound.
-
-    Parameterized on how per-group ``sum(D / BW)`` limits are computed
-    for one disk spec (``exact=True`` reads the built bandwidth tables,
-    ``exact=False`` the closed-form :func:`bandwidth_upper_bound`
-    ceilings), on an optional multiplicative ``safety`` factor, and on
-    whether the model's ``per_node == 0`` short-circuit applies
-    (``zero_check`` — the scalar bound has no such branch).
+    Built once from a profiling report; each :meth:`score` call
+    evaluates every candidate in a :class:`CandidateBatch` and returns
+    :class:`BatchScores` whose runtimes, costs, and bottleneck labels
+    equal the scalar ``Predictor`` / ``CostOptimizer.evaluate`` outputs
+    exactly (see the module docstring for why).  Per-disk bandwidth
+    limits and prices are memoized across calls, so reusing one
+    evaluator also reuses its tables.
     """
 
-    def __init__(self, stages, groups, exact: bool, safety: float | None,
-                 zero_check: bool) -> None:
-        self._stages = stages
+    def __init__(self, report: ProfilingReport, backend: str | None = None) -> None:
+        self.report = report
+        self._backend = backend
+        groups: list = []
+        self._stages = _stages_from_report(report, groups)
         self._groups = tuple(groups)
-        self._exact = exact
-        self._safety = safety
-        self._zero_check = zero_check
         self._limits_cache: dict[tuple, tuple[float, ...]] = {}
         self._disk_cost_cache: dict[tuple, float] = {}
         self._price_cache: dict[int, float] = {}
+
+    @property
+    def stage_names(self) -> tuple[str, ...]:
+        """Profiled stage labels, in prediction order."""
+        return tuple(stage.name for stage in self._stages)
 
     # per-unique-spec tables ------------------------------------------------
 
     def _limits(self, spec: tuple) -> tuple[float, ...]:
         """Per-group ``sum(D / BW)`` seconds for one ``(kind, size_gb)``.
 
-        Exact mode builds the disk's bandwidth tables through the same
-        scalar code path the predictor uses and accumulates in channel
-        order — so the floats match the scalar model's bit for bit.
+        Builds the disk's bandwidth tables through the same scalar code
+        path the predictor uses and accumulates in channel order — so
+        the floats match the scalar model's bit for bit.
         """
         cached = self._limits_cache.get(spec)
         if cached is None:
-            from repro.cloud.disks import (
-                bandwidth_upper_bound,
-                make_persistent_disk,
-            )
+            from repro.cloud.disks import make_persistent_disk
 
-            kind, size_gb = spec
+            device = make_persistent_disk(*spec)
             out = []
-            if self._exact:
-                device = make_persistent_disk(kind, size_gb)
-                for channels in self._groups:
-                    total = 0.0
-                    for total_bytes, request_size, is_write in channels:
-                        total += total_bytes / device.bandwidth(
-                            request_size, is_write
-                        )
-                    out.append(total)
-            else:
-                for channels in self._groups:
-                    total = 0.0
-                    for total_bytes, request_size, is_write in channels:
-                        total += total_bytes / bandwidth_upper_bound(
-                            kind, size_gb, request_size, is_write
-                        )
-                    out.append(total)
+            for channels in self._groups:
+                total = 0.0
+                for total_bytes, request_size, is_write in channels:
+                    total += total_bytes / device.bandwidth(request_size, is_write)
+                out.append(total)
             cached = self._limits_cache[spec] = tuple(out)
         return cached
 
@@ -438,15 +404,20 @@ class _Engine:
 
     # scoring ---------------------------------------------------------------
 
-    def score(self, batch: CandidateBatch, want_cost: bool,
-              want_bottlenecks: bool, backend: str | None) -> BatchScores:
+    def score(
+        self,
+        batch: CandidateBatch,
+        want_cost: bool = True,
+        want_bottlenecks: bool = True,
+        backend: str | None = None,
+    ) -> BatchScores:
+        """Score every candidate; see :class:`BatchScores` for the layout."""
         if want_cost and batch.vcpus is None:
             raise ModelError(
                 "batch carries no machine vcpus; cost scoring needs them"
                 " (score with want_cost=False for model-only batches)"
             )
-        module = _resolve_backend(backend)
-        stage_names = tuple(stage.name for stage in self._stages)
+        module = _resolve_backend(backend or self._backend)
         if module is not None:
             runtime, cost, codes = self._score_numpy(
                 module, batch, want_cost, want_bottlenecks
@@ -461,7 +432,7 @@ class _Engine:
             runtime_seconds=runtime,
             cost_dollars=cost,
             bottlenecks=codes,
-            stage_names=stage_names,
+            stage_names=self.stage_names,
             backend=name,
         )
 
@@ -520,7 +491,6 @@ class _Engine:
                 rate_ids.append(r)
 
         limits = [self._limits(spec) for spec in spec_list]
-        zero_check = self._zero_check
         total = [0.0] * n
         per_stage_codes: list[bytes] = []
         for stage in self._stages:
@@ -534,11 +504,11 @@ class _Engine:
                 ts_tab.append(value if value > 0.0 else 0.0)
             tr_tab = self._limit_table(
                 stage.read_groups, stage.fill_seconds, stage.delta_read,
-                io_list, limits, zero_check,
+                io_list, limits,
             )
             tw_tab = self._limit_table(
                 stage.write_groups, stage.fill_seconds, stage.delta_write,
-                io_list, limits, zero_check,
+                io_list, limits,
             )
             codes = bytearray(n) if want_bottlenecks else None
             # Fused gather: max of the three terms with the scalar
@@ -574,9 +544,6 @@ class _Engine:
                     if tw > ts:
                         ts = tw
                     total[i] += ts
-        safety = self._safety
-        if safety is not None:
-            total = [t * safety for t in total]
         cost = None
         if want_cost:
             rate_tab = [
@@ -590,8 +557,7 @@ class _Engine:
         codes_out = tuple(per_stage_codes) if want_bottlenecks else None
         return array("d", total), cost, codes_out
 
-    def _limit_table(self, direction_groups, fill, delta, io_list, limits,
-                     zero_check):
+    def _limit_table(self, direction_groups, fill, delta, io_list, limits):
         """Per-unique-(hdfs, local, N) I/O limit term for one direction."""
         table = []
         for h, lo, node in io_list:
@@ -600,7 +566,7 @@ class _Engine:
                 limit = limits[h][gid] if use_hdfs else limits[lo][gid]
                 if per_node is None or limit > per_node:
                     per_node = limit
-            if per_node is None or (zero_check and per_node == 0.0):
+            if per_node is None or per_node == 0.0:
                 table.append(0.0)
             else:
                 value = per_node / node + fill + delta
@@ -639,9 +605,7 @@ class _Engine:
                 return np.zeros(n)
             value = per_node / nodes + fill + delta
             term = np.where(value > 0.0, value, 0.0)
-            if self._zero_check:
-                term = np.where(per_node == 0.0, 0.0, term)
-            return term
+            return np.where(per_node == 0.0, 0.0, term)
 
         total = np.zeros(n)
         per_stage_codes = []
@@ -662,8 +626,6 @@ class _Engine:
                 ).astype(np.uint8)
                 per_stage_codes.append(codes)
             total = total + np.maximum(np.maximum(ts, tr), tw)
-        if self._safety is not None:
-            total = total * self._safety
         cost = None
         if want_cost:
             v_unique, v_inv = np.unique(
@@ -705,46 +667,6 @@ def _np_unique_specs(np, kinds, sizes_gb):
     return inverse, specs
 
 
-# -- public facades -----------------------------------------------------------
-
-
-class Eq1BatchEvaluator:
-    """Bit-exact batch form of the scalar Eq.-1 prediction stack.
-
-    Built once from a profiling report; each :meth:`score` call
-    evaluates every candidate in a :class:`CandidateBatch` and returns
-    :class:`BatchScores` whose runtimes, costs, and bottleneck labels
-    equal the scalar ``Predictor`` / ``CostOptimizer.evaluate`` outputs
-    exactly (see the module docstring for why).
-    """
-
-    def __init__(self, report: ProfilingReport, backend: str | None = None) -> None:
-        self.report = report
-        self._backend = backend
-        groups: list = []
-        stages = _stages_from_report(report, groups)
-        self._engine = _Engine(
-            stages, groups, exact=True, safety=None, zero_check=True
-        )
-
-    @property
-    def stage_names(self) -> tuple[str, ...]:
-        """Profiled stage labels, in prediction order."""
-        return tuple(stage.name for stage in self._engine._stages)
-
-    def score(
-        self,
-        batch: CandidateBatch,
-        want_cost: bool = True,
-        want_bottlenecks: bool = True,
-        backend: str | None = None,
-    ) -> BatchScores:
-        """Score every candidate; see :class:`BatchScores` for the layout."""
-        return self._engine.score(
-            batch, want_cost, want_bottlenecks, backend or self._backend
-        )
-
-
 def score_batch(
     report: ProfilingReport,
     batch: CandidateBatch,
@@ -761,38 +683,3 @@ def score_batch(
     return Eq1BatchEvaluator(report, backend=backend).score(
         batch, want_cost=want_cost, want_bottlenecks=want_bottlenecks
     )
-
-
-class LowerBoundBatch:
-    """Vectorized mirror of :class:`repro.cloud.bounds.RuntimeLowerBound`.
-
-    Takes the bound's extracted per-stage terms and reproduces its
-    scalar ``runtime_bound``/``cost_bound`` arithmetic — closed-form
-    bandwidth ceilings, the same clamps, the trailing ``safety``
-    multiplier — elementwise over a batch, so branch-and-bound pruning
-    decisions (and therefore evaluated/pruned counts) are identical to
-    the per-candidate implementation on either backend.
-    """
-
-    def __init__(self, stage_terms, safety: float = 1.0,
-                 backend: str | None = None) -> None:
-        self._backend = backend
-        groups: list = []
-        stages = _stages_from_terms(stage_terms, groups)
-        self._engine = _Engine(
-            stages, groups, exact=False, safety=safety, zero_check=False
-        )
-
-    def runtime_bounds(self, batch: CandidateBatch) -> Sequence[float]:
-        """Per-candidate runtime lower bounds, in seconds."""
-        return self._engine.score(
-            batch, want_cost=False, want_bottlenecks=False,
-            backend=self._backend,
-        ).runtime_seconds
-
-    def cost_bounds(self, batch: CandidateBatch) -> Sequence[float]:
-        """Per-candidate cost lower bounds, in dollars."""
-        return self._engine.score(
-            batch, want_cost=True, want_bottlenecks=False,
-            backend=self._backend,
-        ).cost_dollars

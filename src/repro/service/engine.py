@@ -474,19 +474,15 @@ class QueryEngine:
             min_local_gb=min_local,
         )
         result = await self._call(
-            lambda: optimizer.grid_search(
-                vcpu_grid=query.vcpu_grid, prune=query.prune
-            )
+            lambda: optimizer.grid_search(vcpu_grid=query.vcpu_grid)
         )
         return {
             "kind": "optimize",
             "workload": query.workload,
             "fingerprint": fp,
             "vcpu_grid": list(query.vcpu_grid),
-            "prune": query.prune,
             "num_workers": query.num_workers,
             "num_evaluated": result.num_evaluated,
-            "num_pruned": result.num_pruned,
             "backend": backend_name(),
             "best": {
                 "config": config_dict(result.best.config),

@@ -88,7 +88,6 @@ def build_queries(
             "kind": "optimize",
             "workload": workload,
             "vcpu_grid": list(_GRID_CYCLE[index % len(_GRID_CYCLE)]),
-            "prune": bool(index % 2),
             "num_workers": num_workers,
         }
         for index in range(optimize_distinct)
@@ -277,11 +276,7 @@ def naive_baseline(optimizer, queries: list[dict]) -> dict:
             )
             results.append(optimizer.evaluate(config))
         elif query.kind == "optimize":
-            results.append(
-                optimizer.grid_search(
-                    vcpu_grid=query.vcpu_grid, prune=query.prune
-                )
-            )
+            results.append(optimizer.grid_search(vcpu_grid=query.vcpu_grid))
         else:
             raise ServiceError(
                 f"naive baseline cannot answer {query.kind!r} queries"

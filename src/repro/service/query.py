@@ -54,7 +54,7 @@ _FIELDS_BY_KIND = {
         "num_workers",
     },
     "simulate": {"slaves", "cores", "hdfs", "local"},
-    "optimize": {"vcpu_grid", "prune", "num_workers"},
+    "optimize": {"vcpu_grid", "num_workers"},
 }
 
 
@@ -84,7 +84,6 @@ class Query:
     local: str | None = None
     # optimize
     vcpu_grid: tuple[int, ...] = ()
-    prune: bool = False
 
     def canonical(self) -> dict:
         """The kind-relevant fields, defaults filled — the cache identity."""
@@ -106,7 +105,6 @@ class Query:
         else:  # optimize
             base.update(
                 vcpu_grid=list(self.vcpu_grid),
-                prune=self.prune,
                 num_workers=self.num_workers,
             )
         return base
@@ -223,13 +221,9 @@ def parse_query(payload, known_workloads=None) -> Query:
     vcpu_grid = tuple(
         _as_int(value, "vcpu_grid entry", where) for value in grid
     )
-    prune = payload.get("prune", False)
-    if not isinstance(prune, bool):
-        raise QueryError(f"{where}: prune must be a boolean, got {prune!r}")
     return Query(
         kind=kind,
         workload=workload,
         vcpu_grid=vcpu_grid,
-        prune=prune,
         num_workers=_as_int(payload.get("num_workers", 10), "num_workers", where),
     )

@@ -1,19 +1,11 @@
-"""PR-5 equivalence properties: parallelism and pruning change nothing.
+"""PR-5 equivalence properties: parallelism changes nothing.
 
-Two guarantees back every ``workers=``/``prune=`` knob in the pipeline:
-
-- **Bit-identity** — ``Experiment.run_grid(workers=k)`` returns records
-  byte-for-byte equal to the serial sweep, for any worker count.  The
-  parallel path only *warms the cache* (workers ship content-addressed
-  shards home); every record is then composed in-process by the same
-  serial code, so equality is structural, and this test pins it.
-- **Exact pruning** — ``CostOptimizer.grid_search(prune=True)`` returns
-  the same ``best`` as the exhaustive search.  The branch-and-bound cut
-  uses an admissible lower bound (:mod:`repro.cloud.bounds`), so the
-  first global optimum in grid order can never be discarded.
-
-Both are checked across randomized workloads, shapes, and price grids —
-not just the paper's fixtures.
+``Experiment.run_grid(workers=k)`` returns records byte-for-byte equal
+to the serial sweep, for any worker count.  The parallel path only
+*warms the cache* (workers ship content-addressed shards home); every
+record is then composed in-process by the same serial code, so equality
+is structural, and these tests pin it across randomized workloads and
+shapes — not just the paper's fixtures.
 """
 
 from __future__ import annotations
@@ -23,8 +15,7 @@ import json
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.optimizer import CostOptimizer
-from repro.core import Predictor, Profiler
+from repro.core import Profiler
 from repro.errors import ProfilingError
 from repro.parallel import ExecutionPolicy
 from repro.pipeline.cache import ResultCache
@@ -126,67 +117,6 @@ def test_parallel_run_repeated_matches_serial(spec, execution):
     assert _records(
         parallel.run_repeated(2, 4, runs=2, workers=2, execution=execution)
     ) == _records(serial.run_repeated(2, 4, runs=2))
-
-
-size_grids = st.lists(
-    st.sampled_from((60.0, 120.0, 250.0, 500.0, 1000.0, 2000.0)),
-    min_size=1, max_size=3, unique=True,
-).map(tuple)
-
-
-@settings(max_examples=20, **EQUIV_SETTINGS)
-@given(
-    spec=workload_specs(),
-    num_workers=st.sampled_from((2, 5, 10)),
-    vcpu_grid=st.lists(
-        st.sampled_from((4, 8, 16, 32)), min_size=1, max_size=3, unique=True
-    ).map(tuple),
-    hdfs_sizes=size_grids,
-    local_sizes=size_grids,
-)
-def test_pruned_search_finds_the_exhaustive_optimum(
-    spec, num_workers, vcpu_grid, hdfs_sizes, local_sizes
-):
-    """grid_search(prune=True).best == grid_search(prune=False).best."""
-    optimizer = CostOptimizer(
-        Predictor(_profile(spec)),
-        num_workers=num_workers,
-        min_hdfs_gb=10.0,
-        min_local_gb=10.0,
-    )
-    search = dict(
-        vcpu_grid=vcpu_grid, hdfs_sizes_gb=hdfs_sizes, local_sizes_gb=local_sizes
-    )
-    full = optimizer.grid_search(**search)
-    pruned = optimizer.grid_search(prune=True, **search)
-
-    assert pruned.best.config == full.best.config
-    assert pruned.best.cost_dollars == full.best.cost_dollars
-    assert pruned.best.runtime_seconds == full.best.runtime_seconds
-    # Every candidate is accounted for: evaluated or provably cut.
-    assert pruned.num_pruned + len(pruned.evaluated) == len(full.evaluated)
-    assert pruned.num_considered == full.num_considered
-    assert full.num_pruned == 0
-
-
-@settings(max_examples=3, **EQUIV_SETTINGS)
-@given(spec=workload_specs())
-def test_parallel_search_evaluates_identically(spec):
-    """workers=2 reproduces the serial search's full evaluated tuple."""
-    optimizer = CostOptimizer(
-        Predictor(_profile(spec)),
-        num_workers=5,
-        min_hdfs_gb=10.0,
-        min_local_gb=10.0,
-    )
-    search = dict(
-        vcpu_grid=(8, 16), hdfs_sizes_gb=(250.0, 500.0), local_sizes_gb=(250.0,)
-    )
-    serial = optimizer.grid_search(**search)
-    parallel = optimizer.grid_search(workers=2, **search)
-    assert [
-        (e.config, e.runtime_seconds, e.cost_dollars) for e in parallel.evaluated
-    ] == [(e.config, e.runtime_seconds, e.cost_dollars) for e in serial.evaluated]
 
 
 def test_parallel_grid_shares_one_cache_file(tmp_path):

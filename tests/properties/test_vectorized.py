@@ -1,13 +1,13 @@
 """PR-6 equivalence properties: the array kernel changes nothing.
 
 The refactor moved every Eq.-1 evaluation — optimizer grid, descent
-neighborhoods, disk-size sweeps, branch-and-bound lower bounds — onto
-:mod:`repro.model.arrays`.  Its contract is *exact* equality with the
-scalar stack, not approximate: the kernel replays the scalar model's
-float operations in the scalar order, so every comparison below uses
-``==`` on raw floats.  Checked across randomized workloads and grids on
-both backends (pure Python and numpy, when installed), so the suite is
-meaningful with or without numpy in the environment — CI runs it twice.
+neighborhoods, disk-size sweeps — onto :mod:`repro.model.arrays`.  Its
+contract is *exact* equality with the scalar stack, not approximate:
+the kernel replays the scalar model's float operations in the scalar
+order, so every comparison below uses ``==`` on raw floats.  Checked
+across randomized workloads and grids on both backends (pure Python
+and numpy, when installed), so the suite is meaningful with or without
+numpy in the environment — CI runs it twice.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.bounds import _SAFETY, RuntimeLowerBound
 from repro.cloud.disks import make_persistent_disk
 from repro.cloud.optimizer import CostOptimizer
 from repro.core import Predictor, Profiler
@@ -24,7 +23,6 @@ from repro.errors import ProfilingError
 from repro.model.arrays import (
     CandidateBatch,
     Eq1BatchEvaluator,
-    LowerBoundBatch,
     backend_name,
     score_batch,
 )
@@ -182,35 +180,6 @@ def test_numpy_and_python_backends_agree_bitwise(
             py.bottlenecks[stage_index]
         )
     assert py.argmin_cost() == np_.argmin_cost()
-
-
-@settings(max_examples=15, **EQUIV_SETTINGS)
-@given(
-    spec=workload_specs(),
-    num_workers=st.sampled_from((2, 5, 10)),
-    vcpu_grid=vcpu_grids,
-    hdfs_sizes=size_grids,
-    local_sizes=size_grids,
-    backend=st.sampled_from(BACKENDS),
-)
-def test_batch_bounds_equal_scalar_bounds(
-    spec, num_workers, vcpu_grid, hdfs_sizes, local_sizes, backend
-):
-    """runtime_bounds/cost_bounds == per-config runtime_bound/cost_bound."""
-    report = _profile(spec)
-    bound = RuntimeLowerBound(report)
-    configs = _optimizer(report, num_workers)._grid_candidates(
-        vcpu_grid, ("pd-standard", "pd-ssd"), hdfs_sizes, local_sizes
-    )
-    batch = CandidateBatch.from_configs(configs)
-    batch_bound = LowerBoundBatch(
-        bound._stages, safety=_SAFETY, backend=backend
-    )
-    runtimes = batch_bound.runtime_bounds(batch)
-    costs = batch_bound.cost_bounds(batch)
-    for index, config in enumerate(configs):
-        assert float(runtimes[index]) == bound.runtime_bound(config)
-        assert float(costs[index]) == bound.cost_bound(config)
 
 
 @settings(max_examples=10, **EQUIV_SETTINGS)

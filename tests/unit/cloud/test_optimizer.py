@@ -82,56 +82,6 @@ class TestGridSearch:
             optimizer.grid_search(disk_kinds=("pd-extreme",))
 
 
-class TestPrunedSearch:
-    def test_same_best_as_exhaustive(self, optimizer):
-        kwargs = dict(
-            vcpu_grid=(8, 16, 32),
-            hdfs_sizes_gb=(500, 1000),
-            local_sizes_gb=(200, 500, 1000),
-        )
-        full = optimizer.grid_search(**kwargs)
-        pruned = optimizer.grid_search(prune=True, **kwargs)
-        assert pruned.best.config == full.best.config
-        assert pruned.best.cost_dollars == full.best.cost_dollars
-
-    def test_counts_account_for_every_candidate(self, optimizer):
-        kwargs = dict(vcpu_grid=(8, 16, 32))
-        full = optimizer.grid_search(**kwargs)
-        pruned = optimizer.grid_search(prune=True, **kwargs)
-        assert full.num_pruned == 0
-        assert pruned.num_pruned > 0  # the bound must actually bite
-        assert pruned.num_considered == full.num_considered
-        assert len(pruned.evaluated) + pruned.num_pruned == len(full.evaluated)
-
-    def test_pruned_evaluations_are_a_subset(self, optimizer):
-        kwargs = dict(vcpu_grid=(8, 16))
-        full = {e.config for e in optimizer.grid_search(**kwargs).evaluated}
-        pruned = optimizer.grid_search(prune=True, **kwargs)
-        assert {e.config for e in pruned.evaluated} <= full
-
-
-class TestParallelSearch:
-    def test_workers_do_not_change_the_result(self, optimizer):
-        kwargs = dict(
-            vcpu_grid=(8, 16), hdfs_sizes_gb=(500, 1000), local_sizes_gb=(200,)
-        )
-        serial = optimizer.grid_search(**kwargs)
-        parallel = optimizer.grid_search(workers=2, **kwargs)
-        assert parallel.best.config == serial.best.config
-        assert [e.config for e in parallel.evaluated] == [
-            e.config for e in serial.evaluated
-        ]
-        assert [e.cost_dollars for e in parallel.evaluated] == [
-            e.cost_dollars for e in serial.evaluated
-        ]
-
-    def test_invalid_workers_rejected(self, optimizer):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            optimizer.grid_search(vcpu_grid=(8,), workers=-2)
-
-
 class TestCoordinateDescent:
     def test_descends_to_local_optimum(self, optimizer):
         start = optimizer.make_config(32, "pd-standard", 4000, "pd-standard", 4000)

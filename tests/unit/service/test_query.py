@@ -43,8 +43,13 @@ class TestValidation:
             parse_query(payload)
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(QueryError, match="unknown field"):
-            parse_query(predict_payload(wibble=1))
+        for payload in (
+            predict_payload(wibble=1),
+            # optimize queries take no search-pruning switch.
+            {"kind": "optimize", "workload": "svm", "prune": True},
+        ):
+            with pytest.raises(QueryError, match="unknown field"):
+                parse_query(payload)
 
     def test_unknown_workload_rejected_when_catalogue_given(self):
         with pytest.raises(QueryError, match="unknown workload"):
@@ -71,19 +76,12 @@ class TestValidation:
     def test_optimize_grid_default_matches_cli(self):
         query = parse_query({"kind": "optimize", "workload": "svm"})
         assert query.vcpu_grid == DEFAULT_OPTIMIZE_VCPU_GRID
-        assert query.prune is False
         assert query.num_workers == 10
 
     def test_optimize_empty_grid_rejected(self):
         with pytest.raises(QueryError, match="vcpu_grid"):
             parse_query(
                 {"kind": "optimize", "workload": "svm", "vcpu_grid": []}
-            )
-
-    def test_optimize_prune_must_be_bool(self):
-        with pytest.raises(QueryError, match="prune"):
-            parse_query(
-                {"kind": "optimize", "workload": "svm", "prune": "yes"}
             )
 
 

@@ -52,23 +52,16 @@ class TestParser:
             assert args.blacklist is False
 
     def test_workers_flag_defaults_to_serial(self):
-        for command in (
-            ["pipeline", "--workload", "svm"],
-            ["optimize", "--workload", "gatk4"],
-        ):
-            assert build_parser().parse_args(command).workers is None
+        args = build_parser().parse_args(["pipeline", "--workload", "svm"])
+        assert args.workers is None
 
-    def test_optimize_cluster_and_prune_flags(self):
+    def test_optimize_cluster_workers_flag(self):
         args = build_parser().parse_args(["optimize", "--workload", "gatk4"])
         assert args.cluster_workers == 10
-        assert args.prune is False
         args = build_parser().parse_args(
-            ["optimize", "--workload", "gatk4", "--cluster-workers", "6",
-             "--prune", "--workers", "2"]
+            ["optimize", "--workload", "gatk4", "--cluster-workers", "6"]
         )
         assert args.cluster_workers == 6
-        assert args.prune is True
-        assert args.workers == 2
 
     def test_optimize_top_and_json_flags(self):
         args = build_parser().parse_args(["optimize", "--workload", "gatk4"])
@@ -243,20 +236,51 @@ class TestPipelineCommand:
         assert "R1 (Spark)" in out
         assert "savings:" in out
 
-    def test_optimize_json_payload(self, capsys):
+    def test_optimize_json_payload(self, capsys, tmp_path):
+        from repro.cloud import CostOptimizer
+        from repro.pipeline import (
+            ClusterPlatform,
+            Experiment,
+            ResultCache,
+            SpecSource,
+        )
+
+        cache_path = tmp_path / "cache.json"
         argv = [
             "optimize", "--workload", "svm", "--profile-nodes", "2",
-            "--top", "2", "--prune", "--json",
+            "--top", "3", "--cache", str(cache_path), "--json",
         ]
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["workload"] == "SVM"
         assert payload["backend"] in ("python", "numpy")
-        assert payload["num_pruned"] > 0
-        assert [entry["rank"] for entry in payload["top"]] == [1, 2]
-        # Ranked ascending by cost, and rank 1 is the search optimum.
-        costs = [entry["cost_dollars"] for entry in payload["top"]]
-        assert costs == sorted(costs)
+        assert [entry["rank"] for entry in payload["top"]] == [1, 2, 3]
+        # ``top`` is the first K of the exhaustive search's candidates
+        # after a stable sort by cost (ties keep grid order), rebuilt
+        # here from the profile the command cached.
+        workload = WORKLOADS["svm"]()
+        experiment = Experiment(
+            SpecSource(workload, profile_nodes=2),
+            ClusterPlatform(),
+            cache=ResultCache(cache_path),
+        )
+        hdfs_gb, local_gb = CostOptimizer.capacity_requirements(
+            workload, num_workers=10
+        )
+        search = CostOptimizer(
+            experiment.predictor, num_workers=10,
+            min_hdfs_gb=hdfs_gb, min_local_gb=local_gb,
+        ).grid_search(vcpu_grid=(4, 8, 16, 32))
+        ranked = sorted(search.evaluated, key=lambda e: e.cost_dollars)
+        assert payload["num_evaluated"] == search.num_evaluated
+        assert [
+            (entry["config"]["label"], entry["runtime_seconds"],
+             entry["cost_dollars"])
+            for entry in payload["top"]
+        ] == [
+            (e.config.label(), e.runtime_seconds, e.cost_dollars)
+            for e in ranked[:3]
+        ]
         for reference in payload["references"].values():
             assert payload["top"][0]["cost_dollars"] <= reference["cost_dollars"]
         assert 0.0 < payload["savings_vs_r1"] < 1.0
