@@ -11,9 +11,8 @@ carrying three layers of protection:
 3. **history gates** in ``gates`` — the statistical detector's metric
    specs, judged against the rolling ``BENCH_history.jsonl`` window.
 
-Metric dictionaries keep the exact key shape the monolith wrote, so the
-regenerated ``BENCH_simulator.json`` is drop-in identical for the same
-host and the committed trajectory stays comparable across the refactor.
+Metric dictionaries keep the key names the monolith wrote, so the
+committed ``BENCH_simulator.json`` trajectory stays comparable.
 """
 
 from __future__ import annotations
@@ -36,12 +35,6 @@ SWEEP_CORES = (12, 24, 36)
 
 #: Fig. 13/15 search grid (the benchmark suite's vcpu grid).
 SEARCH_VCPUS = (8, 16, 32)
-
-# Wall time of the same scenario under the O(active)-scan event loop that
-# predates the indexed event heap, measured on the reference container when
-# the heap landed.  Kept as a fixed baseline so the speedup column stays
-# meaningful without checking out old revisions.
-SCAN_LOOP_BASELINE_SECONDS = 0.777
 
 #: Wall-time tolerance: a fresh wall time may not exceed this multiple of
 #: the history median — generous, because CI machines are noisy.
@@ -129,7 +122,7 @@ def run_md_stage_once() -> tuple[float, float]:
 
 
 def run_engine(rounds: int) -> dict:
-    """The historical event-loop microbenchmark (fields kept stable)."""
+    """The event-loop microbenchmark: the MD stage, best of ``rounds``."""
     walls = []
     makespan = None
     for _ in range(max(1, rounds)):
@@ -144,8 +137,6 @@ def run_engine(rounds: int) -> dict:
         "wall_seconds_best": round(best, 4),
         "wall_seconds_all": [round(w, 4) for w in walls],
         "simulated_makespan_seconds": makespan,
-        "scan_loop_baseline_seconds": SCAN_LOOP_BASELINE_SECONDS,
-        "speedup_vs_scan_loop": round(SCAN_LOOP_BASELINE_SECONDS / best, 2),
         "python": platform.python_version(),
     }
 

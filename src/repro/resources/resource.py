@@ -185,6 +185,12 @@ class DeviceResource(Resource):
     ) -> None:
         self.device = device
         self.is_write = is_write
+        #: One-entry memo of the last (smallest request size, bandwidth)
+        #: lookup: a device's curves never change after construction, and
+        #: most lookups repeat the previous smallest request size
+        #: (docs/PERFORMANCE.md, "Simulator event loop", has hit rates).
+        self._memo_request: float | None = None
+        self._memo_bandwidth = 0.0
         direction = "write" if is_write else "read"
         super().__init__(name or f"{device.name}:{direction}", self._profile_capacity)
 
@@ -192,7 +198,12 @@ class DeviceResource(Resource):
         if not streams:
             return 0.0
         smallest_request = min(s.request_size for s in streams)
-        return self.device.bandwidth(smallest_request, self.is_write)
+        if smallest_request != self._memo_request:
+            self._memo_request = smallest_request
+            self._memo_bandwidth = self.device.bandwidth(
+                smallest_request, self.is_write
+            )
+        return self._memo_bandwidth
 
 
 class LinkResource(Resource):

@@ -269,6 +269,7 @@ class MixEngine(SimulationEngine):
         self._heap = []
         self._seq = itertools.count()
         self._dirty_resources = {}
+        self._busy = {}
         self._owner = {}
         self._stalled = {}
         self._freed_nodes = set()
@@ -391,8 +392,11 @@ class MixEngine(SimulationEngine):
                 best = job
         return best
 
-    def _launch_waiting(self, now: float) -> None:
+    def _launch_waiting(self, now: float, freed: set[str]) -> None:
         for node in self.cluster.slaves:
+            if node.name not in freed:
+                continue
+            freed.remove(node.name)
             if node.name in self._dead_nodes:
                 continue
             queues = self._queues[node.name]

@@ -190,15 +190,15 @@ class SimulationEngine:
                     ("nic", node.name),
                     LinkResource(f"{node.name}:nic", network.link_bandwidth),
                 )
-        #: (resource, busy-accounting key) pairs, computed once.
-        self._rate_resources: list[tuple[Resource, tuple[str, bool]]] = []
+        #: Busy-accounting key of every rate resource, by ``id(resource)``.
+        self._busy_keys: dict[int, tuple[str, bool]] = {}
         for resource in self.registry.values():
             if isinstance(resource, DeviceResource):
-                self._rate_resources.append(
-                    (resource, (resource.device.name, resource.is_write))
+                self._busy_keys[id(resource)] = (
+                    resource.device.name, resource.is_write
                 )
             elif isinstance(resource, LinkResource):
-                self._rate_resources.append((resource, (resource.name, False)))
+                self._busy_keys[id(resource)] = (resource.name, False)
         #: Seconds each (device name, is_write) direction had >= 1 active
         #: stream, accumulated by :meth:`run`.
         self.device_busy_seconds: dict[tuple[str, bool], float] = {}
@@ -220,8 +220,10 @@ class SimulationEngine:
         # -- per-run state (reset in :meth:`run`) --------------------------
         self._heap: list[tuple] = []
         self._seq = itertools.count()
-        self._dirty: set[int] = set()
         self._dirty_resources: dict[int, Resource] = {}
+        #: The rate resources holding at least one stream (``id`` -> busy
+        #: key): kept current by :meth:`_settle` as it drains dirty ones.
+        self._busy: dict[int, tuple[str, bool]] = {}
         self._owner: dict[int, _Running] = {}
         self._stalled: dict[int, SharedStream] = {}
         self._freed_nodes: set[str] = set()
@@ -278,6 +280,7 @@ class SimulationEngine:
         self._heap = []
         self._seq = itertools.count()
         self._dirty_resources = {}
+        self._busy = {}
         self._owner = {}
         self._stalled = {}
         self._freed_nodes = set()
@@ -317,7 +320,7 @@ class SimulationEngine:
                 )
 
         now = 0.0
-        self._launch_waiting(now)
+        self._launch_waiting(now, set(pending))
         self._settle(now)
         events = 0
         while self._remaining_tasks > 0:
@@ -507,8 +510,20 @@ class SimulationEngine:
                 self._finish_task(running, now)
             self._freed_nodes.add(running.node.name)
 
-    def _launch_waiting(self, now: float) -> None:
+    def _launch_waiting(self, now: float, freed: set[str]) -> None:
+        """Start queued tasks on the free cores of the nodes in ``freed``.
+
+        After every settle no live node has both a free core and a queued
+        task, and whatever frees a core or queues a task adds its node to
+        ``_freed_nodes`` — so no other node has anything to launch.  Nodes
+        are visited in cluster order, as a full scan would.  Each leaves
+        ``freed`` when the scan reaches it; a node the scan itself frees
+        again is visited later in this pass or in the next one.
+        """
         for node in self.cluster.slaves:
+            if node.name not in freed:
+                continue
+            freed.remove(node.name)
             if node.name in self._dead_nodes:
                 continue
             queue = self._pending[node.name]
@@ -546,6 +561,12 @@ class SimulationEngine:
         Materializing remaining bytes at a rate change can itself complete
         a stream (the sub-:data:`_BYTE_EPS` clamp), which frees slots and
         dirties more resources — hence the loop.
+
+        Every attach and detach marks its resource dirty, so draining the
+        dirty set is also where ``_busy`` learns which resources hold a
+        stream.  Without a network every stream is bound to exactly one
+        resource (only :meth:`_open_io`'s remote split binds two), so each
+        dirty resource is its own component and no closure walk is needed.
         """
         while True:
             if self._rpolicy is not None and self._stall_failed:
@@ -557,8 +578,7 @@ class SimulationEngine:
                             running, now, "stream stalled at zero rate"
                         )
             if self._freed_nodes:
-                self._freed_nodes.clear()
-                self._launch_waiting(now)
+                self._launch_waiting(now, self._freed_nodes)
             if self._rpolicy is not None and self._spec_candidates:
                 self._launch_speculative(now)
             if not self._dirty_resources:
@@ -569,8 +589,18 @@ class SimulationEngine:
                 return
             dirty = self._dirty_resources
             self._dirty_resources = {}
-            for component in self._components(dirty):
-                self._rebalance_component(component, now)
+            busy = self._busy
+            for ident, resource in dirty.items():
+                if resource.num_active:
+                    busy[ident] = self._busy_keys[ident]
+                else:
+                    busy.pop(ident, None)
+            if self.network is None:
+                for resource in dirty.values():
+                    self._rebalance_component([resource], now)
+            else:
+                for component in self._components(dirty):
+                    self._rebalance_component(component, now)
 
     def _mark_dirty(self, resource: Resource) -> None:
         self._dirty_resources[id(resource)] = resource
@@ -607,11 +637,11 @@ class SimulationEngine:
         for resource in component:
             for stream in resource.streams:
                 before[stream.stream_id] = (stream, stream.rate)
-        if len(component) == 1 and all(
-            len(stream.resources) == 1 for stream, _ in before.values()
-        ):
-            # Singly-bound streams on one resource: the exact historical
-            # water-filling arithmetic (bit-identical default path).
+        if len(component) == 1:
+            # A component is closed under stream sharing, so a lone
+            # resource's streams are bound to it alone: the exact
+            # historical water-filling arithmetic (bit-identical default
+            # path).
             component[0].rebalance()
         else:
             rebalance_coupled(component)
@@ -1047,11 +1077,9 @@ class SimulationEngine:
         if dt <= 0.0:
             return
         self.core_busy_seconds += self._num_running * dt
-        for resource, key in self._rate_resources:
-            if resource.num_active:
-                self.device_busy_seconds[key] = (
-                    self.device_busy_seconds.get(key, 0.0) + dt
-                )
+        busy_seconds = self.device_busy_seconds
+        for key in self._busy.values():
+            busy_seconds[key] = busy_seconds.get(key, 0.0) + dt
 
     # -- phase entry -------------------------------------------------------
 

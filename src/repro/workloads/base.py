@@ -95,17 +95,6 @@ class ChannelSpec:
             )
         return self.bytes_per_task / self.per_core_throughput
 
-    def to_phase(self) -> IoPhase:
-        """Render as a simulator I/O phase."""
-        return IoPhase(
-            role=self.role,
-            total_bytes=self.bytes_per_task,
-            request_size=self.request_size,
-            is_write=self.is_write,
-            per_stream_cap=self.per_core_throughput,
-            via_network=self.kind == "shuffle_read",
-        )
-
 
 @dataclass(frozen=True)
 class TaskGroupSpec:
@@ -201,15 +190,14 @@ def _chunk_phase(channel: ChannelSpec, chunks: int, scale: float = 1.0) -> IoPha
     The request size is preserved (skew and streaming change the schedule,
     not the block size the device sees).
     """
-    phase = channel.to_phase()
-    scaled_bytes = phase.total_bytes * scale / chunks
+    scaled_bytes = channel.bytes_per_task * scale / chunks
     return IoPhase(
-        role=phase.role,
+        role=channel.role,
         total_bytes=scaled_bytes,
-        request_size=min(phase.request_size, max(scaled_bytes, 1.0)),
-        is_write=phase.is_write,
-        per_stream_cap=phase.per_stream_cap,
-        via_network=phase.via_network,
+        request_size=min(channel.request_size, max(scaled_bytes, 1.0)),
+        is_write=channel.is_write,
+        per_stream_cap=channel.per_core_throughput,
+        via_network=channel.kind == "shuffle_read",
     )
 
 

@@ -114,6 +114,16 @@ class TestDeviceResource:
             device.bandwidth(30 * KB, False)
         )
 
+    def test_capacity_follows_a_changing_demand_profile_exactly(self):
+        # The last (request size, bandwidth) lookup is memoized; a profile
+        # that returns to an earlier size must still read the curve anew.
+        device = make_hdd()
+        resource = DeviceResource(device, is_write=True)
+        for size in (1 * MB, 1 * MB, 30 * KB, 30 * KB, 1 * MB, 4 * KB, 1 * MB):
+            stream = SharedStream(remaining_bytes=1 * MB, request_size=size)
+            assert resource.capacity_for([stream]) == device.bandwidth(size, True)
+        assert resource.capacity_for([]) == 0.0
+
     def test_directions_are_independent(self):
         device = make_ssd()
         read = DeviceResource(device, is_write=False)

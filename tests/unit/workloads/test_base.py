@@ -46,12 +46,6 @@ class TestChannelSpec:
         with pytest.raises(WorkloadError):
             channel.uncontended_seconds()
 
-    def test_to_phase(self):
-        phase = read_channel().to_phase()
-        assert isinstance(phase, IoPhase)
-        assert phase.role == "local"
-        assert not phase.is_write
-
     def test_validation(self):
         with pytest.raises(WorkloadError):
             read_channel(bytes_=-1.0)
@@ -73,6 +67,18 @@ class TestTaskGroupSpec:
         assert isinstance(phases[0], IoPhase) and not phases[0].is_write
         assert isinstance(phases[1], ComputePhase)
         assert isinstance(phases[2], IoPhase) and phases[2].is_write
+
+    def test_channel_renders_as_io_phase(self):
+        channel = read_channel()
+        group = TaskGroupSpec(name="g", count=1, read_channels=(channel,))
+        phase = group.task_phases()[0]
+        assert isinstance(phase, IoPhase)
+        assert phase.role == "local"
+        assert not phase.is_write
+        assert phase.total_bytes == channel.bytes_per_task
+        assert phase.request_size == channel.request_size
+        assert phase.per_stream_cap == channel.per_core_throughput
+        assert phase.via_network  # shuffle reads may cross the network
 
     def test_compute_scale(self):
         group = TaskGroupSpec(name="g", count=1, compute_seconds=2.0)
