@@ -15,11 +15,11 @@ dotted path, e.g. ``"grid.warm_wall_seconds"``) and how to judge it:
   still apply, which is the fallback the monolith's fixed thresholds
   used to provide.
 - ``"exact"`` — deterministic quantities (simulated makespans, the
-  search optimum).  The engine is deterministic across hosts and
-  backends, so these compare against the most recent history record
-  that carries the metric, regardless of fingerprint, within
-  ``rel_tolerance``.  Any divergence is a ``fail``: simulation output
-  changed, which is a correctness event, not noise.
+  search optimum).  The engine is deterministic across hosts, so
+  these compare against the most recent history record that carries
+  the metric, regardless of fingerprint, within ``rel_tolerance``.
+  Any divergence is a ``fail``: simulation output changed, which is a
+  correctness event, not noise.
 
 Verdicts are structured (:class:`Verdict`) so the CLI can render them,
 ``--json`` can emit them, and CI can annotate warns while failing only

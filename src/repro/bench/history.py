@@ -2,11 +2,10 @@
 
 ``BENCH_history.jsonl`` holds one JSON record per bench run — the
 trajectory the old overwritten snapshot could never show.  Each record
-carries the git SHA, a UTC timestamp, the host fingerprint (CPU count,
-python version, numpy presence, pinned arrays backend) and every
-section's metrics.  The file is append-only so the perf story across
-PRs is a curve, not a point; :meth:`BenchHistory.rotate` trims it when
-asked, atomically.
+carries the git SHA, a UTC timestamp, the host fingerprint (CPU count
+and python version) and every section's metrics.  The file is
+append-only so the perf story across PRs is a curve, not a point;
+:meth:`BenchHistory.rotate` trims it when asked, atomically.
 
 Reading mirrors the :class:`~repro.pipeline.cache.ResultCache`
 checkpoint semantics: a corrupt line (truncated append, hand-editing)
@@ -43,21 +42,11 @@ def host_fingerprint() -> dict:
     one core fingerprints as one core — exactly the partition that keeps
     1-CPU CI runs from gating against multi-core dev-host history.
     """
-    from repro.model.arrays import backend_name
     from repro.parallel import available_cpus
 
-    try:
-        import numpy
-
-        numpy_version: str | None = numpy.__version__
-    except ImportError:
-        numpy_version = None
     return {
         "cpus": available_cpus(),
         "python": platform.python_version(),
-        "numpy": numpy_version,
-        "arrays_backend": backend_name(),
-        "backend_env": os.environ.get("REPRO_ARRAYS_BACKEND"),
     }
 
 
@@ -68,11 +57,7 @@ def fingerprint_key(fingerprint: dict) -> str:
     the history, so only ``major.minor`` participates.
     """
     major_minor = ".".join(str(fingerprint.get("python", "")).split(".")[:2])
-    numpy_part = "numpy" if fingerprint.get("numpy") else "purepy"
-    return (
-        f"cpu{fingerprint.get('cpus')}-py{major_minor}-{numpy_part}"
-        f"-{fingerprint.get('arrays_backend')}"
-    )
+    return f"cpu{fingerprint.get('cpus')}-py{major_minor}"
 
 
 def git_sha(cwd: str | Path | None = None) -> str | None:

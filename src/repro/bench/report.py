@@ -7,7 +7,7 @@ git SHA of each record so a drift is attributable to a commit range at
 a glance.
 
 Records are **partitioned by fingerprint key** (the same
-host-and-backend identity the gate policy scopes to): a laptop's
+host identity the gate policy scopes to): a laptop's
 timings and CI's timings never share a sparkline, for the same reason
 they never share a band gate.  Within a partition, a record that lacks
 a section or metric (partial ``--sections`` runs are normal) renders as

@@ -49,10 +49,9 @@ MIN_CACHE_SPEEDUP = 2.0
 STRAGGLER_SLOWDOWN = 2.5
 MAX_CLEAN_SPECULATION_OVERHEAD = 0.05
 
-#: Array-kernel throughput floors (candidates scored per second, one
-#: core) and the minimum batch-vs-scalar speedup with numpy installed.
+#: Array-kernel throughput floor (candidates scored per second, one
+#: core) and the minimum batch-vs-scalar speedup.
 MIN_PYTHON_CAND_PER_S = 1e5
-MIN_NUMPY_CAND_PER_S = 1e6
 MIN_VECTOR_SPEEDUP_VS_SCALAR = 20.0
 
 #: The vectorized benchmark's disk-size axis (the Fig. 13-15 sweep) and
@@ -545,18 +544,13 @@ def run_vectorized(rounds: int) -> dict:
 
     Scores the optimizer's full (vCPU x disk kind x size x size) grid —
     tiled :data:`VECTOR_TILE_REPS` times so each timing covers tens of
-    thousands of candidates — per backend, against the scalar
-    per-configuration path on the untiled grid.  Before timing, the
-    batch results are equality-checked (``==`` on floats) against the
-    scalar model, so the recorded rates always describe a kernel that
-    is still exact.
+    thousands of candidates — against the scalar per-configuration path
+    on the untiled grid.  Before timing, the batch results are
+    equality-checked (``==`` on floats) against the scalar model, so the
+    recorded rate always describes a kernel that is still exact.
     """
     from repro.core import Predictor, Profiler
-    from repro.model.arrays import (
-        CandidateBatch,
-        Eq1BatchEvaluator,
-        backend_name,
-    )
+    from repro.model.arrays import CandidateBatch, Eq1BatchEvaluator
     from repro.workloads import make_gatk4_workload
 
     workload = make_gatk4_workload()
@@ -575,17 +569,15 @@ def run_vectorized(rounds: int) -> dict:
     scalar_wall = time.perf_counter() - start
     scalar_rate = len(configs) / scalar_wall
 
-    # Exactness gate on the untiled grid (both available backends).
-    backends = ["python"] + (["numpy"] if backend_name() == "numpy" else [])
-    for backend in backends:
-        scores = evaluator.score(grid, backend=backend)
-        assert [float(r) for r in scores.runtime_seconds] == [
-            p.t_app for p in scalar
-        ], f"{backend} kernel runtimes diverged from the scalar model"
-        assert [float(c) for c in scores.cost_dollars] == [
-            config.cost_for_runtime(p.t_app)
-            for config, p in zip(configs, scalar)
-        ], f"{backend} kernel costs diverged from the scalar model"
+    # Exactness gate on the untiled grid.
+    scores = evaluator.score(grid)
+    assert list(scores.runtime_seconds) == [
+        p.t_app for p in scalar
+    ], "kernel runtimes diverged from the scalar model"
+    assert list(scores.cost_dollars) == [
+        config.cost_for_runtime(p.t_app)
+        for config, p in zip(configs, scalar)
+    ], "kernel costs diverged from the scalar model"
 
     tiled = CandidateBatch(
         nodes=grid.nodes * VECTOR_TILE_REPS,
@@ -596,27 +588,20 @@ def run_vectorized(rounds: int) -> dict:
         local_sizes_gb=grid.local_sizes_gb * VECTOR_TILE_REPS,
         vcpus=grid.vcpus * VECTOR_TILE_REPS,
     )
-    rates = {}
-    for backend in backends:
-        walls = []
-        for _ in range(max(1, rounds)):
-            start = time.perf_counter()
-            evaluator.score(tiled, want_bottlenecks=False, backend=backend)
-            walls.append(time.perf_counter() - start)
-        rates[backend] = len(tiled) / min(walls)
+    walls = []
+    for _ in range(max(1, rounds)):
+        start = time.perf_counter()
+        evaluator.score(tiled, want_bottlenecks=False)
+        walls.append(time.perf_counter() - start)
+    rate = len(tiled) / min(walls)
 
-    fastest = max(rates.values())
     return {
         "benchmark": "pr6-array-kernel",
         "grid_candidates": len(configs),
         "tiled_candidates": len(tiled),
-        "default_backend": backend_name(),
-        "python_cand_per_s": round(rates["python"]),
-        "numpy_cand_per_s": (
-            round(rates["numpy"]) if "numpy" in rates else None
-        ),
+        "python_cand_per_s": round(rate),
         "scalar_cand_per_s": round(scalar_rate),
-        "speedup_vs_scalar": round(fastest / scalar_rate, 1),
+        "speedup_vs_scalar": round(rate / scalar_rate, 1),
         "batch_matches_scalar": True,
     }
 
@@ -628,30 +613,22 @@ def guard_vectorized(metrics: dict) -> list[str]:
             f"vectorized: pure-Python kernel at {metrics['python_cand_per_s']}"
             f" cand/s is below the required {MIN_PYTHON_CAND_PER_S:.0e}"
         )
-    if metrics["numpy_cand_per_s"] is not None:
-        if metrics["numpy_cand_per_s"] < MIN_NUMPY_CAND_PER_S:
-            failures.append(
-                f"vectorized: numpy kernel at {metrics['numpy_cand_per_s']}"
-                f" cand/s is below the required {MIN_NUMPY_CAND_PER_S:.0e}"
-            )
-        if metrics["speedup_vs_scalar"] < MIN_VECTOR_SPEEDUP_VS_SCALAR:
-            failures.append(
-                f"vectorized: {metrics['speedup_vs_scalar']}x over the scalar"
-                f" path is below the required"
-                f" {MIN_VECTOR_SPEEDUP_VS_SCALAR:.0f}x"
-            )
+    if metrics["speedup_vs_scalar"] < MIN_VECTOR_SPEEDUP_VS_SCALAR:
+        failures.append(
+            f"vectorized: {metrics['speedup_vs_scalar']}x over the scalar"
+            f" path is below the required {MIN_VECTOR_SPEEDUP_VS_SCALAR:.0f}x"
+        )
     return failures
 
 
 register_section(BenchmarkSection(
     name="vectorized",
-    title="array-kernel throughput, both backends, exactness-gated (PR 6)",
+    title="Fig. 13-15 grid through the array kernel, exactness-gated",
     snapshot_key="vectorized",
     run=run_vectorized,
     guards=guard_vectorized,
     gates=(
         MetricGate("python_cand_per_s", "higher", **_WALL_BAND),
-        MetricGate("numpy_cand_per_s", "higher", **_WALL_BAND),
     ),
 ))
 

@@ -103,7 +103,6 @@ from repro.cluster.network import NetworkModel
 from repro.core import load_report, save_report
 from repro.errors import ConfigurationError, DoppioError, exit_code_for
 from repro.faults import FaultPlan, load_fault_plan
-from repro.model.arrays import backend_name
 from repro.parallel import ExecutionPolicy
 from repro.pipeline import (
     ClusterPlatform,
@@ -806,7 +805,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         payload = {
             "workload": workload.name,
             "cluster_workers": nodes,
-            "backend": backend_name(),
             "num_evaluated": result.num_evaluated,
             "top": [
                 {

@@ -5,7 +5,6 @@ from repro.model.arrays import (
     BatchScores,
     CandidateBatch,
     Eq1BatchEvaluator,
-    backend_name,
     score_batch,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "BatchScores",
     "CandidateBatch",
     "Eq1BatchEvaluator",
-    "backend_name",
     "score_batch",
 ]

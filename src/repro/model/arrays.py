@@ -21,9 +21,8 @@ Exactness contract
 - Every candidate-varying operation is an elementwise IEEE-754 double
   add/mul/div/compare performed in the scalar model's exact order
   (including clamp semantics, left-fold summation orders, and the
-  first-maximal tie-break for bottleneck labels).  Those operations are
-  identical between CPython floats and numpy float64, so both backends
-  agree bitwise with the scalar model and with each other.
+  first-maximal tie-break for bottleneck labels), so the kernel agrees
+  bitwise with the scalar model.
 - The only transcendental arithmetic in the stack — the log-log
   interpolation inside :class:`~repro.core.bandwidth.EffectiveBandwidthTable`
   — is **never vectorized**.  Per-channel bandwidths are computed once
@@ -32,15 +31,9 @@ Exactness contract
   plus ``StorageDevice.bandwidth``), memoized, and gathered into the
   batch.  Identical inputs through identical code give identical floats.
 
-Backends
---------
-numpy is used when importable (install the ``fast`` extra); otherwise a
-pure-Python fallback built on :mod:`array` and per-unique-key memo tables
-runs with zero dependencies.  ``backend_name()`` reports which one is
-active; the ``REPRO_ARRAYS_BACKEND`` environment variable (``auto`` /
-``numpy`` / ``python``) or a per-call ``backend=`` argument overrides the
-choice.  Either way the results are bitwise identical (see above), which
-``tests/properties/test_vectorized.py`` pins.
+The kernel is pure Python (:mod:`array` columns and per-unique-key memo
+tables) and has no dependencies; ``tests/properties/test_vectorized.py``
+pins its exactness.
 
 See ``docs/MODEL.md`` ("Array model core") for the batch layout and the
 full equivalence argument, and ``docs/PERFORMANCE.md`` for measured
@@ -49,7 +42,6 @@ throughput.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -70,7 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "BOTTLENECK_LABELS",
-    "BACKEND_ENV_VAR",
     "BatchScores",
     "CandidateBatch",
     "Eq1BatchEvaluator",
@@ -78,51 +69,13 @@ __all__ = [
     "score_batch",
 ]
 
-#: Environment variable selecting the array backend.
-BACKEND_ENV_VAR = "REPRO_ARRAYS_BACKEND"
-
 #: Disk roles a candidate provisions devices for.
 _DISK_ROLES = ("hdfs", "local")
 
-_UNSET = object()
-_NUMPY = _UNSET
 
-
-def _numpy():
-    """The numpy module, or ``None`` when it is not installed."""
-    global _NUMPY
-    if _NUMPY is _UNSET:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-            numpy = None
-        _NUMPY = numpy
-    return _NUMPY
-
-
-def _resolve_backend(backend: str | None):
-    """Map a backend request to the numpy module or ``None`` (pure Python)."""
-    choice = backend or os.environ.get(BACKEND_ENV_VAR) or "auto"
-    if choice == "auto":
-        return _numpy()
-    if choice == "python":
-        return None
-    if choice == "numpy":
-        module = _numpy()
-        if module is None:
-            raise ConfigurationError(
-                "array backend 'numpy' requested but numpy is not installed"
-                " (pip install 'doppio-repro[fast]')"
-            )
-        return module
-    raise ConfigurationError(
-        f"unknown array backend {choice!r}; expected 'auto', 'numpy' or 'python'"
-    )
-
-
-def backend_name(backend: str | None = None) -> str:
-    """Which kernel backend is active: ``"numpy"`` or ``"python"``."""
-    return "numpy" if _resolve_backend(backend) is not None else "python"
+def backend_name() -> str:
+    """The kernel's backend label, kept for run records: always ``"python"``."""
+    return "python"
 
 
 # -- the batch ----------------------------------------------------------------
@@ -191,25 +144,6 @@ class CandidateBatch:
             vcpus=tuple(c.machine.vcpus for c in configs),
         )
 
-    def config(self, index: int) -> CloudConfiguration:
-        """Materialize candidate ``index`` back into a scalar configuration."""
-        if self.vcpus is None:
-            raise ModelError(
-                "batch carries no machine vcpus; build it with vcpus to"
-                " materialize cloud configurations"
-            )
-        from repro.cloud.instance import machine_for_vcpus
-        from repro.cloud.pricing import CloudConfiguration
-
-        return CloudConfiguration(
-            machine=machine_for_vcpus(self.vcpus[index]),
-            num_workers=self.nodes[index],
-            hdfs_disk_kind=self.hdfs_kinds[index],
-            hdfs_disk_gb=self.hdfs_sizes_gb[index],
-            local_disk_kind=self.local_kinds[index],
-            local_disk_gb=self.local_sizes_gb[index],
-        )
-
 
 @dataclass(frozen=True)
 class BatchScores:
@@ -220,15 +154,14 @@ class BatchScores:
     was not requested or the batch has no ``vcpus``); ``bottlenecks``
     holds one integer sequence per stage — indexes into
     :data:`BOTTLENECK_LABELS` — or ``None`` when not requested.
-    Sequences are numpy arrays or :mod:`array`/:class:`bytes` depending
-    on the backend; element values are bitwise identical either way.
+    Runtimes and costs are :mod:`array` columns of doubles; each stage's
+    labels are :class:`bytes`.
     """
 
     runtime_seconds: Sequence[float]
     cost_dollars: Sequence[float] | None
     bottlenecks: tuple[Sequence[int], ...] | None
     stage_names: tuple[str, ...]
-    backend: str
 
     def __len__(self) -> int:
         return len(self.runtime_seconds)
@@ -238,17 +171,6 @@ class BatchScores:
         if self.bottlenecks is None:
             raise ModelError("scores were computed without bottleneck labels")
         return BOTTLENECK_LABELS[self.bottlenecks[stage_index][candidate]]
-
-    def argmin_cost(self) -> int:
-        """Index of the cheapest candidate (first one on exact ties)."""
-        if self.cost_dollars is None:
-            raise ModelError("scores carry no cost; score with want_cost=True")
-        if not len(self):
-            raise ModelError("empty batch has no cheapest candidate")
-        cost = self.cost_dollars
-        if hasattr(cost, "argmin"):  # numpy: first occurrence, like min()
-            return int(cost.argmin())
-        return min(range(len(cost)), key=cost.__getitem__)
 
 
 # -- stage constants ----------------------------------------------------------
@@ -346,9 +268,8 @@ class Eq1BatchEvaluator:
     evaluator also reuses its tables.
     """
 
-    def __init__(self, report: ProfilingReport, backend: str | None = None) -> None:
+    def __init__(self, report: ProfilingReport) -> None:
         self.report = report
-        self._backend = backend
         groups: list = []
         self._stages = _stages_from_report(report, groups)
         self._groups = tuple(groups)
@@ -409,7 +330,6 @@ class Eq1BatchEvaluator:
         batch: CandidateBatch,
         want_cost: bool = True,
         want_bottlenecks: bool = True,
-        backend: str | None = None,
     ) -> BatchScores:
         """Score every candidate; see :class:`BatchScores` for the layout."""
         if want_cost and batch.vcpus is None:
@@ -417,26 +337,6 @@ class Eq1BatchEvaluator:
                 "batch carries no machine vcpus; cost scoring needs them"
                 " (score with want_cost=False for model-only batches)"
             )
-        module = _resolve_backend(backend or self._backend)
-        if module is not None:
-            runtime, cost, codes = self._score_numpy(
-                module, batch, want_cost, want_bottlenecks
-            )
-            name = "numpy"
-        else:
-            runtime, cost, codes = self._score_python(
-                batch, want_cost, want_bottlenecks
-            )
-            name = "python"
-        return BatchScores(
-            runtime_seconds=runtime,
-            cost_dollars=cost,
-            bottlenecks=codes,
-            stage_names=self.stage_names,
-            backend=name,
-        )
-
-    def _score_python(self, batch, want_cost, want_bottlenecks):
         n = len(batch)
         # One pass over the batch building unique-key index columns:
         # disk specs, (N, P) operating points, (hdfs, local, N) I/O
@@ -554,8 +454,12 @@ class Eq1BatchEvaluator:
             cost = array("d", [
                 rate_tab[r] * t / 3600.0 for r, t in zip(rate_ids, total)
             ])
-        codes_out = tuple(per_stage_codes) if want_bottlenecks else None
-        return array("d", total), cost, codes_out
+        return BatchScores(
+            runtime_seconds=array("d", total),
+            cost_dollars=cost,
+            bottlenecks=tuple(per_stage_codes) if want_bottlenecks else None,
+            stage_names=self.stage_names,
+        )
 
     def _limit_table(self, direction_groups, fill, delta, io_list, limits):
         """Per-unique-(hdfs, local, N) I/O limit term for one direction."""
@@ -573,106 +477,12 @@ class Eq1BatchEvaluator:
                 table.append(value if value > 0.0 else 0.0)
         return table
 
-    def _score_numpy(self, np, batch, want_cost, want_bottlenecks):
-        n = len(batch)
-        nodes = np.asarray(batch.nodes, dtype=np.float64)
-        cores = np.asarray(batch.cores, dtype=np.float64)
-        h_inv, h_specs = _np_unique_specs(
-            np, batch.hdfs_kinds, batch.hdfs_sizes_gb
-        )
-        l_inv, l_specs = _np_unique_specs(
-            np, batch.local_kinds, batch.local_sizes_gb
-        )
-        num_groups = len(self._groups)
-        h_limits = np.asarray(
-            [self._limits(spec) for spec in h_specs], dtype=np.float64
-        ).reshape(len(h_specs), num_groups)
-        l_limits = np.asarray(
-            [self._limits(spec) for spec in l_specs], dtype=np.float64
-        ).reshape(len(l_specs), num_groups)
-
-        def limit_term(direction_groups, fill, delta):
-            per_node = None
-            for gid, use_hdfs in direction_groups:
-                column = (
-                    h_limits[h_inv, gid] if use_hdfs else l_limits[l_inv, gid]
-                )
-                per_node = (
-                    column if per_node is None
-                    else np.maximum(per_node, column)
-                )
-            if per_node is None:
-                return np.zeros(n)
-            value = per_node / nodes + fill + delta
-            term = np.where(value > 0.0, value, 0.0)
-            return np.where(per_node == 0.0, 0.0, term)
-
-        total = np.zeros(n)
-        per_stage_codes = []
-        for stage in self._stages:
-            per_task = stage.t_avg + stage.gc_coeff * cores
-            value = (
-                stage.num_tasks / (nodes * cores) * per_task
-                + stage.delta_scale
-            )
-            ts = np.where(value > 0.0, value, 0.0)
-            tr = limit_term(stage.read_groups, stage.fill_seconds,
-                            stage.delta_read)
-            tw = limit_term(stage.write_groups, stage.fill_seconds,
-                            stage.delta_write)
-            if want_bottlenecks:
-                codes = np.where(
-                    (ts >= tr) & (ts >= tw), 0, np.where(tr >= tw, 1, 2)
-                ).astype(np.uint8)
-                per_stage_codes.append(codes)
-            total = total + np.maximum(np.maximum(ts, tr), tw)
-        cost = None
-        if want_cost:
-            v_unique, v_inv = np.unique(
-                np.asarray(batch.vcpus, dtype=np.int64), return_inverse=True
-            )
-            price = np.asarray(
-                [self._price(int(v)) for v in v_unique], dtype=np.float64
-            )[v_inv]
-            h_cost = np.asarray(
-                [self._disk_cost(spec) for spec in h_specs], dtype=np.float64
-            )[h_inv]
-            l_cost = np.asarray(
-                [self._disk_cost(spec) for spec in l_specs], dtype=np.float64
-            )[l_inv]
-            rate = (price + h_cost + l_cost) * nodes
-            cost = rate * total / 3600.0
-        codes_out = tuple(per_stage_codes) if want_bottlenecks else None
-        return total, cost, codes_out
-
-
-def _np_unique_specs(np, kinds, sizes_gb):
-    """Candidate → unique ``(kind, size_gb)`` index, without a Python loop.
-
-    Kind labels and sizes are uniqued separately at C speed, combined
-    into a single integer key, and uniqued again; only the (tiny) unique
-    spec list is materialized in Python.
-    """
-    kind_arr = np.asarray(kinds)
-    size_arr = np.asarray(sizes_gb, dtype=np.float64)
-    unique_kinds, kind_inv = np.unique(kind_arr, return_inverse=True)
-    unique_sizes, size_inv = np.unique(size_arr, return_inverse=True)
-    stride = len(unique_sizes)
-    combined = kind_inv.astype(np.int64) * stride + size_inv
-    unique_combined, inverse = np.unique(combined, return_inverse=True)
-    specs = [
-        (str(unique_kinds[key // stride]), float(unique_sizes[key % stride]))
-        for key in unique_combined
-    ]
-    return inverse, specs
-
 
 def score_batch(
     report: ProfilingReport,
     batch: CandidateBatch,
     want_cost: bool = True,
     want_bottlenecks: bool = True,
-    backend: str | None = None,
 ) -> BatchScores:
     """One-shot convenience: ``Eq1BatchEvaluator(report).score(batch)``.
 
@@ -680,6 +490,6 @@ def score_batch(
     :class:`Eq1BatchEvaluator` across calls to also reuse its memoized
     per-disk bandwidth tables.
     """
-    return Eq1BatchEvaluator(report, backend=backend).score(
+    return Eq1BatchEvaluator(report).score(
         batch, want_cost=want_cost, want_bottlenecks=want_bottlenecks
     )

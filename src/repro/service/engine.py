@@ -55,7 +55,6 @@ from repro.errors import (
     QueryError,
     ServiceError,
 )
-from repro.model.arrays import backend_name
 from repro.parallel import ExecutionPolicy, TaskSupervisor, resolve_backend
 from repro.pipeline.cache import ResultCache, prediction_key, run_key
 from repro.pipeline.fingerprint import fingerprint as content_fingerprint
@@ -382,7 +381,6 @@ class QueryEngine:
             "config": config_dict(config),
             "runtime_seconds": runtime,
             "cost_dollars": cost,
-            "backend": backend_name(),
         }
 
     def _flush_predicts(self, entries) -> None:
@@ -483,7 +481,6 @@ class QueryEngine:
             "vcpu_grid": list(query.vcpu_grid),
             "num_workers": query.num_workers,
             "num_evaluated": result.num_evaluated,
-            "backend": backend_name(),
             "best": {
                 "config": config_dict(result.best.config),
                 "runtime_seconds": result.best.runtime_seconds,
@@ -518,12 +515,6 @@ class QueryEngine:
         from repro.core.predictor import Predictor
 
         scorer = CostOptimizer(Predictor(resolved.report))
-        # Prime the batch evaluator off the hot path: the kernel's first
-        # call pays one-time backend dispatch setup that would otherwise
-        # land on the first real micro-batch.
-        scorer.score_candidates(
-            [scorer.make_config(4, "pd-standard", 64.0, "pd-standard", 64.0)]
-        )
         return _WorkloadState(spec=spec, resolved=resolved, scorer=scorer)
 
     # -- the background compute worker ---------------------------------------

@@ -14,7 +14,10 @@ Routes
   query payload (see :mod:`repro.service.query`), the response the
   engine's result payload.
 
-Error mapping mirrors the CLI's exit codes: a malformed query
+Error mapping mirrors the CLI's exit codes: a malformed request (a
+line over the stream reader's 64 KiB limit, more than
+:data:`MAX_HEADER_LINES` header lines, a negative ``Content-Length`` or
+a body that ends before it) or a malformed query
 (:class:`QueryError`, :class:`ConfigurationError`,
 :class:`WorkloadError`) is **400**, admission rejection
 (:class:`AdmissionError`) is **429** with the queue depth/cap in the
@@ -51,6 +54,9 @@ _STATUS_TEXT = {
 
 #: Largest query body accepted, in bytes (queries are small objects).
 MAX_BODY_BYTES = 64 * 1024
+
+#: Most header lines read from one request; more is a 400.
+MAX_HEADER_LINES = 100
 
 
 class QueryServer:
@@ -122,23 +128,36 @@ class QueryServer:
                 pass
 
     async def _respond(self, reader: asyncio.StreamReader) -> tuple[int, dict]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        if not request_line:
-            return 400, {"error": "BadRequest", "message": "empty request"}
-        parts = request_line.split()
-        if len(parts) < 2:
+        try:
+            request_line = (await reader.readline()).decode("latin-1").strip()
+            if not request_line:
+                return 400, {"error": "BadRequest", "message": "empty request"}
+            parts = request_line.split()
+            if len(parts) < 2:
+                return 400, {
+                    "error": "BadRequest",
+                    "message": f"malformed request line {request_line!r}",
+                }
+            method, path = parts[0], parts[1]
+            headers: dict[str, str] = {}
+            lines = 0
+            while True:
+                line = (await reader.readline()).decode("latin-1")
+                if line in ("\r\n", "\n", ""):
+                    break
+                lines += 1
+                if lines > MAX_HEADER_LINES:
+                    return 400, {
+                        "error": "BadRequest",
+                        "message": f"more than {MAX_HEADER_LINES} header lines",
+                    }
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError as exc:  # readline: a line over the reader's limit
             return 400, {
                 "error": "BadRequest",
-                "message": f"malformed request line {request_line!r}",
+                "message": f"request or header line too long: {exc}",
             }
-        method, path = parts[0], parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
-                break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
 
         if method == "GET" and path == "/healthz":
             return 200, {"status": "ok"}
@@ -153,6 +172,8 @@ class QueryServer:
             try:
                 length = int(headers.get("content-length", "0"))
             except ValueError:
+                length = -1
+            if length < 0:
                 return 400, {
                     "error": "BadRequest",
                     "message": "invalid Content-Length",
@@ -162,7 +183,16 @@ class QueryServer:
                     "error": "PayloadTooLarge",
                     "message": f"body exceeds {MAX_BODY_BYTES} bytes",
                 }
-            raw = await reader.readexactly(length) if length else b""
+            try:
+                raw = await reader.readexactly(length)
+            except asyncio.IncompleteReadError as exc:
+                return 400, {
+                    "error": "BadRequest",
+                    "message": (
+                        f"body ended after {len(exc.partial)} of"
+                        f" {length} bytes"
+                    ),
+                }
             try:
                 payload = json.loads(raw.decode() or "null")
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -16,7 +16,7 @@ from repro.bench.gates import (
 POLICY = GatePolicy(window=5, min_history=3)
 
 
-def record(value, fingerprint="cpu2-py3.11-numpy-numpy", section="engine",
+def record(value, fingerprint="cpu2-py3.11", section="engine",
            metric="wall"):
     return {
         "fingerprint_key": fingerprint,
@@ -24,7 +24,7 @@ def record(value, fingerprint="cpu2-py3.11-numpy-numpy", section="engine",
     }
 
 
-def judge(gate, fresh, history, fingerprint="cpu2-py3.11-numpy-numpy"):
+def judge(gate, fresh, history, fingerprint="cpu2-py3.11"):
     return evaluate_gate(
         gate, "engine", {"wall": fresh}, history, fingerprint, POLICY
     )
@@ -96,28 +96,28 @@ class TestFingerprintScoping:
     GATE = MetricGate("wall", "lower")
 
     def test_other_hosts_records_ignored(self):
-        history = [record(0.1, fingerprint="cpu32-py3.11-numpy-numpy")
+        history = [record(0.1, fingerprint="cpu32-py3.11")
                    for _ in range(5)]
         # 4 seconds would fail against the 32-core host's 0.1s median,
         # but those records are another partition: thin history here.
         verdict = judge(self.GATE, 4.0, history,
-                        fingerprint="cpu1-py3.11-numpy-numpy")
+                        fingerprint="cpu1-py3.11")
         assert verdict.status == "pass"
         assert "thin history" in verdict.detail
 
     def test_matching_host_gates(self):
-        history = [record(0.1, fingerprint="cpu1-py3.11-numpy-numpy")
+        history = [record(0.1, fingerprint="cpu1-py3.11")
                    for _ in range(5)]
         verdict = judge(self.GATE, 4.0, history,
-                        fingerprint="cpu1-py3.11-numpy-numpy")
+                        fingerprint="cpu1-py3.11")
         assert verdict.status == "fail"
 
     def test_unscoped_gate_sees_everything(self):
         gate = MetricGate("wall", "lower", fingerprint_scoped=False)
-        history = [record(0.1, fingerprint="cpu32-py3.11-numpy-numpy")
+        history = [record(0.1, fingerprint="cpu32-py3.11")
                    for _ in range(5)]
         verdict = judge(gate, 4.0, history,
-                        fingerprint="cpu1-py3.11-numpy-numpy")
+                        fingerprint="cpu1-py3.11")
         assert verdict.status == "fail"
 
 

@@ -80,24 +80,15 @@ def test_rotate_rejects_nonpositive(tmp_path):
 
 
 def test_fingerprint_key_shape():
-    key = fingerprint_key({
-        "cpus": 4, "python": "3.11.7", "numpy": "1.26.0",
-        "arrays_backend": "numpy",
-    })
-    assert key == "cpu4-py3.11-numpy-numpy"
-    key = fingerprint_key({
-        "cpus": 1, "python": "3.12.1", "numpy": None,
-        "arrays_backend": "python",
-    })
-    assert key == "cpu1-py3.12-purepy-python"
+    assert fingerprint_key({"cpus": 4, "python": "3.11.7"}) == "cpu4-py3.11"
+    assert fingerprint_key({"cpus": 1, "python": "3.12.1"}) == "cpu1-py3.12"
 
 
 def test_host_fingerprint_fields():
     fingerprint = host_fingerprint()
+    assert set(fingerprint) == {"cpus", "python"}
     assert fingerprint["cpus"] >= 1
     assert fingerprint["python"].count(".") == 2
-    assert fingerprint["arrays_backend"] in ("python", "numpy")
-    assert "backend_env" in fingerprint
 
 
 def test_make_record_carries_fingerprint_and_sections():

@@ -1,14 +1,15 @@
 """Unit coverage for the array model core (:mod:`repro.model.arrays`).
 
 The exactness properties live in ``tests/properties/test_vectorized.py``;
-this file pins the surface: backend selection, batch validation, error
-paths, and the score-container accessors.
+this file pins the surface: batch validation, error paths, and the
+score-container accessors.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cloud.instance import machine_for_vcpus
 from repro.cloud.pricing import CloudConfiguration
 from repro.core import Profiler
 from repro.core.profiler import (
@@ -18,17 +19,12 @@ from repro.core.profiler import (
 )
 from repro.errors import ConfigurationError, ModelError
 from repro.model.arrays import (
-    BACKEND_ENV_VAR,
     BOTTLENECK_LABELS,
-    BatchScores,
     CandidateBatch,
     Eq1BatchEvaluator,
-    backend_name,
     score_batch,
 )
 from repro.workloads import make_svm_workload
-
-HAS_NUMPY = backend_name() == "numpy"
 
 
 @pytest.fixture(scope="module")
@@ -50,43 +46,19 @@ def _batch(count=2, **overrides):
     return CandidateBatch(**columns)
 
 
-# -- backend selection --------------------------------------------------------
-
-
-def test_backend_name_explicit_python():
-    assert backend_name("python") == "python"
-
-
-def test_backend_env_var_overrides_auto(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-    assert backend_name() == "python"
-
-
-def test_unknown_backend_is_a_configuration_error():
-    with pytest.raises(ConfigurationError, match="unknown array backend"):
-        backend_name("cuda")
-
-
-def test_env_var_loses_to_explicit_argument(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-    if HAS_NUMPY:
-        assert backend_name("numpy") == "numpy"
-    else:
-        with pytest.raises(ConfigurationError, match="numpy is not installed"):
-            backend_name("numpy")
-
-
 # -- batch construction -------------------------------------------------------
 
 
 def test_batch_length_and_config_roundtrip():
-    batch = _batch(count=3)
-    assert len(batch) == 3
-    config = batch.config(1)
-    assert isinstance(config, CloudConfiguration)
-    assert config.machine.vcpus == 8
-    assert config.num_workers == 5
-    assert config.local_disk_kind == "pd-ssd"
+    assert len(_batch(count=3)) == 3
+    config = CloudConfiguration(
+        machine=machine_for_vcpus(8),
+        num_workers=5,
+        hdfs_disk_kind="pd-standard",
+        hdfs_disk_gb=500.0,
+        local_disk_kind="pd-ssd",
+        local_disk_gb=250.0,
+    )
     assert CandidateBatch.from_configs([config]) == _batch(count=1)
 
 
@@ -103,12 +75,6 @@ def test_nonpositive_shape_rejected():
 def test_nonpositive_disk_size_rejected():
     with pytest.raises(ConfigurationError, match="disk sizes"):
         _batch(count=1, hdfs_sizes_gb=(0.0,))
-
-
-def test_model_only_batch_cannot_materialize_configs():
-    batch = _batch(count=1, vcpus=None)
-    with pytest.raises(ModelError, match="no machine vcpus"):
-        batch.config(0)
 
 
 # -- scoring error paths ------------------------------------------------------
@@ -151,8 +117,6 @@ def test_unknown_channel_role_is_a_model_error():
 def test_empty_batch_scores_empty(report):
     scores = score_batch(report, _batch(count=0))
     assert len(scores) == 0
-    with pytest.raises(ModelError, match="empty batch"):
-        scores.argmin_cost()
 
 
 # -- score container ----------------------------------------------------------
@@ -171,31 +135,3 @@ def test_bottleneck_label_requires_bottlenecks(report):
     assert scores.bottlenecks is None
     with pytest.raises(ModelError, match="without bottleneck labels"):
         scores.bottleneck_label(0, 0)
-
-
-def test_argmin_cost_prefers_first_exact_tie():
-    scores = BatchScores(
-        runtime_seconds=(1.0, 2.0, 3.0),
-        cost_dollars=(5.0, 4.0, 4.0),
-        bottlenecks=None,
-        stage_names=(),
-        backend="python",
-    )
-    assert scores.argmin_cost() == 1
-
-
-def test_argmin_requires_cost():
-    scores = BatchScores(
-        runtime_seconds=(1.0,), cost_dollars=None, bottlenecks=None,
-        stage_names=(), backend="python",
-    )
-    with pytest.raises(ModelError, match="no cost"):
-        scores.argmin_cost()
-
-
-def test_evaluator_reports_requested_backend(report):
-    evaluator = Eq1BatchEvaluator(report)
-    scores = evaluator.score(_batch(count=1), backend="python")
-    assert scores.backend == "python"
-    if HAS_NUMPY:
-        assert evaluator.score(_batch(count=1), backend="numpy").backend == "numpy"

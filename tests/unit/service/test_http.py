@@ -8,7 +8,7 @@ import pytest
 from repro.cli import WORKLOADS
 from repro.pipeline import ResultCache, SpecSource
 from repro.service import QueryEngine, QueryServer
-from repro.service.http import MAX_BODY_BYTES
+from repro.service.http import MAX_BODY_BYTES, MAX_HEADER_LINES
 from repro.service.loadgen import _http_get, _http_post, _split_url
 
 NAME = "lr-small"
@@ -29,20 +29,32 @@ def server_cache(profiled_shard) -> ResultCache:
 
 
 async def raw_request(host: str, port: int, blob: bytes) -> tuple[int, dict]:
-    """Send raw bytes, return (status, parsed JSON body)."""
+    """Send raw bytes and EOF, return (status, parsed JSON body).
+
+    The body is read by its ``Content-Length``, not to EOF: a server that
+    answers before reading the whole request may reset the connection
+    once its answer is out.
+    """
     reader, writer = await asyncio.open_connection(host, port)
     try:
         writer.write(blob)
+        writer.write_eof()
         await writer.drain()
-        raw = await reader.read()
+        head = await reader.readuntil(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        length = next(
+            int(line.split(":", 1)[1])
+            for line in lines
+            if line.lower().startswith("content-length:")
+        )
+        body = await reader.readexactly(length)
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, BrokenPipeError):
             pass
-    head, _, body = raw.partition(b"\r\n\r\n")
-    status = int(head.split(b"\r\n", 1)[0].split()[1])
+    status = int(lines[0].split()[1])
     return status, json.loads(body.decode() or "null")
 
 
@@ -129,6 +141,36 @@ class TestRoutes:
                 # Empty request line -> 400.
                 status, body = await raw_request(host, port, b"\r\n")
                 assert status == 400
+                # Negative Content-Length -> 400, not a readexactly crash.
+                status, body = await raw_request(
+                    host,
+                    port,
+                    b"POST /query HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: -5\r\nConnection: close\r\n\r\n",
+                )
+                assert status == 400 and body["error"] == "BadRequest"
+                # Body shorter than its Content-Length, then EOF -> 400.
+                truncated = post_blob("/query", b'{"kind": "predict"}')
+                status, body = await raw_request(host, port, truncated[:-5])
+                assert status == 400 and "body ended" in body["message"]
+                # A line over the stream reader's 64 KiB limit -> 400.
+                status, body = await raw_request(
+                    host,
+                    port,
+                    b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+                )
+                assert status == 400 and "too long" in body["message"]
+                # One header line past MAX_HEADER_LINES -> 400; at it -> 200.
+                padded = (
+                    b"GET /healthz HTTP/1.1\r\n"
+                    + b"X-Pad: 1\r\n" * MAX_HEADER_LINES
+                )
+                status, body = await raw_request(
+                    host, port, padded + b"X-Pad: 1\r\n\r\n"
+                )
+                assert status == 400 and "header lines" in body["message"]
+                status, body = await raw_request(host, port, padded + b"\r\n")
+                assert status == 200
             finally:
                 await server.close()
 

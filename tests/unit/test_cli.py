@@ -1,6 +1,9 @@
 """Unit tests for the command-line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -253,7 +256,6 @@ class TestPipelineCommand:
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["workload"] == "SVM"
-        assert payload["backend"] in ("python", "numpy")
         assert [entry["rank"] for entry in payload["top"]] == [1, 2, 3]
         # ``top`` is the first K of the exhaustive search's candidates
         # after a stable sort by cost (ties keep grid order), rebuilt
@@ -284,6 +286,24 @@ class TestPipelineCommand:
         for reference in payload["references"].values():
             assert payload["top"][0]["cost_dollars"] <= reference["cost_dollars"]
         assert 0.0 < payload["savings_vs_r1"] < 1.0
+
+    def test_optimize_never_imports_numpy(self):
+        # The array kernel is pure Python; an import on the user path
+        # would cost ~13 MB of RSS for nothing.
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['optimize', '--workload', 'svm', '--profile-nodes',"
+            " '2', '--top', '3', '--json']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'optimize imported numpy'\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_optimize_top_must_be_positive(self, capsys):
         argv = ["optimize", "--workload", "svm", "--top", "0"]
