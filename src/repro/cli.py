@@ -68,11 +68,13 @@ reserved for unexpected crashes.
     renders per-metric sparkline trajectories from the history file,
     partitioned by host fingerprint and labeled with git SHAs.
 ``serve [--host H] [--port P] [--workloads a,b] [--cache FILE] [--warm]
-[--queue-cap N] [--lru-size N] [--batch-max N] [--batch-delay-ms MS]``
+[--queue-cap N] [--lru-size N] [--batch-max N]``
     Run the optimizer-as-a-service query engine behind a stdlib
     HTTP/JSON front: ``POST /query`` answers predict/simulate/optimize
     what-if queries through an LRU, the shared result cache, and a
     coalescing, micro-batching compute tier (see docs/SERVICE.md).
+    Predict queries that arrive together share one kernel call of at
+    most ``--batch-max`` candidates; none waits on a timer.
 ``loadgen [--url HOST:PORT] [--workload NAME] [--distinct N]
 [--duplicates K] [--concurrency C] [--json]``
     Fire a deterministic what-if query mix at a running service (or an
@@ -976,7 +978,6 @@ def _service_engine(args: argparse.Namespace):
         cache=_cache(args),
         lru_size=args.lru_size,
         batch_max=args.batch_max,
-        batch_delay=args.batch_delay_ms / 1e3,
         sim_queue_cap=args.queue_cap,
         workers=args.workers,
         profile_nodes=args.profile_nodes,
@@ -1283,11 +1284,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--batch-max", type=int, default=32, metavar="N",
             help="micro-batch size bound for model-only queries",
-        )
-        sub.add_argument(
-            "--batch-delay-ms", type=float, default=2.0, metavar="MS",
-            help="micro-batch time bound: a lone query waits at most this"
-                 " long for company",
         )
         sub.add_argument(
             "--queue-cap", type=int, default=16, metavar="N",

@@ -37,7 +37,7 @@ from repro.cloud.instance import machine_for_vcpus
 from repro.cloud.pricing import CloudConfiguration
 from repro.core.predictor import Predictor
 from repro.errors import OptimizationError
-from repro.model.arrays import CandidateBatch, Eq1BatchEvaluator
+from repro.model.arrays import CandidateBatch
 from repro.units import GB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -122,7 +122,6 @@ class CostOptimizer:
         self.min_local_gb = min_local_gb
         self.cache = cache
         self._report_fp: str | None = None
-        self._evaluator: Eq1BatchEvaluator | None = None
 
     # -- evaluation -----------------------------------------------------------
 
@@ -167,33 +166,27 @@ class CostOptimizer:
         model = self.predictor.model_for_devices(devices)
         return model.predict(config.num_workers, config.cores_per_node)
 
-    def batch_evaluator(self) -> Eq1BatchEvaluator:
-        """The memoized array-kernel evaluator for this job's report."""
-        if self._evaluator is None:
-            self._evaluator = Eq1BatchEvaluator(self.predictor.report)
-        return self._evaluator
-
     def score_candidates(
         self, configs: list[CloudConfiguration]
     ) -> list[EvaluatedConfiguration]:
         """Batch-score configurations into evaluated records, in order.
 
         One :class:`~repro.model.arrays.CandidateBatch` crosses the
-        kernel; runtimes and costs come back as parallel arrays and are
+        predictor's shared kernel evaluator
+        (:meth:`~repro.core.predictor.Predictor.batch_evaluator`);
+        runtimes and costs come back as parallel arrays and are
         materialized per candidate.  The floats equal
         :meth:`evaluate`'s bit for bit (see :mod:`repro.model.arrays`),
         so searches built on either path agree exactly.
         """
         if not configs:
             return []
-        scores = self.batch_evaluator().score(
+        scores = self.predictor.batch_evaluator().score(
             CandidateBatch.from_configs(configs), want_bottlenecks=False
         )
         return [
             EvaluatedConfiguration(
-                config=config,
-                runtime_seconds=float(runtime),
-                cost_dollars=float(cost),
+                config=config, runtime_seconds=runtime, cost_dollars=cost
             )
             for config, runtime, cost in zip(
                 configs, scores.runtime_seconds, scores.cost_dollars
@@ -278,6 +271,7 @@ class CostOptimizer:
         """Feasible grid points in canonical (nested-loop) order."""
         candidates: list[CloudConfiguration] = []
         for vcpus in vcpu_grid:
+            machine = machine_for_vcpus(vcpus)
             for hdfs_kind in disk_kinds:
                 for hdfs_gb in hdfs_sizes_gb:
                     if hdfs_gb < self.min_hdfs_gb:
@@ -286,8 +280,13 @@ class CostOptimizer:
                         for local_gb in local_sizes_gb:
                             if local_gb < self.min_local_gb:
                                 continue
-                            candidates.append(self.make_config(
-                                vcpus, hdfs_kind, hdfs_gb, local_kind, local_gb
+                            candidates.append(CloudConfiguration(
+                                machine=machine,
+                                num_workers=self.num_workers,
+                                hdfs_disk_kind=hdfs_kind,
+                                hdfs_disk_gb=hdfs_gb,
+                                local_disk_kind=local_kind,
+                                local_disk_gb=local_gb,
                             ))
         return candidates
 

@@ -26,6 +26,7 @@ from repro.resources import ResourceRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
+    from repro.model.arrays import Eq1BatchEvaluator
     from repro.storage.device import StorageDevice
 
 
@@ -34,6 +35,22 @@ class Predictor:
 
     def __init__(self, report: ProfilingReport) -> None:
         self.report = report
+        self._evaluator: Eq1BatchEvaluator | None = None
+
+    def batch_evaluator(self) -> Eq1BatchEvaluator:
+        """The array-kernel evaluator for this report, built on first use.
+
+        The evaluator is a function of the report alone, so every
+        :class:`~repro.cloud.optimizer.CostOptimizer` over this predictor
+        shares it and the per-disk tables it memoizes.
+        """
+        if self._evaluator is None:
+            # Imported here: the kernel imports repro.core, which
+            # imports this module.
+            from repro.model.arrays import Eq1BatchEvaluator
+
+            self._evaluator = Eq1BatchEvaluator(self.report)
+        return self._evaluator
 
     def model_for_devices(
         self,

@@ -29,10 +29,12 @@ The file format is safe under multiple writers because every key is
 content-addressed: two processes that compute the same key compute the
 same value, so whichever :meth:`ResultCache.save` lands last merely
 rewrites identical bytes for the shared entries.  Each save is atomic
-(temp file + ``os.replace``), so a reader — or a concurrent loader — can
-never observe a torn file: it sees one writer's complete snapshot or the
-other's, and the worst interleaving outcome is that entries unique to
-the *earlier* snapshot are absent from the later one and get recomputed.
+(a uniquely named temp file + ``os.replace``), so a reader — or a
+concurrent loader — can never observe a torn file, and one writer never
+renames another's half-written temp file away: a reader sees one
+writer's complete snapshot or the other's, and the worst interleaving
+outcome is that entries unique to the *earlier* snapshot are absent
+from the later one and get recomputed.
 Parallel grids avoid even that loss by funnelling worker-side entries
 through :meth:`ResultCache.merge_shard` in the parent, which performs
 every authoritative save: one atomic checkpoint per merged shard, so a
@@ -385,10 +387,10 @@ class ResultCache:
     def save(self, path: str | Path | None = None) -> Path:
         """Write the cache to JSON; returns the path written.
 
-        The write is atomic (temp file in the same directory, then
-        ``os.replace``): a crash mid-save — exactly the moment a killed
-        sweep is most likely to die — leaves the previous file intact
-        instead of a truncated one, which is what makes
+        The write is atomic (a uniquely named temp file in the same
+        directory, then ``os.replace``): a crash mid-save — exactly the
+        moment a killed sweep is most likely to die — leaves the previous
+        file intact instead of a truncated one, which is what makes
         :meth:`~repro.pipeline.experiment.Experiment.run_grid` safely
         resumable.
         """
@@ -412,9 +414,17 @@ class ResultCache:
                 key: mix_to_dict(value) for key, value in self._mixes.items()
             },
         }
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(json.dumps(payload))
-        os.replace(tmp, target)
+        # A temp name of its own, so concurrent writers of one target
+        # (two processes sharing a --cache file) never rename or
+        # truncate each other's half-written file.
+        tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            with open(tmp, "x") as out:
+                out.write(json.dumps(payload))
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return target
 
     def _load(self, path: Path) -> None:

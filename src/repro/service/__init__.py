@@ -8,9 +8,9 @@ The layers, bottom up:
 
 - :mod:`repro.service.query` — the query schema: validation, canonical
   form, content fingerprints.
-- :mod:`repro.service.batcher` — the time/size-bounded micro-batcher
-  that turns concurrent model-only queries into one vectorized kernel
-  call.
+- :mod:`repro.service.batcher` — the micro-batcher that turns
+  model-only queries arriving in one event-loop iteration into one
+  vectorized kernel call.
 - :mod:`repro.service.engine` — the three-tier read path (LRU →
   persistent :class:`~repro.pipeline.cache.ResultCache` → coalesced,
   batched, admission-bounded compute).

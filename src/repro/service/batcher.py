@@ -1,22 +1,26 @@
-"""Time/size-bounded micro-batcher for model-only queries.
+"""Next-iteration micro-batcher for model-only queries.
 
-The array kernel's throughput comes from batch width: scoring one
-candidate costs almost as much as scoring thirty-two (backend dispatch,
-per-unique-disk bandwidth lookups), so the serving hot path must not
-translate "one HTTP request" into "one kernel call".  The batcher
-accumulates pending predict queries and flushes them as one
-:class:`~repro.model.arrays.CandidateBatch` when either bound trips:
+Predict queries that arrive together should cross the array kernel
+together: one :class:`~repro.model.arrays.CandidateBatch` of 32
+candidates costs about 67 µs against 12 µs for one (the width table in
+``docs/PERFORMANCE.md``).  A query that arrives alone must not wait for
+company, though.  The batcher accumulates pending predict queries and
+flushes them as one batch when either bound trips:
 
 - **size** — ``max_batch`` pending entries flush immediately (a full
   batch gains nothing by waiting);
-- **time** — the first entry arms a ``max_delay`` timer, so a lone
-  query is answered within one delay window instead of waiting for
-  company that may never come.
+- **next iteration** — the first entry of a batch schedules the flush
+  with ``loop.call_soon``, so the batch holds every entry that handlers
+  running in the same event-loop iteration add, and nothing waits on a
+  clock.
 
-The flush callback runs on the event loop (the kernel scores tens of
-microseconds per batch at service sizes — far below the delay bound),
-and the batcher never reorders entries: flushes preserve arrival order,
-which keeps result attribution positional and deterministic.
+The batch window therefore comes from what is ready on the loop, not
+from a setting: concurrent clients whose requests land together share a
+kernel call, and a lone query is scored on the next iteration.
+
+The flush callback runs on the event loop, and the batcher never
+reorders entries: flushes preserve arrival order, which keeps result
+attribution positional and deterministic.
 """
 
 from __future__ import annotations
@@ -31,27 +35,21 @@ __all__ = ["MicroBatcher"]
 
 
 class MicroBatcher:
-    """Accumulate entries; flush by size or by deadline, whichever first."""
+    """Accumulate entries; flush by size or on the next loop iteration."""
 
     def __init__(
         self,
         flush: Callable[[Sequence[Any]], None],
         max_batch: int = 32,
-        max_delay: float = 0.002,
     ) -> None:
         if max_batch < 1:
             raise ConfigurationError(
                 f"max_batch must be at least 1, got {max_batch}"
             )
-        if max_delay < 0:
-            raise ConfigurationError(
-                f"max_delay must be >= 0, got {max_delay}"
-            )
         self._flush_fn = flush
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self._pending: list[Any] = []
-        self._timer: asyncio.TimerHandle | None = None
+        self._scheduled: asyncio.Handle | None = None
         # Observability: the coalescing story the bench section reports.
         self.batches_flushed = 0
         self.entries_flushed = 0
@@ -65,16 +63,14 @@ class MicroBatcher:
         self._pending.append(entry)
         if len(self._pending) >= self.max_batch:
             self.flush()
-        elif self._timer is None:
-            self._timer = asyncio.get_running_loop().call_later(
-                self.max_delay, self.flush
-            )
+        elif self._scheduled is None:
+            self._scheduled = asyncio.get_running_loop().call_soon(self.flush)
 
     def flush(self) -> None:
         """Flush whatever is pending now (idempotent when empty)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if self._scheduled is not None:
+            self._scheduled.cancel()
+            self._scheduled = None
         if not self._pending:
             return
         pending, self._pending = self._pending, []
@@ -84,7 +80,7 @@ class MicroBatcher:
         self._flush_fn(pending)
 
     def close(self) -> None:
-        """Cancel the timer and flush the remainder."""
+        """Cancel the scheduled flush and flush the remainder."""
         self.flush()
 
     def stats(self) -> dict:
@@ -95,5 +91,4 @@ class MicroBatcher:
             "max_size": self.max_batch_seen,
             "pending": len(self._pending),
             "max_batch": self.max_batch,
-            "max_delay_seconds": self.max_delay,
         }

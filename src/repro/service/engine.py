@@ -17,7 +17,10 @@ queries (see :mod:`repro.service.query`) through a three-tier read path:
      (single-flight: N concurrent identical queries cost one compute);
    - distinct model-only (predict) queries are micro-batched into one
      :class:`~repro.model.arrays.CandidateBatch` kernel call
-     (:class:`~repro.service.batcher.MicroBatcher`);
+     (:class:`~repro.service.batcher.MicroBatcher`), flushed on the
+     event loop's next iteration;
+   - optimize queries run their grid search directly on the event
+     loop, through the workload's shared kernel evaluator;
    - simulation-backed queries run on the supervised execution backend
      (:func:`~repro.parallel.resolve_backend` — the same ``workers=0``
      affinity auto-sizing as the batch pipeline) behind a bounded
@@ -32,11 +35,17 @@ matches :meth:`Experiment.measure`, ``optimize`` matches
 ``tests/unit/service/test_engine.py``.
 
 Threading model: the event loop owns every shared structure (LRU,
-in-flight table, batcher, the ResultCache).  Heavy work (profiling,
-simulation batches, grid searches) runs through one background worker
-coroutine that hops into a thread via ``asyncio.to_thread`` and hands
-*pure results* back to the loop, so cache mutation and persistence
-always happen on the loop — no locks, no torn saves.
+in-flight table, batcher, the ResultCache, each workload's kernel
+evaluator).  Profiling (a workload's first touch) and simulation
+batches run through one background worker coroutine that hops into a
+thread via ``asyncio.to_thread`` and hands *pure results* back to the
+loop, so cache mutation and persistence always happen on the loop — no
+locks, no torn saves.  Predict batches and optimize grid searches run
+on the loop itself: both are pure Python under the GIL, so a thread
+would add no parallelism, only a queue behind the worker's other jobs.
+A grid search holds the loop for milliseconds, and
+:func:`~repro.service.query.parse_query` bounds its size (at most seven
+distinct n1-standard shapes).
 """
 
 from __future__ import annotations
@@ -158,8 +167,9 @@ class QueryEngine:
         caches are checkpointed after every fresh simulation batch.
     lru_size:
         Capacity of the tier-1 result LRU (canonical-fingerprint keyed).
-    batch_max / batch_delay:
-        Micro-batcher bounds for model-only queries (entries / seconds).
+    batch_max:
+        Micro-batcher size bound for model-only queries; a smaller batch
+        flushes on the next event-loop iteration.
     sim_queue_cap:
         Maximum simulate queries admitted but not yet completed; beyond
         it, :class:`~repro.errors.AdmissionError` (the structured 429).
@@ -183,7 +193,6 @@ class QueryEngine:
         *,
         lru_size: int = 1024,
         batch_max: int = 32,
-        batch_delay: float = 0.002,
         sim_queue_cap: int = 16,
         workers: int | None = None,
         profile_nodes: int = 3,
@@ -204,9 +213,7 @@ class QueryEngine:
         self.profile_nodes = profile_nodes
         self._backend = resolve_backend(workers)
         self._policy = execution if execution is not None else ExecutionPolicy()
-        self._batcher = MicroBatcher(
-            self._flush_predicts, max_batch=batch_max, max_delay=batch_delay
-        )
+        self._batcher = MicroBatcher(self._flush_predicts, max_batch=batch_max)
         # Hot-path identity is the parsed Query itself: a frozen
         # dataclass in canonical form, so equality/hash ARE canonical
         # equivalence — no content hashing on the LRU path.
@@ -230,6 +237,7 @@ class QueryEngine:
             "tier2_hits": 0,
             "sim_completed": 0,
             "sim_rejected": 0,
+            "sim_save_errors": 0,
             "errors": 0,
         }
 
@@ -465,15 +473,14 @@ class QueryEngine:
     async def _compute_optimize(self, query: Query, fp: str) -> dict:
         state = await self._state(query.workload)
         min_hdfs, min_local = state.capacity_for(query.num_workers)
-        optimizer = CostOptimizer(
+        # On the loop: the optimizer shares the workload's kernel
+        # evaluator (and its disk tables) through the predictor.
+        result = CostOptimizer(
             state.scorer.predictor,
             num_workers=query.num_workers,
             min_hdfs_gb=min_hdfs,
             min_local_gb=min_local,
-        )
-        result = await self._call(
-            lambda: optimizer.grid_search(vcpu_grid=query.vcpu_grid)
-        )
+        ).grid_search(vcpu_grid=query.vcpu_grid)
         return {
             "kind": "optimize",
             "workload": query.workload,
@@ -498,7 +505,7 @@ class QueryEngine:
         if future is None:
             future = asyncio.get_running_loop().create_future()
             self._state_futures[name] = future
-            self._jobs.append(("state", name, future))
+            self._jobs.append((name, future))
             self._work_event.set()
         return await asyncio.shield(future)
 
@@ -519,13 +526,6 @@ class QueryEngine:
 
     # -- the background compute worker ---------------------------------------
 
-    async def _call(self, fn):
-        """Run ``fn`` on the worker's thread, serialized with other jobs."""
-        future = asyncio.get_running_loop().create_future()
-        self._jobs.append(("call", fn, future))
-        self._work_event.set()
-        return await asyncio.shield(future)
-
     async def _worker(self) -> None:
         while True:
             await self._work_event.wait()
@@ -538,32 +538,22 @@ class QueryEngine:
                     await self._run_job(self._jobs.popleft())
 
     async def _run_job(self, job) -> None:
-        kind = job[0]
-        if kind == "state":
-            _, name, future = job
-            try:
-                state = await asyncio.to_thread(self._build_state, name)
-            except BaseException as exc:
-                self._state_futures.pop(name, None)
-                if not future.done():
-                    future.set_exception(exc)
-                    future.exception()
-            else:
-                self._states[name] = state
-                self._state_futures.pop(name, None)
-                if not future.done():
-                    future.set_result(state)
-            return
-        _, fn, future = job
+        """Build one workload's serving state (profiling) in the thread."""
+        name, future = job
         try:
-            result = await asyncio.to_thread(fn)
+            state = await asyncio.to_thread(self._build_state, name)
         except BaseException as exc:
+            self._state_futures.pop(name, None)
             if not future.done():
                 future.set_exception(exc)
                 future.exception()
+            if not isinstance(exc, Exception):
+                raise  # cancellation (engine close) ends the worker
         else:
+            self._states[name] = state
+            self._state_futures.pop(name, None)
             if not future.done():
-                future.set_result(result)
+                future.set_result(state)
 
     async def _run_sim_batch(self, batch: list[_SimItem]) -> None:
         """One supervised map over the admitted simulate queries."""
@@ -580,6 +570,8 @@ class QueryEngine:
                         ServiceError(f"simulation batch failed: {exc}")
                     )
                     item.future.exception()
+            if not isinstance(exc, Exception):
+                raise  # cancellation (engine close) ends the worker
             return
         finally:
             self._sim_running = 0
@@ -607,7 +599,13 @@ class QueryEngine:
                 fresh = True
                 item.future.set_result(measurement)
         if fresh and self.cache.path is not None:
-            self.cache.save()
+            # The answers are delivered and the entries stay in memory,
+            # so a failed checkpoint costs nothing the next save cannot
+            # retry; letting it escape would end the worker.
+            try:
+                self.cache.save()
+            except OSError:
+                self.counters["sim_save_errors"] += 1
 
     # -- observability -------------------------------------------------------
 
@@ -632,6 +630,7 @@ class QueryEngine:
                 "cap": self.sim_queue_cap,
                 "completed": self.counters["sim_completed"],
                 "rejected": self.counters["sim_rejected"],
+                "save_errors": self.counters["sim_save_errors"],
                 "workers": self._backend.workers,
                 "backend": type(self._backend).__name__,
             },

@@ -11,6 +11,7 @@ cover the paper's product surface:
   does the discrete-event simulator give at ``(slaves, cores)``?"
   Routed to the supervised compute backend under bounded admission.
 - ``optimize`` — the full Section-VI grid search: "what should I buy?"
+  Its ``vcpu_grid`` lists distinct n1-standard shapes (1-64 vCPUs).
 
 Every query reduces to a **canonical dictionary** (defaults filled,
 floats normalized) whose content fingerprint is the engine's identity
@@ -221,6 +222,21 @@ def parse_query(payload, known_workloads=None) -> Query:
     vcpu_grid = tuple(
         _as_int(value, "vcpu_grid entry", where) for value in grid
     )
+    # Distinct catalogue shapes only, which bounds a search at 7 x 400
+    # candidates: the engine runs grid searches on its event loop.
+    from repro.cloud.instance import N1_STANDARD
+
+    shapes = [machine.vcpus for machine in N1_STANDARD]
+    for value in vcpu_grid:
+        if value not in shapes:
+            raise QueryError(
+                f"{where}: vcpu_grid entry {value} is not an n1-standard"
+                f" shape; expected one of {shapes}"
+            )
+    if len(set(vcpu_grid)) != len(vcpu_grid):
+        raise QueryError(
+            f"{where}: vcpu_grid repeats an entry: {list(vcpu_grid)}"
+        )
     return Query(
         kind=kind,
         workload=workload,

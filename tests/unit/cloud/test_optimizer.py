@@ -8,6 +8,7 @@ from repro.cloud.recommendations import (
     r2_cloudera_recommendation,
 )
 from repro.errors import OptimizationError
+from repro.model.arrays import CandidateBatch, Eq1BatchEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +81,42 @@ class TestGridSearch:
     def test_unknown_disk_kind(self, optimizer):
         with pytest.raises(OptimizationError):
             optimizer.grid_search(disk_kinds=("pd-extreme",))
+
+    def test_grid_candidates_match_make_config(self, optimizer):
+        kinds = ("pd-standard", "pd-ssd")
+        sizes = (50, 200, 1000)
+        expected = [
+            optimizer.make_config(vcpus, hdfs_kind, hdfs_gb, local_kind, local_gb)
+            for vcpus in (4, 16)
+            for hdfs_kind in kinds
+            for hdfs_gb in sizes
+            if hdfs_gb >= optimizer.min_hdfs_gb
+            for local_kind in kinds
+            for local_gb in sizes
+            if local_gb >= optimizer.min_local_gb
+        ]
+        assert optimizer._grid_candidates((4, 16), kinds, sizes, sizes) == expected
+
+    def test_optimizers_over_one_predictor_share_its_evaluator(
+        self, gatk4_predictor
+    ):
+        grid = {"vcpu_grid": (8, 16), "hdfs_sizes_gb": (500, 1000),
+                "local_sizes_gb": (200, 500)}
+        wide = CostOptimizer(gatk4_predictor, num_workers=10)
+        narrow = CostOptimizer(gatk4_predictor, num_workers=4)
+        wide.grid_search(**grid)  # warms the shared per-disk tables
+        result = narrow.grid_search(**grid)
+        assert gatk4_predictor.batch_evaluator() is gatk4_predictor.batch_evaluator()
+        configs = [evaluated.config for evaluated in result.evaluated]
+        fresh = Eq1BatchEvaluator(gatk4_predictor.report).score(
+            CandidateBatch.from_configs(configs), want_bottlenecks=False
+        )
+        assert [e.runtime_seconds for e in result.evaluated] == list(
+            fresh.runtime_seconds
+        )
+        assert [e.cost_dollars for e in result.evaluated] == list(
+            fresh.cost_dollars
+        )
 
 
 class TestCoordinateDescent:

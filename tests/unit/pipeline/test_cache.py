@@ -229,6 +229,28 @@ class TestPersistence:
         cache.save(target)
         assert [p.name for p in tmp_path.iterdir()] == ["clean.json"]
 
+    def test_squatted_temp_path_does_not_stop_a_save(self, populated, tmp_path):
+        # Another writer's leftover (here a directory) on the old fixed
+        # `<name>.tmp` path: each save writes a temp file of its own.
+        cache, _ = populated
+        target = tmp_path / "squatted.json"
+        (tmp_path / "squatted.json.tmp").mkdir()
+        cache.save(target)
+        assert ResultCache(target).get_measurement("m") is not None
+
+    def test_failed_save_removes_its_temp_file(
+        self, populated, tmp_path, monkeypatch
+    ):
+        cache, _ = populated
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.pipeline.cache.os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            cache.save(tmp_path / "never.json")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestShards:
     """Worker-shard export/merge and counter-free peeks."""

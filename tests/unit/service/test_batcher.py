@@ -1,4 +1,4 @@
-"""MicroBatcher: size bound, time bound, counters."""
+"""MicroBatcher: size bound, next-iteration flush, counters."""
 
 import asyncio
 
@@ -17,33 +17,49 @@ class TestBounds:
         with pytest.raises(ConfigurationError, match="max_batch"):
             MicroBatcher(lambda entries: None, max_batch=0)
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ConfigurationError, match="max_delay"):
-            MicroBatcher(lambda entries: None, max_delay=-1.0)
-
 
 class TestFlushing:
     def test_size_bound_flushes_synchronously(self):
         async def scenario():
             flushes = []
-            batcher = MicroBatcher(flushes.append, max_batch=3, max_delay=60.0)
+            batcher = MicroBatcher(flushes.append, max_batch=3)
             batcher.add("a")
             batcher.add("b")
             assert flushes == []
-            batcher.add("c")  # size bound trips: no waiting on the timer
+            batcher.add("c")  # size bound trips: no waiting for the loop
             assert flushes == [["a", "b", "c"]]
             assert len(batcher) == 0
 
         run(scenario())
 
-    def test_time_bound_flushes_a_lone_entry(self):
+    def test_lone_entry_flushes_on_the_next_iteration(self):
         async def scenario():
             flushes = []
-            batcher = MicroBatcher(flushes.append, max_batch=64, max_delay=0.01)
+            batcher = MicroBatcher(flushes.append, max_batch=64)
             batcher.add("lonely")
             assert flushes == []
-            await asyncio.sleep(0.05)
+            await asyncio.sleep(0)  # one loop iteration, no clock
             assert flushes == [["lonely"]]
+
+        run(scenario())
+
+    def test_entries_added_within_one_iteration_share_a_flush(self):
+        async def scenario():
+            flushes = []
+            batcher = MicroBatcher(flushes.append, max_batch=64)
+
+            async def handler(entry):
+                batcher.add(entry)
+
+            # Three handlers ready in one iteration, as the handlers of
+            # concurrent requests are: the first schedules the flush,
+            # which runs on the iteration after.
+            tasks = [asyncio.create_task(handler(n)) for n in range(3)]
+            await asyncio.sleep(0)
+            assert len(batcher) == 3 and flushes == []
+            await asyncio.sleep(0)
+            assert flushes == [[0, 1, 2]]
+            await asyncio.gather(*tasks)
 
         run(scenario())
 
@@ -60,7 +76,7 @@ class TestFlushing:
     def test_close_flushes_the_remainder(self):
         async def scenario():
             flushes = []
-            batcher = MicroBatcher(flushes.append, max_batch=10, max_delay=60.0)
+            batcher = MicroBatcher(flushes.append, max_batch=10)
             batcher.add("x")
             batcher.close()
             assert flushes == [["x"]]

@@ -9,13 +9,17 @@ The acceptance contracts from the service PR:
 - the persistent tier is the pipeline's own cache, under the pipeline's
   own keys, in both directions;
 - past the simulation admission cap, queries are rejected with a
-  structured :class:`AdmissionError`, not queued without bound.
+  structured :class:`AdmissionError`, not queued without bound;
+- optimize queries never queue behind the compute worker, and the
+  worker outlives a failed checkpoint save.
 """
 
 import asyncio
+import threading
 
 import pytest
 
+import repro.service.engine as engine_module
 from repro.cli import WORKLOADS
 from repro.cloud.optimizer import CostOptimizer
 from repro.core.predictor import Predictor
@@ -322,6 +326,126 @@ class TestOptimize:
             assert answer["num_evaluated"] == reference.num_evaluated
 
         asyncio.run(scenario())
+
+
+def simulate_payload(slaves: int) -> dict:
+    return {"kind": "simulate", "workload": NAME, "slaves": slaves, "cores": 8}
+
+
+class TestComputeWorker:
+    def test_optimize_is_answered_while_a_simulation_runs(
+        self, profiled_shard, monkeypatch
+    ):
+        started, release = threading.Event(), threading.Event()
+        simulate_item = engine_module._simulate_item
+
+        def blocked(payload):
+            started.set()
+            release.wait(timeout=60)
+            return simulate_item(payload)
+
+        monkeypatch.setattr(engine_module, "_simulate_item", blocked)
+
+        async def scenario():
+            engine = QueryEngine({NAME: SPEC}, cache=fresh_cache(profiled_shard))
+            async with engine:
+                await engine.warm([NAME])
+                simulate = asyncio.create_task(
+                    engine.submit(simulate_payload(4))
+                )
+                tasks = [simulate]
+                try:
+                    assert await asyncio.to_thread(started.wait, 10)
+                    optimize = asyncio.create_task(engine.submit(
+                        {"kind": "optimize", "workload": NAME,
+                         "vcpu_grid": [8, 16]}
+                    ))
+                    tasks.append(optimize)
+                    done, _ = await asyncio.wait({optimize}, timeout=5)
+                    simulating = not simulate.done()
+                finally:
+                    release.set()
+                    # Every query is answered before the engine closes.
+                    await asyncio.wait_for(asyncio.gather(*tasks), timeout=60)
+            assert optimize in done, "optimize waited behind the simulation"
+            assert simulating
+            assert optimize.result()["num_evaluated"] > 0
+            assert simulate.result()["total_seconds"] > 0
+
+        asyncio.run(scenario())
+
+    def test_close_during_a_simulation_batch_returns(
+        self, profiled_shard, monkeypatch
+    ):
+        started, release = threading.Event(), threading.Event()
+
+        def blocked(payload):
+            started.set()
+            release.wait(timeout=60)
+
+        monkeypatch.setattr(engine_module, "_simulate_item", blocked)
+
+        async def scenario():
+            engine = QueryEngine({NAME: SPEC}, cache=fresh_cache(profiled_shard))
+            await engine.start()
+            simulate = asyncio.create_task(engine.submit(simulate_payload(4)))
+            tasks = [simulate]
+            try:
+                assert await asyncio.to_thread(started.wait, 10)
+                # Cancelling the worker mid-batch ends it, so close
+                # returns without waiting for the batch.
+                closing = asyncio.create_task(engine.close())
+                tasks.append(closing)
+                done, _ = await asyncio.wait({closing}, timeout=5)
+            finally:
+                release.set()
+                for task in tasks[1:]:
+                    task.cancel()  # frees a close that hung
+                await asyncio.gather(*tasks, return_exceptions=True)
+            assert closing in done, "close waited on the cancelled worker"
+            assert isinstance(simulate.exception(), ServiceError)
+
+        asyncio.run(scenario())
+
+    def test_worker_survives_a_failed_checkpoint_save(
+        self, profiled_shard, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "serve.json"
+        cache = ResultCache(path)
+        cache.merge_shard(profiled_shard)
+        save = cache.save
+        calls = []
+
+        def save_failing_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError("disk full")
+            return save(*args, **kwargs)
+
+        monkeypatch.setattr(cache, "save", save_failing_once)
+
+        async def scenario():
+            engine = QueryEngine({NAME: SPEC}, cache=cache)
+            async with engine:
+                await asyncio.wait_for(
+                    engine.submit(simulate_payload(3)), timeout=30
+                )
+                # The first batch's save failed; the worker must still
+                # take the next batch.
+                answer = await asyncio.wait_for(
+                    engine.submit(simulate_payload(4)), timeout=30
+                )
+                stats = engine.stats()
+            assert answer["total_seconds"] > 0
+            assert stats["sim"]["save_errors"] == 1
+            assert stats["sim"]["completed"] == 2
+
+        asyncio.run(scenario())
+        # The next save retried: both measurements reached the file.
+        experiment = Experiment(SPEC, ClusterPlatform(), cache=ResultCache(path))
+        experiment.measure(3, 8)
+        experiment.measure(4, 8)
+        assert experiment.cache.measurement_stats.hits == 2
 
 
 class TestLifecycleAndErrors:

@@ -130,6 +130,16 @@ class TestRoutes:
                     host, port, post_blob("/query", b'{"kind": "explain"}')
                 )
                 assert status == 400 and body["error"] == "QueryError"
+                # A repeated vcpu_grid entry -> 400 QueryError, not a
+                # search over duplicated candidates.
+                status, body = await raw_request(
+                    host, port, post_blob("/query", json.dumps({
+                        "kind": "optimize", "workload": NAME,
+                        "vcpu_grid": [4, 4],
+                    }).encode())
+                )
+                assert status == 400 and body["error"] == "QueryError"
+                assert "repeats" in body["message"]
                 # Oversized body -> 413 before reading it.
                 huge = (
                     f"POST /query HTTP/1.1\r\nHost: t\r\n"

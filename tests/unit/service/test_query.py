@@ -84,6 +84,30 @@ class TestValidation:
                 {"kind": "optimize", "workload": "svm", "vcpu_grid": []}
             )
 
+    def test_optimize_repeated_grid_entry_rejected(self):
+        # Repeats rescore the same candidates: 1,000 of them fit in a
+        # 3 KB body and would make one search of 360,000 candidates.
+        for grid in ([4, 4], [4, 8, 16, 8], [4] * 1000):
+            with pytest.raises(QueryError, match="repeats"):
+                parse_query(
+                    {"kind": "optimize", "workload": "svm", "vcpu_grid": grid}
+                )
+
+    def test_optimize_grid_entry_outside_the_catalogue_rejected(self):
+        for size in (3, 12, 128):
+            with pytest.raises(QueryError, match="n1-standard"):
+                parse_query(
+                    {"kind": "optimize", "workload": "svm",
+                     "vcpu_grid": [4, size]}
+                )
+
+    def test_optimize_whole_catalogue_accepted(self):
+        grid = [64, 1, 2, 4, 8, 16, 32]
+        query = parse_query(
+            {"kind": "optimize", "workload": "svm", "vcpu_grid": grid}
+        )
+        assert query.vcpu_grid == tuple(grid)  # the search's row order
+
 
 class TestCanonicalIdentity:
     def test_parsed_queries_are_canonical_equal(self):
