@@ -68,13 +68,16 @@ reserved for unexpected crashes.
     renders per-metric sparkline trajectories from the history file,
     partitioned by host fingerprint and labeled with git SHAs.
 ``serve [--host H] [--port P] [--workloads a,b] [--cache FILE] [--warm]
-[--queue-cap N] [--lru-size N] [--batch-max N]``
+[--queue-cap N] [--lru-size N] [--batch-max N] [--workers K]``
     Run the optimizer-as-a-service query engine behind a stdlib
     HTTP/JSON front: ``POST /query`` answers predict/simulate/optimize
     what-if queries through an LRU, the shared result cache, and a
     coalescing, micro-batching compute tier (see docs/SERVICE.md).
     Predict queries that arrive together share one kernel call of at
-    most ``--batch-max`` candidates; none waits on a timer.
+    most ``--batch-max`` candidates; none waits on a timer.  Profiling
+    and simulations run in a pool of worker processes, one per
+    available CPU (``--workers`` defaults to 0 here; a one-CPU host
+    runs them in a thread of the server).
 ``loadgen [--url HOST:PORT] [--workload NAME] [--distinct N]
 [--duplicates K] [--concurrency C] [--json]``
     Fire a deterministic what-if query mix at a running service (or an
@@ -105,7 +108,7 @@ from repro.cluster.network import NetworkModel
 from repro.core import load_report, save_report
 from repro.errors import ConfigurationError, DoppioError, exit_code_for
 from repro.faults import FaultPlan, load_fault_plan
-from repro.parallel import ExecutionPolicy
+from repro.parallel import AUTO_WORKERS, ExecutionPolicy
 from repro.pipeline import (
     ClusterPlatform,
     Experiment,
@@ -300,8 +303,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def _load_mix_plan(path: str) -> tuple[str, list[MixJob]]:
     """Parse a mix-plan JSON file into (policy, jobs).
 
-    Any shape problem — unreadable file, bad JSON, unknown workload or
-    policy, negative arrival — is a :class:`ConfigurationError` (exit 2),
+    Any shape problem — unreadable file, bad or too deeply nested JSON,
+    unknown workload or policy, negative arrival — is a
+    :class:`ConfigurationError` (exit 2),
     matching how every other malformed CLI input is reported.
     """
     try:
@@ -314,6 +318,10 @@ def _load_mix_plan(path: str) -> tuple[str, list[MixJob]]:
         raise ConfigurationError(
             f"mix plan {path} is not valid JSON: {error}"
         ) from error
+    except RecursionError:
+        raise ConfigurationError(
+            f"mix plan {path} is nested too deeply to parse"
+        ) from None
     if not isinstance(data, dict) or not isinstance(data.get("jobs"), list):
         raise ConfigurationError(
             f"mix plan {path} must be a JSON object with a 'jobs' list"
@@ -1002,8 +1010,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         if args.warm:
-            await engine.start()
-            await engine.warm()
+            try:
+                await engine.start()
+                await engine.warm()
+            except BaseException:
+                await engine.close()  # Ctrl-C while warming: reclaim the pool
+                raise
         await serve(engine, host=args.host, port=args.port, ready=ready)
 
     try:
@@ -1057,13 +1069,16 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_workers_flag(sub: argparse.ArgumentParser) -> None:
+def _add_workers_flag(
+    sub: argparse.ArgumentParser, default: int | None = None
+) -> None:
     """The process-parallelism flags of ``pipeline``, ``serve`` and ``loadgen``."""
     sub.add_argument(
-        "--workers", type=int, default=None, metavar="K",
+        "--workers", type=int, default=default, metavar="K",
         help="fan independent evaluations across K worker processes"
              " (0 = auto-size to the available CPUs; results are"
-             " bit-identical to serial)",
+             " bit-identical to serial; default: "
+             + ("serial" if default is None else str(default)) + ")",
     )
     sub.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
@@ -1266,7 +1281,9 @@ def build_parser() -> argparse.ArgumentParser:
              " file (partitioned by host fingerprint) and exit",
     )
 
-    def _add_service_flags(sub: argparse.ArgumentParser) -> None:
+    def _add_service_flags(
+        sub: argparse.ArgumentParser, workers: int | None = None
+    ) -> None:
         sub.add_argument(
             "--workloads", action="append", default=None, metavar="NAMES",
             help="comma-separated workloads to serve (repeatable;"
@@ -1290,7 +1307,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="max outstanding simulation queries before new ones are"
                  " rejected with a structured 429",
         )
-        _add_workers_flag(sub)
+        _add_workers_flag(sub, default=workers)
 
     serve = sub.add_parser(
         "serve",
@@ -1304,7 +1321,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--warm", action="store_true",
         help="profile every served workload before accepting traffic",
     )
-    _add_service_flags(serve)
+    # The simulator runs off the serving interpreter wherever the host
+    # has a second CPU (docs/SERVICE.md "Where the work runs").
+    _add_service_flags(serve, workers=AUTO_WORKERS)
 
     loadgen = sub.add_parser(
         "loadgen",

@@ -210,6 +210,10 @@ def load_fault_plan(path: str | Path) -> FaultPlan:
         raise FaultError(f"cannot read fault plan {source}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FaultError(f"fault plan {source} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FaultError(
+            f"fault plan {source} is nested too deeply to parse"
+        ) from None
     return FaultPlan.from_dict(data)
 
 

@@ -23,8 +23,12 @@ bit-identical to a serial run — the invariant the property suite in
 Worker processes often need one-time, per-process state (e.g. a rebuilt
 ``Experiment``); pass ``initializer``/``initargs`` to
 :func:`resolve_backend` and the pool forwards them to each worker on
-start, exactly like ``ProcessPoolExecutor`` does.  See
-``docs/PERFORMANCE.md`` for when ``workers=`` actually helps.
+start, exactly like ``ProcessPoolExecutor`` does.  ``mp_context`` picks
+how workers start: ``None`` is the platform default (``fork`` on Linux),
+which the pipeline relies on; the query service passes a ``forkserver``
+context so no worker inherits its client sockets (see
+``docs/EXECUTION.md``).  See ``docs/PERFORMANCE.md`` for when
+``workers=`` actually helps.
 
 On top of ordered ``map``, :class:`ProcessPoolBackend` exposes the
 primitives the supervised layer (:mod:`repro.parallel.supervisor`) is
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
+from multiprocessing.context import BaseContext
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
@@ -140,6 +145,8 @@ class ProcessPoolBackend:
     a cache hit.  Items are chunked (several per pickle round-trip) to
     amortize IPC; ``Executor.map`` preserves input order, which is what
     makes positional merges bit-identical to serial execution.
+    ``mp_context`` is the multiprocessing context workers start from
+    (``None``: the platform default).
     """
 
     def __init__(
@@ -147,6 +154,7 @@ class ProcessPoolBackend:
         workers: int | None = None,
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
+        mp_context: BaseContext | None = None,
     ) -> None:
         if workers is None:
             workers = available_cpus()
@@ -157,6 +165,7 @@ class ProcessPoolBackend:
         self.workers = workers
         self._initializer = initializer
         self._initargs = initargs
+        self._mp_context = mp_context
         self._executor: ProcessPoolExecutor | None = None
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
@@ -212,6 +221,7 @@ class ProcessPoolBackend:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
+                mp_context=self._mp_context,
                 initializer=self._initializer,
                 initargs=self._initargs,
             )
@@ -233,6 +243,7 @@ def resolve_backend(
     workers: int | None,
     initializer: Callable[..., None] | None = None,
     initargs: tuple = (),
+    mp_context: BaseContext | None = None,
 ) -> ExecutionBackend:
     """Turn a ``workers=`` argument into a backend.
 
@@ -242,6 +253,9 @@ def resolve_backend(
       :func:`available_cpus`; degenerates to serial on a 1-CPU host;
     - ``k > 1`` — :class:`ProcessPoolBackend` with ``k`` workers;
     - anything else — :class:`~repro.errors.ConfigurationError`.
+
+    ``mp_context`` reaches only a process pool: the serial backend runs
+    in the calling process.
     """
     if workers is None:
         return SerialBackend(initializer, initargs)
@@ -255,7 +269,7 @@ def resolve_backend(
         count = auto_worker_count()
         if count == 1:
             return SerialBackend(initializer, initargs)
-        return ProcessPoolBackend(count, initializer, initargs)
+        return ProcessPoolBackend(count, initializer, initargs, mp_context)
     if workers < 0:
         raise ConfigurationError(f"workers must be >= 0, got {workers}")
-    return ProcessPoolBackend(workers, initializer, initargs)
+    return ProcessPoolBackend(workers, initializer, initargs, mp_context)

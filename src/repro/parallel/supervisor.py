@@ -15,9 +15,13 @@ robust path the pipeline's long fan-outs run through:
   pure exponential schedule, no jitter: reproducible timings are worth
   more here than thundering-herd protection on a local pool);
 - **pool rebuilds** — after ``BrokenProcessPool`` the dead pool is
-  replaced and only the in-flight items are resubmitted (each charged
-  one attempt: an item that reproducibly kills its worker must converge
-  to quarantine, not respawn pools forever);
+  replaced and only the in-flight items are resubmitted.  A break is
+  charged as an attempt only to the item that caused it: with one item
+  in flight that is the culprit, and with several the break cannot say
+  which, so none is charged and those items re-run one at a time until
+  each has finished.  An item that reproducibly kills its worker
+  therefore still converges to quarantine instead of respawning pools
+  forever, and innocent items never pay for it;
 - **wall-clock timeouts** — an in-flight item past its deadline is
   charged a timeout attempt; since a running future cannot be cancelled,
   the pool's workers are killed and rebuilt, and the *innocent* in-flight
@@ -36,10 +40,15 @@ On a :class:`SerialBackend` the retry/backoff/quarantine semantics are
 identical but timeouts are not enforced: there is no preemption inside
 one process, so a hung serial task hangs the caller (documented in
 ``docs/EXECUTION.md``).
+
+:meth:`TaskSupervisor.cancel` stops a run from another thread: nothing
+more is submitted, a process pool's workers are killed, and the run
+raises :class:`~repro.errors.ExecutionError` instead of returning.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
@@ -254,8 +263,31 @@ class TaskSupervisor:
             )
         self.backend = backend
         self.policy = policy
+        # Orders cancel() against submits and rebuilds from the thread
+        # running the map, so no pool is spawned after a cancel.
+        self._lock = threading.Lock()
+        self._cancelled = False
 
     # -- public API ----------------------------------------------------------
+
+    def cancel(self) -> None:
+        """Stop the running (and every later) map from another thread.
+
+        Nothing more is submitted, and a :class:`ProcessPoolBackend`'s
+        workers are killed the way :meth:`~ProcessPoolBackend.rebuild`
+        kills them, so the caller never waits out a running task.  The
+        map raises :class:`~repro.errors.ExecutionError` once it
+        notices.  A serial backend cannot be preempted: its item in
+        progress finishes first.
+        """
+        with self._lock:
+            self._cancelled = True
+            if isinstance(self.backend, ProcessPoolBackend):
+                self.backend.rebuild()
+
+    def _check_cancelled(self) -> None:
+        if self._cancelled:
+            raise ExecutionError("supervised map cancelled")
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         """Ordered results, or :class:`ExecutionError` on any quarantine."""
@@ -298,6 +330,7 @@ class TaskSupervisor:
         for index, item in enumerate(items):
             attempt = 0
             while True:
+                self._check_cancelled()
                 attempt += 1
                 report.attempts += 1
                 try:
@@ -354,6 +387,9 @@ class TaskSupervisor:
         #: (monotonic ready-time, index) pairs waiting out a backoff.
         sleeping: list[tuple[float, int]] = []
         in_flight: dict[Future, _InFlight] = {}
+        #: Unfinished items a break with several in flight left unblamed:
+        #: while any remain, they alone run, one at a time.
+        suspects: set[int] = set()
         # With a timeout, cap in-flight futures at the worker count so a
         # submitted item starts (approximately) immediately and its
         # deadline measures execution, not queueing.  Without one, queue
@@ -364,10 +400,11 @@ class TaskSupervisor:
             if policy.timeout_seconds is not None
             else max(backend.workers * 4, 1)
         )
-        # An item that reproducibly breaks the pool is charged an attempt
-        # per break, so rebuilds are bounded by the total attempt budget;
-        # the margin absorbs submit-time races.
-        rebuild_cap = policy.max_attempts * n + 8
+        # A break with one item in flight charges it an attempt; a break
+        # with several charges none but makes them suspects, and an item
+        # is a suspect at most once.  So rebuilds are bounded by the
+        # total attempt budget plus n; the margin absorbs submit races.
+        rebuild_cap = (policy.max_attempts + 1) * n + 8
 
         def charge_failure(
             index: int, kind: str, error_type: str, message: str
@@ -379,6 +416,7 @@ class TaskSupervisor:
             elif kind == KIND_WORKER_LOSS:
                 report.worker_losses += 1
             if attempts_used[index] >= policy.max_attempts:
+                suspects.discard(index)
                 failures[index] = TaskFailure(
                     index=index,
                     item=items[index],
@@ -398,6 +436,7 @@ class TaskSupervisor:
                 sleeping.sort()
 
         def record_success(index: int, result: Any) -> None:
+            suspects.discard(index)
             attempts_used[index] += 1
             report.attempts += 1
             report.results[index] = result
@@ -405,19 +444,17 @@ class TaskSupervisor:
             if on_result is not None:
                 on_result(index, result)
 
-        def settle(future: Future, index: int) -> bool:
-            """Handle one completed future; True if it broke the pool."""
+        def settle(future: Future, index: int, lost: list[int]) -> None:
+            """Handle one completed future; pool losses go to ``lost``."""
             exc = future.exception()
             if exc is None:
                 record_success(index, future.result())
-                return False
-            if isinstance(exc, BrokenProcessPool):
+            elif isinstance(exc, BrokenProcessPool):
+                lost.append(index)
+            else:
                 charge_failure(
-                    index, KIND_WORKER_LOSS, type(exc).__name__, str(exc)
+                    index, KIND_EXCEPTION, type(exc).__name__, str(exc)
                 )
-                return True
-            charge_failure(index, KIND_EXCEPTION, type(exc).__name__, str(exc))
-            return False
 
         def rebuild_pool() -> None:
             report.pool_rebuilds += 1
@@ -428,17 +465,37 @@ class TaskSupervisor:
                     f" ({policy.describe()})",
                     failures=tuple(failures.values()),
                 )
-            backend.rebuild()
+            with self._lock:
+                backend.rebuild()
+
+        def next_ready() -> int | None:
+            """The next item to submit, or None while the window is full."""
+            if not suspects:
+                if len(in_flight) < max_in_flight:
+                    return ready.popleft()
+                return None
+            if in_flight:
+                return None
+            for index in ready:
+                if index in suspects:
+                    ready.remove(index)
+                    return index
+            return None  # every suspect is waiting out a backoff
 
         while not report.aborted and (ready or sleeping or in_flight):
+            self._check_cancelled()
             now = time.monotonic()
             # Wake items whose backoff has elapsed.
             while sleeping and sleeping[0][0] <= now:
                 ready.append(sleeping.pop(0)[1])
-            while ready and len(in_flight) < max_in_flight:
-                index = ready.popleft()
+            while ready:
+                index = next_ready()
+                if index is None:
+                    break
                 try:
-                    future = backend.submit(fn, items[index])
+                    with self._lock:
+                        self._check_cancelled()
+                        future = backend.submit(fn, items[index])
                 except BrokenProcessPool:
                     # Pool broke between loop turns; rebuild and retry
                     # the submit (the item never ran: no charge).
@@ -472,27 +529,35 @@ class TaskSupervisor:
                 in_flight, timeout=wait_timeout, return_when=FIRST_COMPLETED
             )
 
-            pool_broken = False
+            lost: list[int] = []
             for future in done:
-                entry = in_flight.pop(future)
-                pool_broken |= settle(future, entry.index)
+                settle(future, in_flight.pop(future).index, lost)
 
-            if pool_broken and in_flight:
+            if lost and in_flight:
                 # A broken pool fails every outstanding future (the
                 # executor's manager thread is setting their exceptions
-                # right now); wait for it, salvage any that completed
-                # with a result, and charge the rest as worker losses.
+                # right now); wait for it and salvage any that completed
+                # with a result.
                 settled, stalled = wait(in_flight, timeout=30.0)
                 for future in settled:
-                    settle(future, in_flight.pop(future).index)
+                    settle(future, in_flight.pop(future).index, lost)
                 for future in stalled:  # pragma: no cover - stuck manager
+                    lost.append(in_flight.pop(future).index)
+            if lost:
+                if len(lost) == 1:
+                    # The only item the pool lost is the one that broke it.
                     charge_failure(
-                        in_flight.pop(future).index,
+                        lost[0],
                         KIND_WORKER_LOSS,
                         "BrokenProcessPool",
-                        "pool broke with the task in flight",
+                        "a worker died with the task in flight",
                     )
-            if pool_broken:
+                else:
+                    # Any of them may have broken it: charge none, and
+                    # re-run them one at a time so the next break has a
+                    # single culprit.
+                    suspects.update(lost)
+                    ready.extendleft(reversed(lost))
                 rebuild_pool()
                 continue
 
@@ -507,7 +572,7 @@ class TaskSupervisor:
                 for future, entry in list(in_flight.items()):
                     if future.done():
                         # Completed between wait() and the sweep.
-                        settle(future, entry.index)
+                        settle(future, entry.index, lost)
                     elif entry.index in expired:
                         charge_failure(
                             entry.index,
@@ -519,6 +584,10 @@ class TaskSupervisor:
                         # Innocent victim of the pool kill: resubmit
                         # without charging an attempt.
                         ready.append(entry.index)
+                # Lost to a break that raced the sweep: its culprit is
+                # unknown, so these re-run uncharged, one at a time.
+                suspects.update(lost)
+                ready.extend(lost)
                 in_flight.clear()
                 # Running futures cannot be cancelled; killing the
                 # workers is the only way to stop a hung task.

@@ -252,6 +252,10 @@ class ResultCache:
         """Counter-free presence check for a prediction key."""
         return key in self._predictions
 
+    def contains_report(self, key: str) -> bool:
+        """Counter-free presence check for a profiling-report key."""
+        return key in self._reports
+
     @property
     def num_predictions(self) -> int:
         """How many predictions are stored.
@@ -432,12 +436,13 @@ class ResultCache:
 
         A truncated or hand-damaged file must never abort a sweep — the
         cache is an accelerator, so the worst acceptable outcome of
-        corruption is recomputing: unreadable JSON drops the whole file,
-        a malformed individual entry drops just that entry.
+        corruption is recomputing: unreadable JSON (nesting too deep to
+        parse included) drops the whole file, a malformed individual
+        entry drops just that entry.
         """
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             warnings.warn(
                 f"result cache {path} is unreadable ({exc}); starting empty",
                 stacklevel=2,

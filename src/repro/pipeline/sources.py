@@ -111,13 +111,18 @@ class SpecSource:
         """The simulatable half without triggering profiling."""
         return self.spec, self._spec_fp
 
-    def resolve(self, cache: ResultCache | None = None) -> ResolvedWorkload:
-        if self._resolved is not None:
-            return self._resolved
-        key = _report_key(
+    @property
+    def report_key(self) -> str:
+        """The :class:`ResultCache` key its profiling report is stored under."""
+        return _report_key(
             self._spec_fp, self.profile_nodes, self.fit_gc,
             self.calibration_cores, self.stress_cores,
         )
+
+    def resolve(self, cache: ResultCache | None = None) -> ResolvedWorkload:
+        if self._resolved is not None:
+            return self._resolved
+        key = self.report_key
         report = cache.get_report(key) if cache is not None else None
         if report is None:
             report = Profiler(

@@ -34,25 +34,45 @@ matches :meth:`Experiment.measure`, ``optimize`` matches
 :meth:`CostOptimizer.grid_search` — pinned by
 ``tests/unit/service/test_engine.py``.
 
-Threading model: the event loop owns every shared structure (LRU,
+Where the work runs: the event loop owns every shared structure (LRU,
 in-flight table, batcher, the ResultCache, each workload's kernel
-evaluator).  Profiling (a workload's first touch) and simulation
-batches run through one background worker coroutine that hops into a
-thread via ``asyncio.to_thread`` and hands *pure results* back to the
-loop, so cache mutation and persistence always happen on the loop — no
-locks, no torn saves.  Predict batches and optimize grid searches run
-on the loop itself: both are pure Python under the GIL, so a thread
-would add no parallelism, only a queue behind the worker's other jobs.
-A grid search holds the loop for milliseconds, and
-:func:`~repro.service.query.parse_query` bounds its size (at most seven
-distinct n1-standard shapes).
+evaluator) and is the only writer of the ResultCache.  Predict batches
+and optimize grid searches run on the loop itself: both are pure Python
+under the GIL, so handing them off would add no parallelism, only a
+queue behind the simulator.  A grid search holds the loop for
+milliseconds, and :func:`~repro.service.query.parse_query` bounds its
+size (at most seven distinct n1-standard shapes).
+
+Every simulator call (a workload's first-touch profiling and each
+simulation batch) runs through one background worker coroutine as a
+supervised map (:class:`~repro.parallel.TaskSupervisor`), one map at a
+time, whose waiting happens in a thread via ``asyncio.to_thread``.
+With ``workers=None`` or ``1`` (or ``0`` on a one-CPU host) the
+simulator runs in that thread, holding the GIL the loop needs.  With a
+process backend it runs in long-lived worker processes and the thread
+only waits.  Those workers start from a ``forkserver`` context
+(``spawn`` where the platform has no fork server), never ``fork``: a
+forked worker would inherit the server's accepted client sockets and
+keep each connection open after the server closes it.  Workers ignore
+SIGINT, which the serving process owns.  Either way the workers return
+*values*: a measurement, or a profiling run's cache shard resolved
+against a scratch cache, which the loop merges into the shared store
+before it resolves the workload from it.  :meth:`QueryEngine.warm`
+profiles every requested workload as one batch, so a pool profiles
+them concurrently and starts up before the first query.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict, deque
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from multiprocessing.context import BaseContext
 
 from repro.cloud.instance import machine_for_vcpus
 from repro.cloud.optimizer import CostOptimizer
@@ -115,12 +135,97 @@ def _simulate_item(payload: _SimPayload):
     )
 
 
+@dataclass(frozen=True)
+class _ProfilePayload:
+    """Picklable profiling work unit for the supervised backend."""
+
+    spec: WorkloadSpec
+    profile_nodes: int
+
+
+def _profile_item(payload: _ProfilePayload) -> dict[str, dict]:
+    """Module-level task fn: profile one workload into a cache shard.
+
+    The source resolves against a scratch cache, never the engine's
+    shared one, and the fresh report crosses back as an
+    :meth:`~ResultCache.export_shard` snapshot, the mechanism
+    ``run_grid``'s workers use.
+    """
+    scratch = ResultCache()
+    SpecSource(payload.spec, profile_nodes=payload.profile_nodes).resolve(
+        scratch
+    )
+    return scratch.export_shard()
+
+
+def _pool_context() -> BaseContext:
+    """How the service's pool starts workers: never by ``fork``.
+
+    A forked worker inherits the server's accepted client sockets.  A
+    fork server is a fresh interpreter that inherits none, and naming
+    this module as its preload means each worker forks with ``repro``
+    already imported (the default preload, ``__main__``, is the
+    launching script).
+    """
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload([__name__])
+        return context
+    return multiprocessing.get_context("spawn")  # pragma: no cover - no fork server
+
+
+def _pool_worker_init() -> None:
+    """Pool initializer: leave Ctrl-C to the server, and exit with it.
+
+    A terminal's SIGINT reaches the whole process group.  The server
+    stops on it and reclaims its workers, so a worker raising
+    ``KeyboardInterrupt`` too would only print a traceback.  A server
+    that dies without reclaiming them (SIGTERM, SIGKILL) would leave
+    each worker blocked on its call queue for good, so a watcher thread
+    ends the worker once the server is gone.  On the serial backend
+    this runs in the serving process and does nothing.
+    """
+    server = multiprocessing.parent_process()
+    if server is None:
+        return
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_with_server, args=(server.sentinel,), daemon=True
+    ).start()
+
+
+def _exit_with_server(sentinel: int) -> None:
+    """Block until the server process is gone, then end this worker."""
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
+
+
+def _deliver(future: asyncio.Future, outcome) -> None:
+    """Resolve ``future`` with a result, or an exception if ``outcome`` is one."""
+    if future.done():
+        return
+    if isinstance(outcome, BaseException):
+        future.set_exception(outcome)
+        future.exception()  # mark retrieved for waiterless failures
+    else:
+        future.set_result(outcome)
+
+
 @dataclass
 class _SimItem:
     """One admitted simulate query waiting on the compute tier."""
 
     payload: _SimPayload
     key: str
+    future: asyncio.Future
+
+
+@dataclass
+class _ProfileItem:
+    """One workload waiting on the compute tier for its first profile."""
+
+    name: str
+    source: SpecSource
     future: asyncio.Future
 
 
@@ -177,13 +282,15 @@ class QueryEngine:
         Compute-tier sizing with the pipeline's ``workers=`` semantics —
         ``None``/``1`` serial, ``0`` affinity auto-sized, ``k`` processes
         — resolved by :func:`repro.parallel.resolve_backend`, the single
-        source of truth shared with ``run_grid``.
+        source of truth shared with ``run_grid``.  ``repro serve``
+        passes ``0``; the library default stays serial.
     profile_nodes:
         Cluster size for the four-sample-run profiling a predict or
         optimize query triggers on first touch of a workload.
     execution:
         Optional :class:`~repro.parallel.ExecutionPolicy` for the
-        supervised simulation batches (per-item timeout, retries).
+        supervised simulator calls, profiling and simulation batches
+        alike (per-item timeout, retries).
     """
 
     def __init__(
@@ -211,8 +318,13 @@ class QueryEngine:
         self.lru_size = lru_size
         self.sim_queue_cap = sim_queue_cap
         self.profile_nodes = profile_nodes
-        self._backend = resolve_backend(workers)
-        self._policy = execution if execution is not None else ExecutionPolicy()
+        self._backend = resolve_backend(
+            workers, initializer=_pool_worker_init, mp_context=_pool_context()
+        )
+        self._supervisor = TaskSupervisor(
+            self._backend,
+            execution if execution is not None else ExecutionPolicy(),
+        )
         self._batcher = MicroBatcher(self._flush_predicts, max_batch=batch_max)
         # Hot-path identity is the parsed Query itself: a frozen
         # dataclass in canonical form, so equality/hash ARE canonical
@@ -223,7 +335,7 @@ class QueryEngine:
         self._spec_fps: dict[str, str] = {}
         self._platforms: dict[tuple[str, str], tuple[ClusterPlatform, str]] = {}
         self._state_futures: dict[str, asyncio.Future] = {}
-        self._jobs: deque = deque()
+        self._profile_pending: list[_ProfileItem] = []
         self._sim_pending: list[_SimItem] = []
         self._sim_running = 0
         self._work_event = asyncio.Event()
@@ -251,9 +363,16 @@ class QueryEngine:
             self._worker_task = asyncio.create_task(self._worker())
 
     async def close(self) -> None:
-        """Drain nothing, stop the worker, release the backend."""
+        """Drain nothing, stop the worker, release the backend.
+
+        A supervised batch in flight is cancelled, not waited out: a
+        process pool's workers are killed the way a pool rebuild kills
+        them, while on the serial backend the thread finishes the item
+        it is running and its result is dropped.
+        """
         self._closed = True
         self._batcher.close()
+        self._supervisor.cancel()
         if self._worker_task is not None:
             self._worker_task.cancel()
             try:
@@ -261,11 +380,10 @@ class QueryEngine:
             except asyncio.CancelledError:
                 pass
             self._worker_task = None
-        for item in self._sim_pending:
-            if not item.future.done():
-                item.future.set_exception(ServiceError("engine closed"))
-                item.future.exception()
+        for item in [*self._sim_pending, *self._profile_pending]:
+            _deliver(item.future, ServiceError("engine closed"))
         self._sim_pending.clear()
+        self._profile_pending.clear()
         self._backend.shutdown()
         if self.cache.path is not None:
             self.cache.save()
@@ -278,11 +396,17 @@ class QueryEngine:
         await self.close()
 
     async def warm(self, names=None) -> None:
-        """Resolve (profile) workload states up front, off the hot path."""
-        for name in names if names is not None else sorted(self.workloads):
+        """Profile workload states up front, off the hot path, as one batch.
+
+        Every named workload not yet profiled joins one supervised map,
+        so a process pool starts up here and profiles them concurrently;
+        a workload left out still profiles on its first query.
+        """
+        names = sorted(self.workloads) if names is None else list(names)
+        for name in names:
             if name not in self.workloads:
                 raise QueryError(f"unknown workload {name!r}")
-            await self._state(name)
+        await asyncio.gather(*(self._state(name) for name in names))
 
     # -- the hot path --------------------------------------------------------
 
@@ -503,26 +627,34 @@ class QueryEngine:
             return state
         future = self._state_futures.get(name)
         if future is None:
+            source = SpecSource(
+                self.workloads[name], profile_nodes=self.profile_nodes
+            )
+            if self.cache.contains_report(source.report_key):
+                # Profiled by an earlier run: resolving is a lookup.
+                return self._install_state(name, source)
             future = asyncio.get_running_loop().create_future()
             self._state_futures[name] = future
-            self._jobs.append((name, future))
+            self._profile_pending.append(_ProfileItem(name, source, future))
             self._work_event.set()
         return await asyncio.shield(future)
 
-    def _build_state(self, name: str) -> _WorkloadState:
-        """Profile a workload into serving state (runs in a thread).
+    def _install_state(self, name: str, source: SpecSource) -> _WorkloadState:
+        """Build a workload's serving state on the loop.
 
-        The source resolves through a scratch cache seeded from the
-        shared store, so a report persisted by an earlier run is a hit;
-        fresh entries are merged back on the event loop by the worker.
+        Only called once ``self.cache`` holds the source's report, so
+        resolving is a cache hit, never a profile.
         """
-        spec = self.workloads[name]
-        source = SpecSource(spec, profile_nodes=self.profile_nodes)
-        resolved = source.resolve(self.cache)
         from repro.core.predictor import Predictor
 
-        scorer = CostOptimizer(Predictor(resolved.report))
-        return _WorkloadState(spec=spec, resolved=resolved, scorer=scorer)
+        resolved = source.resolve(self.cache)
+        state = _WorkloadState(
+            spec=source.spec,
+            resolved=resolved,
+            scorer=CostOptimizer(Predictor(resolved.report)),
+        )
+        self._states[name] = state
+        return state
 
     # -- the background compute worker ---------------------------------------
 
@@ -530,74 +662,83 @@ class QueryEngine:
         while True:
             await self._work_event.wait()
             self._work_event.clear()
-            while self._jobs or self._sim_pending:
+            while self._profile_pending or self._sim_pending:
                 if self._sim_pending:
                     batch, self._sim_pending = self._sim_pending, []
                     await self._run_sim_batch(batch)
-                if self._jobs:
-                    await self._run_job(self._jobs.popleft())
+                if self._profile_pending:
+                    batch, self._profile_pending = self._profile_pending, []
+                    await self._run_profile_batch(batch)
 
-    async def _run_job(self, job) -> None:
-        """Build one workload's serving state (profiling) in the thread."""
-        name, future = job
+    async def _supervised(self, fn, payloads: list, what: str) -> list:
+        """One supervised map off the loop: each item's result or error."""
+        report = await asyncio.to_thread(self._supervisor.run, fn, payloads)
+        failures = {failure.index: failure for failure in report.failures}
+        outcomes = []
+        for index, result in enumerate(report.results):
+            failure = failures.get(index)
+            if failure is not None:
+                result = ExecutionError(
+                    f"{what} failed after {failure.attempts}"
+                    f" attempt(s): {failure.message}",
+                    failures=(failure,),
+                )
+            elif result is None:
+                result = ServiceError(f"{what} batch aborted before this item")
+            outcomes.append(result)
+        return outcomes
+
+    async def _run_profile_batch(self, batch: list[_ProfileItem]) -> None:
+        """Profile workloads on the backend; merge and install on the loop."""
+        payloads = [
+            _ProfilePayload(item.source.spec, self.profile_nodes)
+            for item in batch
+        ]
         try:
-            state = await asyncio.to_thread(self._build_state, name)
+            outcomes = await self._supervised(_profile_item, payloads, "profiling")
         except BaseException as exc:
-            self._state_futures.pop(name, None)
-            if not future.done():
-                future.set_exception(exc)
-                future.exception()
+            for item in batch:
+                self._state_futures.pop(item.name, None)
+                _deliver(item.future, exc)
             if not isinstance(exc, Exception):
                 raise  # cancellation (engine close) ends the worker
-        else:
-            self._states[name] = state
-            self._state_futures.pop(name, None)
-            if not future.done():
-                future.set_result(state)
+            return
+        for item, outcome in zip(batch, outcomes):
+            self._state_futures.pop(item.name, None)
+            if not isinstance(outcome, BaseException):
+                try:
+                    self.cache.merge_shard(outcome)
+                    outcome = self._install_state(item.name, item.source)
+                except Exception as exc:  # noqa: BLE001 - keep the worker alive
+                    outcome = exc
+            _deliver(item.future, outcome)
 
     async def _run_sim_batch(self, batch: list[_SimItem]) -> None:
         """One supervised map over the admitted simulate queries."""
         self._sim_running = len(batch)
-        supervisor = TaskSupervisor(self._backend, self._policy)
         try:
-            report = await asyncio.to_thread(
-                supervisor.run, _simulate_item, [item.payload for item in batch]
+            outcomes = await self._supervised(
+                _simulate_item, [item.payload for item in batch],
+                "simulate query",
             )
         except BaseException as exc:
             for item in batch:
-                if not item.future.done():
-                    item.future.set_exception(
-                        ServiceError(f"simulation batch failed: {exc}")
-                    )
-                    item.future.exception()
+                _deliver(
+                    item.future, ServiceError(f"simulation batch failed: {exc}")
+                )
             if not isinstance(exc, Exception):
                 raise  # cancellation (engine close) ends the worker
             return
         finally:
             self._sim_running = 0
-        failures = {failure.index: failure for failure in report.failures}
         fresh = False
-        for index, item in enumerate(batch):
+        for item, outcome in zip(batch, outcomes):
             if item.future.done():
                 continue
-            failure = failures.get(index)
-            if failure is not None:
-                item.future.set_exception(ExecutionError(
-                    f"simulate query failed after {failure.attempts}"
-                    f" attempt(s): {failure.message}",
-                    failures=(failure,),
-                ))
-                item.future.exception()
-            elif report.results[index] is None:
-                item.future.set_exception(
-                    ServiceError("simulation batch aborted before this query")
-                )
-                item.future.exception()
-            else:
-                measurement = report.results[index]
-                self.cache.put_measurement(item.key, measurement)
+            if not isinstance(outcome, BaseException):
+                self.cache.put_measurement(item.key, outcome)
                 fresh = True
-                item.future.set_result(measurement)
+            _deliver(item.future, outcome)
         if fresh and self.cache.path is not None:
             # The answers are delivered and the entries stay in memory,
             # so a failed checkpoint costs nothing the next save cannot

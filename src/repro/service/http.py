@@ -16,8 +16,9 @@ Routes
 
 Error mapping mirrors the CLI's exit codes: a malformed request (a
 line over the stream reader's 64 KiB limit, more than
-:data:`MAX_HEADER_LINES` header lines, a negative ``Content-Length`` or
-a body that ends before it) or a malformed query
+:data:`MAX_HEADER_LINES` header lines, a negative ``Content-Length``, a
+body that ends before it, or one that is not JSON or is nested too
+deeply to parse) or a malformed query
 (:class:`QueryError`, :class:`ConfigurationError`,
 :class:`WorkloadError`) is **400**, admission rejection
 (:class:`AdmissionError`) is **429** with the queue depth/cap in the
@@ -199,6 +200,12 @@ class QueryServer:
                 return 400, {
                     "error": "BadRequest",
                     "message": f"body is not valid JSON: {exc}",
+                }
+            except RecursionError:
+                # Under MAX_BODY_BYTES, yet nested past the parser's depth.
+                return 400, {
+                    "error": "BadRequest",
+                    "message": "body is nested too deeply to parse",
                 }
             return await self._query(payload)
         return 404, {"error": "NotFound", "message": f"no route {method} {path}"}

@@ -10,6 +10,9 @@ cover the paper's product surface:
 - ``simulate`` — a simulation-backed cluster what-if: "what makespan
   does the discrete-event simulator give at ``(slaves, cores)``?"
   Routed to the supervised compute backend under bounded admission.
+  ``cores`` is at most a Table-I node's 36 and ``slaves`` at most
+  :data:`MAX_SIMULATE_SLAVES`, so an impossible node is a 400 here,
+  not a simulation that fails every attempt.
 - ``optimize`` — the full Section-VI grid search: "what should I buy?"
   Its ``vcpu_grid`` lists distinct n1-standard shapes (1-64 vCPUs).
 
@@ -34,6 +37,7 @@ from repro.pipeline.fingerprint import fingerprint
 __all__ = [
     "QUERY_KINDS",
     "DEFAULT_OPTIMIZE_VCPU_GRID",
+    "MAX_SIMULATE_SLAVES",
     "Query",
     "parse_query",
 ]
@@ -44,6 +48,13 @@ QUERY_KINDS = ("predict", "simulate", "optimize")
 #: The CLI ``optimize`` command's vcpu grid, reused as the query default
 #: so a bare optimize query matches ``repro optimize`` exactly.
 DEFAULT_OPTIMIZE_VCPU_GRID = (4, 8, 16, 32)
+
+#: Most slaves a simulate query may ask for: ten times the paper's
+#: largest cluster.  Past it, a query mostly pays for idle nodes (one
+#: with 20,000 slaves held a worker for 14.1 s), and at it the slowest
+#: built-in, gatk4-extended at 100 x 36 on HDDs, simulates in about
+#: 27 s on a 2-vCPU Xeon (docs/SERVICE.md "Sizing").
+MAX_SIMULATE_SLAVES = 100
 
 #: Cluster disk kinds the simulator accepts (``ClusterPlatform``).
 _CLUSTER_DISK_KINDS = ("hdd", "ssd")
@@ -122,7 +133,9 @@ def _require(payload: dict, field: str, where: str):
     return payload[field]
 
 
-def _as_int(value, field: str, where: str, minimum: int = 1) -> int:
+def _as_int(
+    value, field: str, where: str, minimum: int = 1, maximum: int | None = None
+) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         if isinstance(value, float) and value.is_integer():
             value = int(value)
@@ -130,6 +143,8 @@ def _as_int(value, field: str, where: str, minimum: int = 1) -> int:
             raise QueryError(f"{where}: {field} must be an integer, got {value!r}")
     if value < minimum:
         raise QueryError(f"{where}: {field} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise QueryError(f"{where}: {field} must be <= {maximum}, got {value}")
     return value
 
 
@@ -203,11 +218,20 @@ def parse_query(payload, known_workloads=None) -> Query:
             ),
         )
     if kind == "simulate":
+        # Every simulated node is a Table-I node (36 cores).
+        from repro.cluster.cluster import PAPER_CORES_PER_NODE
+
         return Query(
             kind=kind,
             workload=workload,
-            slaves=_as_int(_require(payload, "slaves", where), "slaves", where),
-            cores=_as_int(_require(payload, "cores", where), "cores", where),
+            slaves=_as_int(
+                _require(payload, "slaves", where), "slaves", where,
+                maximum=MAX_SIMULATE_SLAVES,
+            ),
+            cores=_as_int(
+                _require(payload, "cores", where), "cores", where,
+                maximum=PAPER_CORES_PER_NODE,
+            ),
             hdfs=_as_choice(
                 payload.get("hdfs", "ssd"), "hdfs", where, _CLUSTER_DISK_KINDS
             ),

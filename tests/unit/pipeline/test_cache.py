@@ -387,6 +387,15 @@ class TestShardRecovery:
         assert reloaded.contains_measurement("cell-0")
         assert reloaded.contains_measurement("cell-1")
 
+    def test_deeply_nested_file_takes_the_corrupt_file_path(self, tmp_path):
+        # JSON the parser cannot recurse through is as unreadable as a
+        # torn file: warn and start empty, never raise RecursionError.
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text("[" * 30000 + "]" * 30000)
+        with pytest.warns(UserWarning, match="unreadable"):
+            resumed = ResultCache(checkpoint)
+        assert len(resumed) == 0
+
     def test_wrong_schema_shard_entries_skipped_on_reload(
         self, populated, tmp_path
     ):

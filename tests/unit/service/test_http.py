@@ -140,6 +140,27 @@ class TestRoutes:
                 )
                 assert status == 400 and body["error"] == "QueryError"
                 assert "repeats" in body["message"]
+                # A simulate shape no node or cap admits -> 400, not
+                # three failed simulations and a 500.
+                for shape, field in (
+                    ({"slaves": 2, "cores": 64}, "cores"),
+                    ({"slaves": 20000, "cores": 36}, "slaves"),
+                ):
+                    status, body = await raw_request(
+                        host, port, post_blob("/query", json.dumps({
+                            "kind": "simulate", "workload": NAME, **shape,
+                        }).encode())
+                    )
+                    assert status == 400 and body["error"] == "QueryError"
+                    assert f"{field} must be <=" in body["message"]
+                # JSON nested past the parser's depth -> 400, not a 500.
+                nested = b"[" * 30000 + b"]" * 30000
+                assert len(nested) <= MAX_BODY_BYTES
+                status, body = await raw_request(
+                    host, port, post_blob("/query", nested)
+                )
+                assert status == 400 and body["error"] == "BadRequest"
+                assert "nested too deeply" in body["message"]
                 # Oversized body -> 413 before reading it.
                 huge = (
                     f"POST /query HTTP/1.1\r\nHost: t\r\n"

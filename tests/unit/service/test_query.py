@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.cluster.cluster import PAPER_CORES_PER_NODE
 from repro.errors import QueryError
 from repro.service.query import (
     DEFAULT_OPTIMIZE_VCPU_GRID,
+    MAX_SIMULATE_SLAVES,
     parse_query,
 )
 
@@ -72,6 +74,30 @@ class TestValidation:
             {"kind": "simulate", "workload": "svm", "slaves": 4, "cores": 8}
         )
         assert (query.hdfs, query.local) == ("ssd", "ssd")
+
+    def test_simulate_cores_above_a_node_rejected(self):
+        # A node has 36 cores: past the parser, 64 fails in the
+        # simulator on every supervised attempt and comes back a 500.
+        with pytest.raises(QueryError, match="cores must be <= 36"):
+            parse_query(
+                {"kind": "simulate", "workload": "svm", "slaves": 2,
+                 "cores": PAPER_CORES_PER_NODE + 1}
+            )
+
+    def test_simulate_slaves_above_the_cap_rejected(self):
+        for slaves in (MAX_SIMULATE_SLAVES + 1, 20000):
+            with pytest.raises(QueryError, match="slaves must be <="):
+                parse_query(
+                    {"kind": "simulate", "workload": "svm",
+                     "slaves": slaves, "cores": 36}
+                )
+
+    def test_simulate_at_both_caps_accepted(self):
+        query = parse_query(
+            {"kind": "simulate", "workload": "svm",
+             "slaves": MAX_SIMULATE_SLAVES, "cores": PAPER_CORES_PER_NODE}
+        )
+        assert (query.slaves, query.cores) == (100, 36)
 
     def test_optimize_grid_default_matches_cli(self):
         query = parse_query({"kind": "optimize", "workload": "svm"})

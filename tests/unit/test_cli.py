@@ -108,6 +108,21 @@ class TestCommands:
         assert "\n" not in captured.err.strip()  # one structured line
         assert "Traceback" not in captured.err
 
+    def test_deeply_nested_plans_are_structured_errors(self, capsys, tmp_path):
+        # Nesting under any size limit can still exhaust the JSON
+        # parser's recursion: a fault plan exits 4, a mix plan 2.
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 30000 + "]" * 30000)
+        for argv, code, error in (
+            (["simulate", "svm", "--fault-plan", str(nested)], 4, "FaultError"),
+            (["simulate", "--mix", str(nested)], 2, "ConfigurationError"),
+        ):
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error[{error}]:")
+            assert "nested too deeply" in captured.err
+            assert "Traceback" not in captured.err
+
     def test_bad_resilience_knob_maps_to_config_exit_code(self, capsys):
         assert main(["simulate", "svm", "--max-task-attempts", "0"]) == 2
         assert capsys.readouterr().err.startswith("error[ConfigurationError]:")
@@ -320,6 +335,10 @@ class TestServiceCommands:
         assert args.batch_max == 32
         assert args.queue_cap == 16
         assert not args.warm
+        # The simulator runs in an auto-sized worker pool; an explicit
+        # count still wins.
+        assert args.workers == 0
+        assert build_parser().parse_args(["serve", "--workers", "1"]).workers == 1
 
     def test_loadgen_parser_defaults(self):
         args = build_parser().parse_args(["loadgen"])
@@ -328,6 +347,7 @@ class TestServiceCommands:
         assert args.distinct == 40
         assert args.duplicates == 5
         assert args.concurrency == 25
+        assert args.workers is None  # the in-process engine stays serial
 
     def test_loadgen_in_process_json(self, capsys):
         argv = [

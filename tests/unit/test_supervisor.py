@@ -7,6 +7,8 @@ SIGKILL mid-grid, hangs, checkpoint resume) live in ``tests/chaos/``.
 
 import os
 import signal
+import threading
+import time
 
 import pytest
 
@@ -44,6 +46,21 @@ def _fail_odd(x):
 
 def _die(x):
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _zero_dies_others_dawdle(x):
+    # Item 0 breaks the pool while item 1 is still running and the rest
+    # are queued behind it.
+    if x == 0:
+        time.sleep(0.2)
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.5)
+    return 2 * x
+
+
+def _sleep(x):
+    time.sleep(x)
+    return x
 
 
 class TestExecutionPolicy:
@@ -170,6 +187,18 @@ class TestSerialSupervision:
         with pytest.raises(ExecutionError):
             supervisor.map(_fail_odd, [1])
 
+    def test_cancel_stops_before_the_next_item(self):
+        supervisor = TaskSupervisor(SerialBackend(), ExecutionPolicy(**FAST))
+        seen = []
+
+        def cancel_after_first(index, result):
+            seen.append(result)
+            supervisor.cancel()
+
+        with pytest.raises(ExecutionError, match="cancelled"):
+            supervisor.run(_double, [1, 2, 3], on_result=cancel_after_first)
+        assert seen == [2]
+
 
 class TestPooledSupervision:
     def test_clean_map_is_ordered_and_charged_once(self):
@@ -218,6 +247,47 @@ class TestPooledSupervision:
         assert report.failures[0].attempts == 2
         assert report.pool_rebuilds >= 2
         assert report.worker_losses >= 2
+
+    def test_a_break_is_charged_only_to_the_item_that_caused_it(self):
+        # With one attempt each, charging every in-flight item for the
+        # break would quarantine items 1-3 alongside the killer.
+        with ProcessPoolBackend(2) as backend:
+            supervisor = TaskSupervisor(
+                backend, ExecutionPolicy(max_attempts=1, **FAST)
+            )
+            report = supervisor.run(_zero_dies_others_dawdle, [0, 1, 2, 3])
+        assert report.results == [None, 2, 4, 6]
+        assert [f.index for f in report.failures] == [0]
+        assert report.failures[0].kind == KIND_WORKER_LOSS
+        assert report.worker_losses == 1  # the isolated re-run's break
+        assert report.pool_rebuilds == 2  # the shared break, then that one
+
+    def test_cancel_kills_the_pool_and_ends_the_run(self):
+        backend = ProcessPoolBackend(2)
+        supervisor = TaskSupervisor(backend, ExecutionPolicy(**FAST))
+        outcome = {}
+
+        def run():
+            try:
+                supervisor.run(_sleep, [30.0, 30.0])
+            except ExecutionError as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        deadline = time.monotonic() + 30
+        while len(backend.worker_pids()) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        started = time.monotonic()
+        supervisor.cancel()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 5.0
+        assert "cancelled" in str(outcome["error"])
+        assert backend._executor is None  # nothing respawned
+        with pytest.raises(ExecutionError, match="cancelled"):
+            supervisor.run(_double, [1])
+        backend.shutdown()
 
     def test_on_result_receives_original_indices(self):
         seen = {}
