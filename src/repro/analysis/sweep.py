@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from repro.analysis.errors import ExpVsModel
 from repro.cluster.cluster import Cluster
 from repro.core.predictor import Predictor
-from repro.model.arrays import CandidateBatch, score_batch
+from repro.model.arrays import CandidateBatch
 from repro.workloads.base import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,10 +102,11 @@ def sweep_local_disk_sizes(
     ``{"hdfs": device, "local": device}`` mapping and returns seconds —
     which callers can zip against the predictions.
 
-    Predictions route through the array kernel
-    (:mod:`repro.model.arrays`): the whole size axis is one
-    :class:`~repro.model.arrays.CandidateBatch` scored in a single pass,
-    with values bit-identical to building a scalar model per size.
+    Predictions route through the predictor's array kernel
+    (:meth:`~repro.core.predictor.Predictor.batch_evaluator`): the whole
+    size axis is one :class:`~repro.model.arrays.CandidateBatch` scored
+    in a single pass, with values bit-identical to building a scalar
+    model per size.
     """
     # Model-only batch: the swept (N, P) need not be a purchasable
     # machine shape, so no ``vcpus`` column and no cost scoring.
@@ -118,9 +119,7 @@ def sweep_local_disk_sizes(
         local_kinds=(local_kind,) * count,
         local_sizes_gb=tuple(sizes_gb),
     )
-    scores = score_batch(
-        predictor.report, batch, want_cost=False, want_bottlenecks=False
-    )
+    scores = predictor.batch_evaluator().score(batch)
     return [
         (size_gb, float(predicted))
         for size_gb, predicted in zip(sizes_gb, scores.runtime_seconds)

@@ -591,7 +591,7 @@ def run_vectorized(rounds: int) -> dict:
     walls = []
     for _ in range(max(1, rounds)):
         start = time.perf_counter()
-        evaluator.score(tiled, want_bottlenecks=False)
+        evaluator.score(tiled)
         walls.append(time.perf_counter() - start)
     rate = len(tiled) / min(walls)
 

@@ -99,11 +99,12 @@ class CostOptimizer:
         these are infeasible.
     cache:
         Optional pipeline :class:`~repro.pipeline.cache.ResultCache`.
-        Candidate predictions are then memoized under the same
-        content-addressed keys the experiment pipeline uses, so repeated
-        searches — a grid refinement, several descent starts, the CLI run
-        after a validation sweep — skip every configuration already
-        scored anywhere in the process (or cache file).
+        :meth:`evaluate` (and so each descent's start point) then
+        memoizes single-configuration predictions under the same
+        content-addressed keys the experiment pipeline uses.  Batch
+        scoring never touches it: :meth:`grid_search` and the neighbour
+        batches of :meth:`coordinate_descent` score every candidate
+        through the array kernel, whether or not it was scored before.
     """
 
     def __init__(
@@ -182,7 +183,7 @@ class CostOptimizer:
         if not configs:
             return []
         scores = self.predictor.batch_evaluator().score(
-            CandidateBatch.from_configs(configs), want_bottlenecks=False
+            CandidateBatch.from_configs(configs)
         )
         return [
             EvaluatedConfiguration(

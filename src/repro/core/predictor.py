@@ -15,10 +15,11 @@ node counts.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from typing import TYPE_CHECKING
 
 from repro.core.app_model import ApplicationModel, ApplicationPrediction
-from repro.core.profiler import ProfilingReport, StageProfileData
+from repro.core.profiler import ChannelProfile, ProfilingReport, StageProfileData
 from repro.core.stage_model import StageModel
 from repro.core.variables import IoChannel, StageModelVariables
 from repro.errors import ModelError
@@ -28,6 +29,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
     from repro.model.arrays import Eq1BatchEvaluator
     from repro.storage.device import StorageDevice
+
+
+def target_channels(
+    stage: StageProfileData, roles: Container[str]
+) -> list[ChannelProfile]:
+    """The stage's channels that move bytes, in profile order.
+
+    Zero-byte channels are skipped; any other channel whose role is not
+    one of ``roles`` has no target device and is a
+    :class:`~repro.errors.ModelError`.  The predictor and the array
+    kernel (:mod:`repro.model.arrays`) both bind channels through here.
+    """
+    channels = []
+    for channel in stage.channels:
+        if channel.total_bytes == 0:
+            continue
+        if channel.role not in roles:
+            raise ModelError(
+                f"stage {stage.name}: no target device for role"
+                f" {channel.role!r}"
+            )
+        channels.append(channel)
+    return channels
 
 
 class Predictor:
@@ -82,7 +106,9 @@ class Predictor:
             devices_by_role, network_bandwidth=network_bandwidth
         )
         stage_models = [
-            StageModel(self._stage_variables(stage, registry, remote_fraction))
+            StageModel(self._stage_variables(
+                stage, registry, devices_by_role, remote_fraction
+            ))
             for stage in self.report.stages
         ]
         return ApplicationModel(self.report.workload_name, stage_models)
@@ -133,19 +159,14 @@ class Predictor:
         self,
         stage: StageProfileData,
         registry: ResourceRegistry,
+        roles: Container[str],
         remote_fraction: float = 1.0,
     ) -> StageModelVariables:
         channels = []
-        for profile in stage.channels:
-            if profile.total_bytes == 0:
-                continue
-            key = ("role", profile.role, profile.is_write)
-            if key not in registry:
-                raise ModelError(
-                    f"stage {stage.name}: no target device for role"
-                    f" {profile.role!r}"
-                )
-            bandwidth = registry.bandwidth(key, profile.request_size)
+        for profile in target_channels(stage, roles):
+            bandwidth = registry.bandwidth(
+                ("role", profile.role, profile.is_write), profile.request_size
+            )
             channels.append(
                 IoChannel(
                     kind=profile.kind,

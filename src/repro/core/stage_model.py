@@ -16,6 +16,11 @@ each limit term carries a pipeline-fill latency on top of the transfer
 floor — one task time by default, ``t_avg / K`` for stages whose tasks
 stream their I/O in K chunks.  Whichever term is largest is the stage's
 bottleneck.
+
+:func:`scale_term` and :func:`limit_term` are the only implementation of
+the terms: :class:`StageModel` calls them at one operating point, and the
+array kernel (:mod:`repro.model.arrays`) calls them once per unique
+operating point of a candidate grid.
 """
 
 from __future__ import annotations
@@ -25,12 +30,41 @@ from dataclasses import dataclass
 from repro.core.variables import StageModelVariables
 from repro.errors import ModelError
 
-#: Equation-1 term labels in tie-break order.  The *first* maximal term
-#: wins the ``max`` in :meth:`StagePrediction.bottleneck`, and the array
-#: kernel (:mod:`repro.model.arrays`) encodes per-stage bottlenecks as
-#: indexes into this tuple — the two representations are interchangeable
-#: by construction.
+#: Equation-1 term labels in tie-break order: the *first* maximal term
+#: wins the ``max`` in :meth:`StagePrediction.bottleneck`.
 BOTTLENECK_LABELS: tuple[str, str, str] = ("scale", "read", "write")
+
+
+def scale_term(stage, nodes: int, cores_per_node: int) -> float:
+    """``M / (N * P) * (t_avg + gc * P) + delta_scale``, clamped at zero.
+
+    ``stage`` is any record of the scale constants (``num_tasks``,
+    ``t_avg``, ``gc_coeff``, ``delta_scale``): a
+    :class:`~repro.core.variables.StageModelVariables` or a profiled
+    :class:`~repro.core.profiler.StageProfileData`.  The GC term (zero by
+    default) expands to a P-independent ``M * gc / N`` — the mechanism
+    behind stages whose runtime stops improving with cores on fast disks
+    (see :mod:`repro.core.gc`).
+    """
+    per_task = stage.t_avg + stage.gc_coeff * cores_per_node
+    value = stage.num_tasks / (nodes * cores_per_node) * per_task + stage.delta_scale
+    # A fitted delta_scale can come out negative (two-point calibration
+    # on a noisy pair); extrapolating to large N*P must clamp at zero —
+    # a stage cannot take negative time, and a negative term would also
+    # hand the bottleneck label to the wrong Eq.-1 term.
+    return value if value > 0.0 else 0.0
+
+
+def limit_term(per_node: float, nodes: int, fill: float, delta: float) -> float:
+    """``per_node / N + fill + delta``, clamped at zero; 0 when nothing moves.
+
+    ``per_node`` is one direction's slowest-device ``sum(D / BW)``: the
+    seconds one node would take to move all of the stage's bytes.
+    """
+    if per_node == 0.0:
+        return 0.0
+    value = per_node / nodes + fill + delta
+    return value if value > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -85,41 +119,27 @@ class StageModel:
         return self.variables.name
 
     def t_scale(self, nodes: int, cores_per_node: int) -> float:
-        """``M / (N * P) * (t_avg + gc * P) + delta_scale``.
-
-        The GC term (zero by default) expands to a P-independent
-        ``M * gc / N`` — the mechanism behind stages whose runtime stops
-        improving with cores on fast disks (see :mod:`repro.core.gc`).
-        """
+        """:func:`scale_term` at ``(N, P)``."""
         self._check_operating_point(nodes, cores_per_node)
-        v = self.variables
-        per_task = v.t_avg + v.gc_coeff * cores_per_node
-        value = v.num_tasks / (nodes * cores_per_node) * per_task + v.delta_scale
-        # A fitted delta_scale can come out negative (two-point calibration
-        # on a noisy pair); extrapolating to large N*P must clamp at zero —
-        # a stage cannot take negative time, and a negative term would also
-        # hand the bottleneck label to the wrong Eq.-1 term.
-        return value if value > 0.0 else 0.0
+        return scale_term(self.variables, nodes, cores_per_node)
 
     def t_read_limit(self, nodes: int) -> float:
         """``D_read / (N * BW_read) + fill + delta_read`` (0 when nothing is read)."""
         self._check_nodes(nodes)
         v = self.variables
-        per_node = v.read_limit_seconds_per_node()
-        if per_node == 0.0:
-            return 0.0
-        value = per_node / nodes + v.effective_fill_seconds + v.delta_read
-        return value if value > 0.0 else 0.0
+        return limit_term(
+            v.read_limit_seconds_per_node(), nodes,
+            v.effective_fill_seconds, v.delta_read,
+        )
 
     def t_write_limit(self, nodes: int) -> float:
         """``D_write / (N * BW_write) + fill + delta_write`` (0 when nothing is written)."""
         self._check_nodes(nodes)
         v = self.variables
-        per_node = v.write_limit_seconds_per_node()
-        if per_node == 0.0:
-            return 0.0
-        value = per_node / nodes + v.effective_fill_seconds + v.delta_write
-        return value if value > 0.0 else 0.0
+        return limit_term(
+            v.write_limit_seconds_per_node(), nodes,
+            v.effective_fill_seconds, v.delta_write,
+        )
 
     def predict(self, nodes: int, cores_per_node: int) -> StagePrediction:
         """Evaluate Equation 1 at ``(N, P)`` and return all three terms."""

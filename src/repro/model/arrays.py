@@ -3,11 +3,12 @@
 The scalar model stack builds, per candidate, two bandwidth tables, a
 resource registry, one :class:`~repro.core.stage_model.StageModel` per
 stage, and a prediction object — fine for a single what-if, ruinous for
-the optimizer's grids.  This module evaluates the same closed-form
-arithmetic over a **struct-of-arrays batch**: per stage, Equation 1 is a
-max of three affine terms in ``(M, N, P, BW)``, so a whole grid reduces
-to a handful of elementwise array operations plus small per-unique-disk
-lookup tables.
+the optimizer's grids.  This module scores a **struct-of-arrays batch**
+instead: it calls the stage model's own term functions
+(:func:`~repro.core.stage_model.scale_term` and
+:func:`~repro.core.stage_model.limit_term`) once per *unique* operating
+point of the batch, then gathers the terms per candidate, takes their
+max and sums it over the stages.
 
 :class:`Eq1BatchEvaluator` is the one scorer: the optimizer's
 exhaustive grid search, its descent rounds, the core sweeps and the
@@ -15,21 +16,24 @@ service's micro-batches all score the exact model through it.
 
 Exactness contract
 ------------------
-``score_batch`` reproduces the scalar path (``Predictor.model_for_devices``
-→ ``ApplicationModel.predict``) **bit for bit**, not approximately:
+:meth:`Eq1BatchEvaluator.score` reproduces the scalar path
+(``Predictor.model_for_devices`` → ``ApplicationModel.predict``) **bit
+for bit**, not approximately:
 
-- Every candidate-varying operation is an elementwise IEEE-754 double
-  add/mul/div/compare performed in the scalar model's exact order
-  (including clamp semantics, left-fold summation orders, and the
-  first-maximal tie-break for bottleneck labels), so the kernel agrees
-  bitwise with the scalar model.
+- Every Eq.-1 term comes from the function the scalar model calls, with
+  the same inputs; identical inputs through identical code give
+  identical floats.
+- The kernel's own arithmetic is only the per-disk ``sum(D / BW)``
+  (accumulated in channel order), the maxes over roles and over the
+  three terms, the left-fold sum over stages, and pricing — each in
+  the scalar model's order.
 - The only transcendental arithmetic in the stack — the log-log
   interpolation inside :class:`~repro.core.bandwidth.EffectiveBandwidthTable`
   — is **never vectorized**.  Per-channel bandwidths are computed once
   per unique ``(disk kind, size)`` through the very same scalar table
   code the predictor uses (:func:`~repro.cloud.disks.make_persistent_disk`
   plus ``StorageDevice.bandwidth``), memoized, and gathered into the
-  batch.  Identical inputs through identical code give identical floats.
+  batch.
 
 The kernel is pure Python (:mod:`array` columns and per-unique-key memo
 tables) and has no dependencies; ``tests/properties/test_vectorized.py``
@@ -47,7 +51,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.stage_model import BOTTLENECK_LABELS
+from repro.core.predictor import target_channels
+from repro.core.stage_model import limit_term, scale_term
 from repro.errors import ConfigurationError, ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,12 +66,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # whenever the model package loads first.
 
 __all__ = [
-    "BOTTLENECK_LABELS",
     "BatchScores",
     "CandidateBatch",
     "Eq1BatchEvaluator",
     "backend_name",
-    "score_batch",
 ]
 
 #: Disk roles a candidate provisions devices for.
@@ -89,7 +92,7 @@ class CandidateBatch:
     plus the provisioned HDFS and Spark-local disks.  ``vcpus`` carries
     the machine shape used for pricing; it may be ``None`` for
     model-only batches (e.g. core-count sweeps whose ``P`` is not a
-    valid machine size), in which case cost scoring is unavailable.
+    valid machine size), whose scores then carry no cost.
     """
 
     nodes: tuple[int, ...]
@@ -150,51 +153,19 @@ class BatchScores:
     """Parallel score arrays for one :class:`CandidateBatch`.
 
     ``runtime_seconds[i]`` is ``t_app`` for candidate ``i``;
-    ``cost_dollars`` follows the Section-VI pricing (``None`` when cost
-    was not requested or the batch has no ``vcpus``); ``bottlenecks``
-    holds one integer sequence per stage — indexes into
-    :data:`BOTTLENECK_LABELS` — or ``None`` when not requested.
-    Runtimes and costs are :mod:`array` columns of doubles; each stage's
-    labels are :class:`bytes`.
+    ``cost_dollars`` follows the Section-VI pricing, or is ``None`` when
+    the batch has no ``vcpus``.  Both are :mod:`array` columns of
+    doubles.
     """
 
     runtime_seconds: Sequence[float]
     cost_dollars: Sequence[float] | None
-    bottlenecks: tuple[Sequence[int], ...] | None
-    stage_names: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.runtime_seconds)
 
-    def bottleneck_label(self, stage_index: int, candidate: int) -> str:
-        """Decoded bottleneck label for one (stage, candidate) cell."""
-        if self.bottlenecks is None:
-            raise ModelError("scores were computed without bottleneck labels")
-        return BOTTLENECK_LABELS[self.bottlenecks[stage_index][candidate]]
 
-
-# -- stage constants ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _KernelStage:
-    """Device-independent Equation-1 constants for one stage.
-
-    ``read_groups``/``write_groups`` are ``(group_id, use_hdfs)`` pairs in
-    role first-appearance order — the same order the scalar model's
-    per-device dict accumulates and maxes over.
-    """
-
-    name: str
-    num_tasks: int
-    t_avg: float
-    gc_coeff: float
-    delta_scale: float
-    fill_seconds: float
-    delta_read: float
-    delta_write: float
-    read_groups: tuple[tuple[int, bool], ...]
-    write_groups: tuple[tuple[int, bool], ...]
+# -- stage channels -----------------------------------------------------------
 
 
 def _group_channels(channels, groups):
@@ -217,40 +188,35 @@ def _group_channels(channels, groups):
     return tuple(made)
 
 
-def _stages_from_report(report: ProfilingReport, groups: list) -> tuple:
-    """Kernel stages for a profiling report; unknown roles are an error.
+def _role_groups(stage, groups) -> tuple:
+    """``(stage, read_groups, write_groups)`` for one profiled stage.
 
-    Mirrors ``Predictor._stage_variables`` against ``{"hdfs", "local"}``
-    devices: empty channels are skipped, any other role has no target
-    device and raises the predictor's :class:`~repro.errors.ModelError`.
+    Channels bind exactly as ``Predictor.model_for_devices`` binds them
+    against ``{"hdfs", "local"}`` devices (:func:`target_channels`).
     """
-    stages = []
-    for stage in report.stages:
-        reads, writes = [], []
-        for channel in stage.channels:
-            if channel.total_bytes == 0:
-                continue
-            if channel.role not in _DISK_ROLES:
-                raise ModelError(
-                    f"stage {stage.name}: no target device for role"
-                    f" {channel.role!r}"
-                )
-            (writes if channel.is_write else reads).append(channel)
-        stages.append(
-            _KernelStage(
-                name=stage.name,
-                num_tasks=stage.num_tasks,
-                t_avg=stage.t_avg,
-                gc_coeff=stage.gc_coeff,
-                delta_scale=stage.delta_scale,
-                fill_seconds=stage.fill_seconds,
-                delta_read=stage.delta_read,
-                delta_write=stage.delta_write,
-                read_groups=_group_channels(reads, groups),
-                write_groups=_group_channels(writes, groups),
-            )
-        )
-    return tuple(stages)
+    channels = target_channels(stage, _DISK_ROLES)
+    reads = [channel for channel in channels if not channel.is_write]
+    writes = [channel for channel in channels if channel.is_write]
+    return (
+        stage,
+        _group_channels(reads, groups),
+        _group_channels(writes, groups),
+    )
+
+
+def _limit_table(direction_groups, fill, delta, io_list, limits):
+    """One direction's limit term per unique ``(hdfs, local, N)`` key."""
+    table = []
+    for h, lo, node in io_list:
+        # Slowest role.  Every group moves bytes, so its sum(D / BW) is
+        # positive and starting the max at 0.0 gives the scalar max.
+        per_node = 0.0
+        for gid, use_hdfs in direction_groups:
+            limit = limits[h][gid] if use_hdfs else limits[lo][gid]
+            if limit > per_node:
+                per_node = limit
+        table.append(limit_term(per_node, node, fill, delta))
+    return table
 
 
 # -- the evaluator ------------------------------------------------------------
@@ -261,26 +227,23 @@ class Eq1BatchEvaluator:
 
     Built once from a profiling report; each :meth:`score` call
     evaluates every candidate in a :class:`CandidateBatch` and returns
-    :class:`BatchScores` whose runtimes, costs, and bottleneck labels
-    equal the scalar ``Predictor`` / ``CostOptimizer.evaluate`` outputs
-    exactly (see the module docstring for why).  Per-disk bandwidth
-    limits and prices are memoized across calls, so reusing one
-    evaluator also reuses its tables.
+    :class:`BatchScores` whose runtimes and costs equal the scalar
+    ``Predictor`` / ``CostOptimizer.evaluate`` outputs exactly (see the
+    module docstring for why).  Per-disk bandwidth limits and prices are
+    memoized across calls, so reusing one evaluator also reuses its
+    tables.
     """
 
     def __init__(self, report: ProfilingReport) -> None:
         self.report = report
         groups: list = []
-        self._stages = _stages_from_report(report, groups)
+        self._stages = tuple(
+            _role_groups(stage, groups) for stage in report.stages
+        )
         self._groups = tuple(groups)
         self._limits_cache: dict[tuple, tuple[float, ...]] = {}
         self._disk_cost_cache: dict[tuple, float] = {}
         self._price_cache: dict[int, float] = {}
-
-    @property
-    def stage_names(self) -> tuple[str, ...]:
-        """Profiled stage labels, in prediction order."""
-        return tuple(stage.name for stage in self._stages)
 
     # per-unique-spec tables ------------------------------------------------
 
@@ -325,18 +288,8 @@ class Eq1BatchEvaluator:
 
     # scoring ---------------------------------------------------------------
 
-    def score(
-        self,
-        batch: CandidateBatch,
-        want_cost: bool = True,
-        want_bottlenecks: bool = True,
-    ) -> BatchScores:
-        """Score every candidate; see :class:`BatchScores` for the layout."""
-        if want_cost and batch.vcpus is None:
-            raise ModelError(
-                "batch carries no machine vcpus; cost scoring needs them"
-                " (score with want_cost=False for model-only batches)"
-            )
+    def score(self, batch: CandidateBatch) -> BatchScores:
+        """Score every candidate; costs exactly when ``batch`` has ``vcpus``."""
         n = len(batch)
         # One pass over the batch building unique-key index columns:
         # disk specs, (N, P) operating points, (hdfs, local, N) I/O
@@ -355,7 +308,7 @@ class Eq1BatchEvaluator:
         rate_map: dict = {}
         rate_list: list[tuple] = []
         rate_ids: list[int] = []
-        vcpus = batch.vcpus if want_cost else None
+        vcpus = batch.vcpus
         rows = zip(batch.nodes, batch.cores, batch.hdfs_kinds,
                    batch.hdfs_sizes_gb, batch.local_kinds,
                    batch.local_sizes_gb)
@@ -392,60 +345,29 @@ class Eq1BatchEvaluator:
 
         limits = [self._limits(spec) for spec in spec_list]
         total = [0.0] * n
-        per_stage_codes: list[bytes] = []
-        for stage in self._stages:
-            ts_tab = []
-            for node, core in nc_list:
-                per_task = stage.t_avg + stage.gc_coeff * core
-                value = (
-                    stage.num_tasks / (node * core) * per_task
-                    + stage.delta_scale
-                )
-                ts_tab.append(value if value > 0.0 else 0.0)
-            tr_tab = self._limit_table(
-                stage.read_groups, stage.fill_seconds, stage.delta_read,
+        for stage, read_groups, write_groups in self._stages:
+            ts_tab = [scale_term(stage, node, core) for node, core in nc_list]
+            tr_tab = _limit_table(
+                read_groups, stage.fill_seconds, stage.delta_read,
                 io_list, limits,
             )
-            tw_tab = self._limit_table(
-                stage.write_groups, stage.fill_seconds, stage.delta_write,
+            tw_tab = _limit_table(
+                write_groups, stage.fill_seconds, stage.delta_write,
                 io_list, limits,
             )
-            codes = bytearray(n) if want_bottlenecks else None
-            # Fused gather: max of the three terms with the scalar
-            # model's first-maximal tie-break, accumulated into t_app.
-            if codes is not None:
-                for i in range(n):
-                    ts = ts_tab[nc_ids[i]]
-                    b = io_ids[i]
-                    tr = tr_tab[b]
-                    tw = tw_tab[b]
-                    if ts >= tr:
-                        if ts >= tw:
-                            t = ts
-                        else:
-                            t = tw
-                            codes[i] = 2
-                    elif tr >= tw:
-                        t = tr
-                        codes[i] = 1
-                    else:
-                        t = tw
-                        codes[i] = 2
-                    total[i] += t
-                per_stage_codes.append(bytes(codes))
-            else:
-                for i in range(n):
-                    ts = ts_tab[nc_ids[i]]
-                    b = io_ids[i]
-                    tr = tr_tab[b]
-                    tw = tw_tab[b]
-                    if tr > ts:
-                        ts = tr
-                    if tw > ts:
-                        ts = tw
-                    total[i] += ts
+            # Gather: the max of the three terms, accumulated into t_app.
+            for i in range(n):
+                ts = ts_tab[nc_ids[i]]
+                b = io_ids[i]
+                tr = tr_tab[b]
+                tw = tw_tab[b]
+                if tr > ts:
+                    ts = tr
+                if tw > ts:
+                    ts = tw
+                total[i] += ts
         cost = None
-        if want_cost:
+        if vcpus is not None:
             rate_tab = [
                 (self._price(v) + self._disk_cost(spec_list[h])
                  + self._disk_cost(spec_list[lo])) * node
@@ -454,42 +376,4 @@ class Eq1BatchEvaluator:
             cost = array("d", [
                 rate_tab[r] * t / 3600.0 for r, t in zip(rate_ids, total)
             ])
-        return BatchScores(
-            runtime_seconds=array("d", total),
-            cost_dollars=cost,
-            bottlenecks=tuple(per_stage_codes) if want_bottlenecks else None,
-            stage_names=self.stage_names,
-        )
-
-    def _limit_table(self, direction_groups, fill, delta, io_list, limits):
-        """Per-unique-(hdfs, local, N) I/O limit term for one direction."""
-        table = []
-        for h, lo, node in io_list:
-            per_node = None
-            for gid, use_hdfs in direction_groups:
-                limit = limits[h][gid] if use_hdfs else limits[lo][gid]
-                if per_node is None or limit > per_node:
-                    per_node = limit
-            if per_node is None or per_node == 0.0:
-                table.append(0.0)
-            else:
-                value = per_node / node + fill + delta
-                table.append(value if value > 0.0 else 0.0)
-        return table
-
-
-def score_batch(
-    report: ProfilingReport,
-    batch: CandidateBatch,
-    want_cost: bool = True,
-    want_bottlenecks: bool = True,
-) -> BatchScores:
-    """One-shot convenience: ``Eq1BatchEvaluator(report).score(batch)``.
-
-    Building the evaluator extracts per-stage constants once; reuse an
-    :class:`Eq1BatchEvaluator` across calls to also reuse its memoized
-    per-disk bandwidth tables.
-    """
-    return Eq1BatchEvaluator(report).score(
-        batch, want_cost=want_cost, want_bottlenecks=want_bottlenecks
-    )
+        return BatchScores(runtime_seconds=array("d", total), cost_dollars=cost)

@@ -28,7 +28,10 @@ robust path the pipeline's long fan-outs run through:
   items are resubmitted without being charged;
 - **quarantine over abort** — items that fail every attempt land in a
   structured :class:`TaskFailure` report while the rest of the map
-  completes (``on_failure="abort"`` flips this to fail-fast).
+  completes (``on_failure="abort"`` flips this to fail-fast).  A
+  :class:`~repro.errors.ConfigurationError` is deterministic — the same
+  inputs raise it again — so it quarantines on the attempt that raised
+  it, with no retry or backoff.
 
 Successful results come back **in input order**, computed by exactly the
 same function calls a serial run would make — the supervisor adds
@@ -338,7 +341,10 @@ class TaskSupervisor:
                     # lazy-initializer contract stays the backend's.
                     result = self.backend.map(fn, [item])[0]
                 except Exception as exc:
-                    if attempt >= policy.max_attempts:
+                    if (
+                        attempt >= policy.max_attempts
+                        or isinstance(exc, ConfigurationError)
+                    ):
                         failures.append(TaskFailure(
                             index=index,
                             item=item,
@@ -407,7 +413,11 @@ class TaskSupervisor:
         rebuild_cap = (policy.max_attempts + 1) * n + 8
 
         def charge_failure(
-            index: int, kind: str, error_type: str, message: str
+            index: int,
+            kind: str,
+            error_type: str,
+            message: str,
+            final: bool = False,
         ) -> None:
             attempts_used[index] += 1
             report.attempts += 1
@@ -415,7 +425,7 @@ class TaskSupervisor:
                 report.timeouts += 1
             elif kind == KIND_WORKER_LOSS:
                 report.worker_losses += 1
-            if attempts_used[index] >= policy.max_attempts:
+            if final or attempts_used[index] >= policy.max_attempts:
                 suspects.discard(index)
                 failures[index] = TaskFailure(
                     index=index,
@@ -453,7 +463,8 @@ class TaskSupervisor:
                 lost.append(index)
             else:
                 charge_failure(
-                    index, KIND_EXCEPTION, type(exc).__name__, str(exc)
+                    index, KIND_EXCEPTION, type(exc).__name__, str(exc),
+                    final=isinstance(exc, ConfigurationError),
                 )
 
         def rebuild_pool() -> None:

@@ -12,9 +12,10 @@ a few tasks, a few megabytes, one or two stages.  The invariants are
 scale-free, so small instances exercise the same code paths (queueing,
 contention, fault windows, re-execution) as the paper-sized workloads.
 
-All tests share :data:`PROPERTY_SETTINGS` — derandomized with no
-example database, so CI and local runs execute the identical fixed
-example set.
+Every hypothesis test in this package and in ``tests/property/``
+shares :data:`PROPERTY_SETTINGS` — derandomized with no example
+database and no deadline — so CI and local runs execute the identical
+fixed example set.
 """
 
 from __future__ import annotations

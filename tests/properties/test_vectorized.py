@@ -3,9 +3,10 @@
 The refactor moved every Eq.-1 evaluation — optimizer grid, descent
 neighborhoods, disk-size sweeps — onto :mod:`repro.model.arrays`.  Its
 contract is *exact* equality with the scalar stack, not approximate:
-the kernel replays the scalar model's float operations in the scalar
-order, so every comparison below uses ``==`` on raw floats, across
-randomized workloads and grids.
+the kernel calls the scalar model's own Eq.-1 term functions and does
+the rest of its float operations in the scalar order, so every
+comparison below uses ``==`` on raw floats, across randomized workloads
+and grids.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.cloud.disks import make_persistent_disk
 from repro.cloud.optimizer import CostOptimizer
 from repro.core import Predictor, Profiler
 from repro.errors import ProfilingError
-from repro.model.arrays import CandidateBatch, Eq1BatchEvaluator, score_batch
+from repro.model.arrays import CandidateBatch, Eq1BatchEvaluator
 
 from .strategies import PROPERTY_SETTINGS, workload_specs
 
@@ -77,7 +78,7 @@ vcpu_grids = st.lists(
 def test_score_batch_equals_scalar_evaluation(
     spec, num_workers, vcpu_grid, hdfs_sizes, local_sizes
 ):
-    """Batch runtime/cost/bottlenecks == the scalar model's, bit for bit."""
+    """Batch runtime/cost == the scalar model's, bit for bit."""
     report = _profile(spec)
     optimizer = _optimizer(report, num_workers)
     configs = optimizer._grid_candidates(
@@ -92,11 +93,6 @@ def test_score_batch_equals_scalar_evaluation(
         assert scores.cost_dollars[index] == config.cost_for_runtime(
             prediction.t_app
         )
-        for stage_index, stage in enumerate(prediction.stages):
-            assert (
-                scores.bottleneck_label(stage_index, index)
-                == stage.bottleneck
-            )
 
 
 @settings(max_examples=10, **EQUIV_SETTINGS)
@@ -157,7 +153,7 @@ def test_model_only_batch_matches_device_models(spec, sizes):
         local_kinds=("pd-ssd",) * len(sizes),
         local_sizes_gb=sizes,
     )
-    scores = score_batch(report, batch, want_cost=False, want_bottlenecks=False)
+    scores = Eq1BatchEvaluator(report).score(batch)
     assert scores.cost_dollars is None
     for index, size_gb in enumerate(sizes):
         devices = {

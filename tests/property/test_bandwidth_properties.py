@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.bandwidth import EffectiveBandwidthTable
 
+from tests.properties.strategies import PROPERTY_SETTINGS
+
 anchor_lists = st.lists(
     st.tuples(
         st.floats(min_value=1.0, max_value=1e9),
@@ -21,6 +23,7 @@ request_sizes = st.floats(min_value=0.5, max_value=2e9)
 
 
 @given(anchors=anchor_lists, request=request_sizes)
+@settings(**PROPERTY_SETTINGS)
 def test_bandwidth_within_anchor_envelope(anchors, request):
     """Interpolation never leaves the [min, max] anchor bandwidth range."""
     table = EffectiveBandwidthTable(anchors)
@@ -30,12 +33,14 @@ def test_bandwidth_within_anchor_envelope(anchors, request):
 
 
 @given(anchors=anchor_lists, request=request_sizes)
+@settings(**PROPERTY_SETTINGS)
 def test_bandwidth_always_positive(anchors, request):
     table = EffectiveBandwidthTable(anchors)
     assert table.bandwidth(request) > 0
 
 
 @given(anchors=anchor_lists)
+@settings(**PROPERTY_SETTINGS)
 def test_anchor_points_reproduced_exactly(anchors):
     table = EffectiveBandwidthTable(anchors)
     for size, bandwidth in anchors:
@@ -43,6 +48,7 @@ def test_anchor_points_reproduced_exactly(anchors):
 
 
 @given(anchors=anchor_lists, a=request_sizes, b=request_sizes)
+@settings(**PROPERTY_SETTINGS)
 def test_monotone_when_anchors_monotone(anchors, a, b):
     """If anchors increase with size, so does the interpolated curve."""
     ordered = sorted(anchors)
@@ -56,6 +62,7 @@ def test_monotone_when_anchors_monotone(anchors, a, b):
 
 @given(anchors=anchor_lists, factor=st.floats(min_value=0.01, max_value=100.0),
        request=request_sizes)
+@settings(**PROPERTY_SETTINGS)
 def test_scaling_is_multiplicative(anchors, factor, request):
     table = EffectiveBandwidthTable(anchors)
     scaled = table.scaled(factor)
@@ -66,6 +73,7 @@ def test_scaling_is_multiplicative(anchors, factor, request):
 
 @given(anchors=anchor_lists, ceiling=st.floats(min_value=1.0, max_value=1e10),
        request=request_sizes)
+@settings(**PROPERTY_SETTINGS)
 def test_cap_is_a_ceiling(anchors, ceiling, request):
     table = EffectiveBandwidthTable(anchors)
     capped = table.capped(ceiling)
@@ -74,6 +82,7 @@ def test_cap_is_a_ceiling(anchors, ceiling, request):
 
 
 @given(anchors=anchor_lists, iops=st.floats(min_value=0.1, max_value=1e6))
+@settings(**PROPERTY_SETTINGS)
 def test_iops_cap_binds_at_anchor_points(anchors, iops):
     table = EffectiveBandwidthTable(anchors)
     limited = table.iops_capped(iops)
@@ -83,7 +92,7 @@ def test_iops_cap_binds_at_anchor_points(anchors, iops):
 
 @given(anchors=anchor_lists, request=request_sizes,
        total=st.floats(min_value=0.0, max_value=1e12))
-@settings(max_examples=50)
+@settings(max_examples=50, **PROPERTY_SETTINGS)
 def test_transfer_time_linear_in_bytes(anchors, request, total):
     table = EffectiveBandwidthTable(anchors)
     single = table.transfer_time(total, request)

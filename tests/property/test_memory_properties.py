@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from repro.spark.memory import StorageMemoryManager
 
+from tests.properties.strategies import PROPERTY_SETTINGS
+
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("put"), st.integers(0, 30),
@@ -17,7 +19,7 @@ operations = st.lists(
 
 
 @given(ops=operations)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_capacity_never_exceeded(ops):
     pool = StorageMemoryManager(100.0)
     for op, key, size in ops:
@@ -31,7 +33,7 @@ def test_capacity_never_exceeded(ops):
 
 
 @given(ops=operations)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_eviction_accounting_conserves_bytes(ops):
     """Bytes put == bytes resident + bytes evicted + bytes removed/rejected."""
     pool = StorageMemoryManager(100.0)
@@ -66,7 +68,7 @@ def test_eviction_accounting_conserves_bytes(ops):
 
 
 @given(ops=operations)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_evicted_blocks_are_not_resident(ops):
     pool = StorageMemoryManager(100.0)
     for op, key, size in ops:
@@ -82,7 +84,7 @@ def test_evicted_blocks_are_not_resident(ops):
 
 
 @given(ops=operations)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_lru_order_is_consistent(ops):
     """cached_blocks() always lists each resident block exactly once."""
     pool = StorageMemoryManager(100.0)

@@ -7,6 +7,8 @@ from repro.core.stage_model import StageModel
 from repro.core.variables import IoChannel, StageModelVariables
 from repro.units import GB, KB, MB
 
+from tests.properties.strategies import PROPERTY_SETTINGS
+
 variables_strategy = st.builds(
     StageModelVariables,
     name=st.just("stage"),
@@ -39,7 +41,7 @@ operating_points = st.tuples(
 
 
 @given(variables=variables_strategy, point=operating_points)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_t_stage_is_max_of_terms(variables, point):
     nodes, cores = point
     model = StageModel(variables)
@@ -51,7 +53,7 @@ def test_t_stage_is_max_of_terms(variables, point):
 
 
 @given(variables=variables_strategy, point=operating_points)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_more_cores_never_hurt(variables, point):
     nodes, cores = point
     model = StageModel(variables)
@@ -59,7 +61,7 @@ def test_more_cores_never_hurt(variables, point):
 
 
 @given(variables=variables_strategy, point=operating_points)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_more_nodes_never_hurt(variables, point):
     nodes, cores = point
     model = StageModel(variables)
@@ -68,7 +70,7 @@ def test_more_nodes_never_hurt(variables, point):
 
 @given(variables=variables_strategy, point=operating_points,
        factor=st.floats(min_value=1.0, max_value=100.0))
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_faster_devices_never_hurt(variables, point, factor):
     """Scaling every channel bandwidth up can only shrink the runtime."""
     nodes, cores = point
@@ -99,7 +101,7 @@ def test_faster_devices_never_hurt(variables, point, factor):
 
 
 @given(variables=variables_strategy, point=operating_points)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_runtime_at_least_io_floor(variables, point):
     """The stage can never beat its per-device transfer floors."""
     nodes, cores = point
@@ -112,7 +114,7 @@ def test_runtime_at_least_io_floor(variables, point):
 
 
 @given(variables=variables_strategy)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_bottleneck_labels_consistent(variables):
     model = StageModel(variables)
     prediction = model.predict(4, 8)

@@ -16,6 +16,8 @@ from repro.storage.device import make_ssd
 from repro.storage.queue import DeviceQueue, IoStream
 from repro.units import KB, MB
 
+from tests.properties.strategies import PROPERTY_SETTINGS
+
 stream_specs = st.lists(
     st.tuples(
         st.floats(min_value=1 * KB, max_value=128 * MB),  # request size
@@ -43,7 +45,7 @@ def build_queue(specs):
 
 
 @given(specs=stream_specs)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_rates_never_exceed_caps(specs):
     _, streams = build_queue(specs)
     for stream in streams:
@@ -52,7 +54,7 @@ def test_rates_never_exceed_caps(specs):
 
 
 @given(specs=stream_specs)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_aggregate_within_device_capacity(specs):
     """Per direction, allocated rates never exceed the effective bandwidth
     at the smallest active request size."""
@@ -67,7 +69,7 @@ def test_aggregate_within_device_capacity(specs):
 
 
 @given(specs=stream_specs)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_work_conserving(specs):
     """Either the capacity is fully used or every stream runs at its cap."""
     queue, streams = build_queue(specs)
@@ -87,7 +89,7 @@ def test_work_conserving(specs):
 
 
 @given(specs=stream_specs)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_identical_streams_get_identical_rates(specs):
     request_size, cap, is_write = specs[0]
     queue = DeviceQueue(make_ssd())
@@ -103,7 +105,7 @@ def test_identical_streams_get_identical_rates(specs):
 
 
 @given(specs=stream_specs)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_detach_all_leaves_queue_empty(specs):
     queue, streams = build_queue(specs)
     for stream in streams:
@@ -128,7 +130,7 @@ def build_resource(specs):
 
 
 @given(specs=stream_specs)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_resource_conservation(specs):
     """Sum of allocated rates never exceeds the capacity at the active
     demand profile (effective bandwidth at the smallest request size)."""
@@ -138,7 +140,7 @@ def test_resource_conservation(specs):
 
 
 @given(specs=stream_specs)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_resource_caps_respected(specs):
     """No stream is ever allocated more than its software-path cap T."""
     _, streams = build_resource(specs)
@@ -148,7 +150,7 @@ def test_resource_caps_respected(specs):
 
 
 @given(specs=stream_specs, link_gbps=st.floats(min_value=0.1, max_value=100.0))
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_coupled_conservation_and_caps(specs, link_gbps):
     """Progressive filling keeps every coupled resource within capacity
     and every stream within its cap, under mixed request sizes."""

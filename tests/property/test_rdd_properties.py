@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.spark.context import DoppioContext
 
+from tests.properties.strategies import PROPERTY_SETTINGS
+
 keys = st.integers(min_value=-20, max_value=20)
 values = st.integers(min_value=-1000, max_value=1000)
 pairs = st.lists(st.tuples(keys, values), max_size=200)
@@ -15,14 +17,14 @@ partition_counts = st.integers(min_value=1, max_value=12)
 
 
 @given(data=ints, slices=partition_counts)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_collect_preserves_order(data, slices):
     sc = DoppioContext()
     assert sc.parallelize(data, slices).collect() == data
 
 
 @given(data=ints, slices=partition_counts)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_map_matches_builtin(data, slices):
     sc = DoppioContext()
     result = sc.parallelize(data, slices).map(lambda x: x * 3 + 1).collect()
@@ -30,7 +32,7 @@ def test_map_matches_builtin(data, slices):
 
 
 @given(data=ints, slices=partition_counts)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_filter_matches_builtin(data, slices):
     sc = DoppioContext()
     result = sc.parallelize(data, slices).filter(lambda x: x % 2 == 0).collect()
@@ -38,7 +40,7 @@ def test_filter_matches_builtin(data, slices):
 
 
 @given(data=pairs, slices=partition_counts, reducers=partition_counts)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_group_by_key_matches_reference(data, slices, reducers):
     sc = DoppioContext()
     grouped = dict(
@@ -53,7 +55,7 @@ def test_group_by_key_matches_reference(data, slices, reducers):
 
 
 @given(data=pairs, slices=partition_counts)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_reduce_by_key_matches_reference(data, slices):
     sc = DoppioContext()
     reduced = dict(
@@ -66,7 +68,7 @@ def test_reduce_by_key_matches_reference(data, slices):
 
 
 @given(data=ints, slices=partition_counts, target=partition_counts)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_repartition_preserves_multiset(data, slices, target):
     sc = DoppioContext()
     result = sc.parallelize(data, slices).repartition(target).collect()
@@ -74,7 +76,7 @@ def test_repartition_preserves_multiset(data, slices, target):
 
 
 @given(data=pairs, slices=partition_counts)
-@settings(max_examples=50)
+@settings(max_examples=50, **PROPERTY_SETTINGS)
 def test_sort_by_key_globally_sorted(data, slices):
     sc = DoppioContext()
     result = sc.parallelize(data, slices).sort_by_key(4).collect()
@@ -83,14 +85,14 @@ def test_sort_by_key_globally_sorted(data, slices):
 
 
 @given(data=ints, slices=partition_counts)
-@settings(max_examples=50)
+@settings(max_examples=50, **PROPERTY_SETTINGS)
 def test_count_matches_len(data, slices):
     sc = DoppioContext()
     assert sc.parallelize(data, slices).count() == len(data)
 
 
 @given(data=ints, slices=partition_counts)
-@settings(max_examples=50)
+@settings(max_examples=50, **PROPERTY_SETTINGS)
 def test_cache_transparent(data, slices):
     sc = DoppioContext()
     rdd = sc.parallelize(data, slices).map(lambda x: -x).cache()

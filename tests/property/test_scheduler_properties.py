@@ -13,6 +13,8 @@ from repro.schedule.scheduler import (
     spjf_order,
 )
 
+from tests.properties.strategies import PROPERTY_SETTINGS
+
 job_sets = st.lists(
     st.tuples(
         st.floats(min_value=0.1, max_value=1000.0),  # true runtime
@@ -39,7 +41,7 @@ def build_jobs(specs, batch=True):
 
 
 @given(specs=job_sets)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_all_jobs_scheduled_exactly_once(specs):
     jobs = build_jobs(specs)
     for policy in (fifo_order, spjf_order, oracle_order):
@@ -50,7 +52,7 @@ def test_all_jobs_scheduled_exactly_once(specs):
 
 
 @given(specs=job_sets)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_no_overlap_and_no_idle_in_batch(specs):
     jobs = build_jobs(specs)
     result = simulate_queue(jobs, spjf_order)
@@ -64,7 +66,7 @@ def test_no_overlap_and_no_idle_in_batch(specs):
 
 
 @given(specs=job_sets)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_makespan_policy_invariant_for_batches(specs):
     jobs = build_jobs(specs)
     makespans = {
@@ -77,7 +79,7 @@ def test_makespan_policy_invariant_for_batches(specs):
 
 
 @given(specs=job_sets)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_oracle_sjf_minimizes_mean_wait(specs):
     """SJF optimality: no permutation beats true-shortest-first."""
     jobs = build_jobs(specs)[:5]  # keep the permutation space small
@@ -91,7 +93,7 @@ def test_oracle_sjf_minimizes_mean_wait(specs):
 
 
 @given(specs=job_sets)
-@settings(max_examples=200)
+@settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_spjf_never_worse_than_antisorted(specs):
     """Predictions with <=20% error still beat longest-first ordering."""
     jobs = build_jobs(specs)
@@ -105,7 +107,7 @@ def test_spjf_never_worse_than_antisorted(specs):
 
 
 @given(specs=job_sets)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_waiting_times_non_negative_with_arrivals(specs):
     jobs = build_jobs(specs, batch=False)
     result = simulate_queue(jobs, spjf_order)

@@ -8,6 +8,8 @@ from repro.simulator.engine import SimulationEngine
 from repro.simulator.task import ComputePhase, IoPhase, SimTask
 from repro.units import MB
 
+from tests.properties.strategies import PROPERTY_SETTINGS
+
 task_specs = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=64 * MB),  # read bytes
@@ -39,7 +41,7 @@ def build_tasks(specs):
 
 
 @given(specs=task_specs, cores=st.integers(min_value=1, max_value=16))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, **PROPERTY_SETTINGS)
 def test_makespan_bounds(specs, cores):
     """Makespan lies between the critical-path and the serial bound."""
     cluster = make_paper_cluster(1, HYBRID_CONFIGS[0])
@@ -69,7 +71,7 @@ def test_makespan_bounds(specs, cores):
 
 
 @given(specs=task_specs, cores=st.integers(min_value=1, max_value=16))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, **PROPERTY_SETTINGS)
 def test_every_task_completes_with_valid_times(specs, cores):
     cluster = make_paper_cluster(1, HYBRID_CONFIGS[0])
     engine = SimulationEngine(cluster, cores_per_node=cores)
@@ -82,7 +84,7 @@ def test_every_task_completes_with_valid_times(specs, cores):
 
 
 @given(specs=task_specs)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, **PROPERTY_SETTINGS)
 def test_more_cores_never_slower(specs):
     cluster = make_paper_cluster(1, HYBRID_CONFIGS[0])
     few = SimulationEngine(cluster, cores_per_node=2).run(build_tasks(specs))
@@ -91,7 +93,7 @@ def test_more_cores_never_slower(specs):
 
 
 @given(specs=task_specs, cores=st.integers(min_value=1, max_value=8))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, **PROPERTY_SETTINGS)
 def test_concurrency_never_exceeds_cores(specs, cores):
     """At no event do more than N*P tasks overlap in time."""
     cluster = make_paper_cluster(2, HYBRID_CONFIGS[0])

@@ -9,6 +9,8 @@ from repro.storage.hdfs import Hdfs
 from repro.storage.local import SparkLocalDir
 from repro.units import GB, MB, TB
 
+from tests.properties.strategies import PROPERTY_SETTINGS
+
 file_operations = st.lists(
     st.tuples(
         st.sampled_from(["put", "delete"]),
@@ -20,7 +22,7 @@ file_operations = st.lists(
 
 
 @given(ops=file_operations)
-@settings(max_examples=150)
+@settings(max_examples=150, **PROPERTY_SETTINGS)
 def test_hdfs_allocation_consistent_with_catalog(ops):
     devices = [make_hdd(name=f"dn{i}", capacity_bytes=2 * TB) for i in range(3)]
     hdfs = Hdfs(devices=devices, block_size=128 * MB, replication=2)
@@ -41,7 +43,7 @@ def test_hdfs_allocation_consistent_with_catalog(ops):
 
 
 @given(ops=file_operations)
-@settings(max_examples=150)
+@settings(max_examples=150, **PROPERTY_SETTINGS)
 def test_hdfs_devices_never_exceed_capacity(ops):
     devices = [make_hdd(name=f"dn{i}", capacity_bytes=500 * GB) for i in range(2)]
     hdfs = Hdfs(devices=devices, replication=2)
@@ -59,7 +61,7 @@ def test_hdfs_devices_never_exceed_capacity(ops):
 
 
 @given(ops=file_operations)
-@settings(max_examples=150)
+@settings(max_examples=150, **PROPERTY_SETTINGS)
 def test_local_dir_usage_matches_files(ops):
     local = SparkLocalDir(make_hdd(capacity_bytes=2 * TB))
     # Float tolerance must scale with the *largest* value that entered the
@@ -90,7 +92,7 @@ def test_local_dir_usage_matches_files(ops):
     sizes=st.lists(st.floats(min_value=1.0, max_value=100 * GB), min_size=1,
                    max_size=10)
 )
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_hdfs_block_count_covers_file(sizes):
     devices = [make_hdd(name="dn0", capacity_bytes=100 * TB)]
     hdfs = Hdfs(devices=devices, replication=1)

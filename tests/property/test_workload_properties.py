@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from repro.units import KB, MB
 from repro.workloads.base import ChannelSpec, StageSpec, TaskGroupSpec
 
+from tests.properties.strategies import PROPERTY_SETTINGS
+
 channel_strategy = st.builds(
     ChannelSpec,
     kind=st.sampled_from(
@@ -60,7 +62,7 @@ stage_strategy = st.builds(
 
 
 @given(stage=stage_strategy)
-@settings(max_examples=150)
+@settings(max_examples=150, **PROPERTY_SETTINGS)
 def test_build_tasks_count_matches_spec(stage):
     tasks = stage.build_tasks()
     assert len(tasks) == stage.tasks_per_execution
@@ -68,7 +70,7 @@ def test_build_tasks_count_matches_spec(stage):
 
 
 @given(stage=stage_strategy, cores=st.integers(min_value=1, max_value=36))
-@settings(max_examples=150)
+@settings(max_examples=150, **PROPERTY_SETTINGS)
 def test_task_bytes_exactly_preserve_stage_totals(stage, cores):
     """Jitter and chunking never change a stage's total I/O volume."""
     tasks = stage.build_tasks(cores_per_node=cores)
@@ -86,7 +88,7 @@ def test_task_bytes_exactly_preserve_stage_totals(stage, cores):
 
 
 @given(stage=stage_strategy)
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_group_compute_totals_preserved(stage):
     """Per-group total compute is exactly the spec's (mean-preserving skew)."""
     tasks = stage.build_tasks()
@@ -100,7 +102,7 @@ def test_group_compute_totals_preserved(stage):
 
 
 @given(stage=stage_strategy, cores=st.integers(min_value=1, max_value=36))
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_gc_metadata_consistent_with_compute(stage, cores):
     tasks = stage.build_tasks(cores_per_node=cores)
     for task in tasks:
@@ -110,7 +112,7 @@ def test_gc_metadata_consistent_with_compute(stage, cores):
 
 
 @given(stage=stage_strategy, offset=st.floats(min_value=0.0, max_value=1.0))
-@settings(max_examples=100)
+@settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_jitter_offset_changes_schedule_not_volume(stage, offset):
     base = stage.build_tasks()
     shifted = stage.build_tasks(jitter_offset=offset)

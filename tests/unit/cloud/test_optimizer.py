@@ -109,7 +109,7 @@ class TestGridSearch:
         assert gatk4_predictor.batch_evaluator() is gatk4_predictor.batch_evaluator()
         configs = [evaluated.config for evaluated in result.evaluated]
         fresh = Eq1BatchEvaluator(gatk4_predictor.report).score(
-            CandidateBatch.from_configs(configs), want_bottlenecks=False
+            CandidateBatch.from_configs(configs)
         )
         assert [e.runtime_seconds for e in result.evaluated] == list(
             fresh.runtime_seconds

@@ -2,7 +2,7 @@
 
 The exactness properties live in ``tests/properties/test_vectorized.py``;
 this file pins the surface: batch validation, error paths, and the
-score-container accessors.
+score container.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ from repro.core.profiler import (
     StageProfileData,
 )
 from repro.errors import ConfigurationError, ModelError
-from repro.model.arrays import (
-    BOTTLENECK_LABELS,
-    CandidateBatch,
-    Eq1BatchEvaluator,
-    score_batch,
-)
+from repro.model.arrays import CandidateBatch, Eq1BatchEvaluator
 from repro.workloads import make_svm_workload
 
 
@@ -81,17 +76,14 @@ def test_nonpositive_disk_size_rejected():
 
 
 def test_cost_requires_vcpus(report):
-    batch = _batch(count=1, vcpus=None)
-    with pytest.raises(ModelError, match="vcpus"):
-        score_batch(report, batch, want_cost=True)
-    scores = score_batch(report, batch, want_cost=False)
+    scores = Eq1BatchEvaluator(report).score(_batch(count=1, vcpus=None))
     assert scores.cost_dollars is None
 
 
 def test_unknown_disk_kind_is_a_configuration_error(report):
     batch = _batch(count=1, local_kinds=("floppy",))
     with pytest.raises(ConfigurationError):
-        score_batch(report, batch)
+        Eq1BatchEvaluator(report).score(batch)
 
 
 def test_unknown_channel_role_is_a_model_error():
@@ -115,23 +107,5 @@ def test_unknown_channel_role_is_a_model_error():
 
 
 def test_empty_batch_scores_empty(report):
-    scores = score_batch(report, _batch(count=0))
+    scores = Eq1BatchEvaluator(report).score(_batch(count=0))
     assert len(scores) == 0
-
-
-# -- score container ----------------------------------------------------------
-
-
-def test_scores_expose_stage_names_and_labels(report):
-    scores = score_batch(report, _batch(count=2))
-    assert scores.stage_names == tuple(s.name for s in report.stages)
-    for stage_index in range(len(scores.stage_names)):
-        label = scores.bottleneck_label(stage_index, 0)
-        assert label in BOTTLENECK_LABELS
-
-
-def test_bottleneck_label_requires_bottlenecks(report):
-    scores = score_batch(report, _batch(count=1), want_bottlenecks=False)
-    assert scores.bottlenecks is None
-    with pytest.raises(ModelError, match="without bottleneck labels"):
-        scores.bottleneck_label(0, 0)

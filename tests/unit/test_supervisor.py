@@ -44,6 +44,12 @@ def _fail_odd(x):
     return x
 
 
+def _misconfigured(x):
+    if x == 1:
+        raise ConfigurationError("node count must be positive")
+    return 2 * x
+
+
 def _die(x):
     os.kill(os.getpid(), signal.SIGKILL)
 
@@ -164,6 +170,16 @@ class TestSerialSupervision:
             supervisor.policy.backoff_seconds(1),
         ) * 2
 
+    def test_configuration_error_quarantines_on_first_attempt(self):
+        supervisor = TaskSupervisor(SerialBackend(), ExecutionPolicy(**FAST))
+        report = supervisor.run(_misconfigured, [0, 1, 2])
+        assert report.results == [0, None, 4]
+        assert [f.index for f in report.failures] == [1]
+        assert report.failures[0].attempts == 1
+        assert report.failures[0].error_type == "ConfigurationError"
+        assert report.attempts == 3
+        assert report.retries == 0 and report.backoff_waits == ()
+
     def test_abort_stops_at_first_exhausted_item(self):
         supervisor = TaskSupervisor(
             SerialBackend(),
@@ -227,6 +243,19 @@ class TestPooledSupervision:
         assert [f.index for f in report.failures] == [3]
         assert report.failures[0].kind == KIND_EXCEPTION
         assert report.failures[0].error_type == "ValueError"
+
+    def test_configuration_error_quarantines_on_first_attempt(self):
+        with ProcessPoolBackend(2) as backend:
+            report = TaskSupervisor(backend, ExecutionPolicy(**FAST)).run(
+                _misconfigured, [0, 1, 2]
+            )
+        assert report.results == [0, None, 4]
+        assert [f.index for f in report.failures] == [1]
+        assert report.failures[0].kind == KIND_EXCEPTION
+        assert report.failures[0].attempts == 1
+        assert report.failures[0].error_type == "ConfigurationError"
+        assert report.attempts == 3
+        assert report.retries == 0 and report.backoff_waits == ()
 
     def test_chunked_map_blast_radius_is_why_supervision_exists(self):
         # Contrast pin: the raw chunked map loses the whole call.
