@@ -101,6 +101,7 @@ from pathlib import Path
 from repro.analysis.report import render_table
 from repro.cloud import (
     CostOptimizer,
+    config_dict,
     r1_spark_recommendation,
     r2_cloudera_recommendation,
 )
@@ -768,20 +769,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_dict(config) -> dict:
-    """A CloudConfiguration as a JSON-ready mapping."""
-    return {
-        "machine": config.machine.name,
-        "vcpus": config.machine.vcpus,
-        "num_workers": config.num_workers,
-        "hdfs_disk_kind": config.hdfs_disk_kind,
-        "hdfs_disk_gb": config.hdfs_disk_gb,
-        "local_disk_kind": config.local_disk_kind,
-        "local_disk_gb": config.local_disk_gb,
-        "label": config.label(),
-    }
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.top < 1:
         raise ConfigurationError("--top must be at least 1")
@@ -819,7 +806,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "top": [
                 {
                     "rank": rank,
-                    "config": _config_dict(entry.config),
+                    "config": config_dict(entry.config),
                     "runtime_seconds": entry.runtime_seconds,
                     "cost_dollars": entry.cost_dollars,
                 }
@@ -827,12 +814,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             ],
             "references": {
                 "r1_spark": {
-                    "config": _config_dict(r1.config),
+                    "config": config_dict(r1.config),
                     "runtime_seconds": r1.runtime_seconds,
                     "cost_dollars": r1.cost_dollars,
                 },
                 "r2_cloudera": {
-                    "config": _config_dict(r2.config),
+                    "config": config_dict(r2.config),
                     "runtime_seconds": r2.runtime_seconds,
                     "cost_dollars": r2.cost_dollars,
                 },

@@ -5,8 +5,9 @@
   effective bandwidth at a request size is
   ``min(throughput_limit, iops_limit * request_size)``.
 - :mod:`repro.cloud.instance` — machine types and their hourly prices.
-- :mod:`repro.cloud.pricing` — Table V disk prices and the cost function
-  ``Cost = f(P, DiskTypes, DiskSize_HDFS, DiskSize_local, Time)``.
+- :mod:`repro.cloud.pricing` — Table V disk prices, the cost function
+  ``Cost = f(P, DiskTypes, DiskSize_HDFS, DiskSize_local, Time)``, and
+  ``config_dict``, a configuration's JSON shape.
 - :mod:`repro.cloud.optimizer` — exhaustive grid search (one array-kernel
   pass over the whole grid) plus coordinate descent over the
   configuration space, using the Doppio model for ``Time``.
@@ -24,6 +25,7 @@ from repro.cloud.instance import MachineType, N1_STANDARD, machine_for_vcpus
 from repro.cloud.pricing import (
     DISK_PRICE_PER_GB_MONTH,
     CloudConfiguration,
+    config_dict,
     disk_cost_per_hour,
     configuration_cost,
 )
@@ -47,6 +49,7 @@ __all__ = [
     "machine_for_vcpus",
     "DISK_PRICE_PER_GB_MONTH",
     "CloudConfiguration",
+    "config_dict",
     "disk_cost_per_hour",
     "configuration_cost",
     "CostOptimizer",

@@ -101,6 +101,24 @@ class CloudConfiguration:
         )
 
 
+def config_dict(config: CloudConfiguration) -> dict:
+    """A CloudConfiguration as a JSON-ready mapping.
+
+    The one shape every JSON answer uses: ``repro optimize --json`` and
+    the query service's predict and optimize replies.
+    """
+    return {
+        "machine": config.machine.name,
+        "vcpus": config.machine.vcpus,
+        "num_workers": config.num_workers,
+        "hdfs_disk_kind": config.hdfs_disk_kind,
+        "hdfs_disk_gb": config.hdfs_disk_gb,
+        "local_disk_kind": config.local_disk_kind,
+        "local_disk_gb": config.local_disk_gb,
+        "label": config.label(),
+    }
+
+
 def configuration_cost(
     config: CloudConfiguration, runtime_seconds: float
 ) -> float:

@@ -57,6 +57,16 @@ class StageFailedError(SimulationError):
             f" task {task_id} failed {attempts} time(s) ({reason})"
         )
 
+    def __reduce__(self):
+        # ``args`` holds only the message, which ``__init__`` cannot
+        # take: rebuild from the fields, so the error survives the trip
+        # home from a pool worker.
+        return (
+            type(self),
+            (self.stage, self.task_id, self.attempts, self.stage_attempts,
+             self.reason),
+        )
+
 
 class SchedulerError(DoppioError):
     """The DAG or task scheduler could not plan the requested computation."""
@@ -88,7 +98,8 @@ class ExecutionError(DoppioError):
     Raised by :class:`~repro.parallel.supervisor.TaskSupervisor` (and
     the pipeline paths built on it) when items exhaust their attempt
     budget — worker loss, per-item timeout, or a poison item that fails
-    every retry — or when the policy aborts on first failure.  Carries
+    every retry.  A task's own :class:`DoppioError` is not wrapped: it
+    surfaces as itself, exactly as a serial run raises it.  Carries
     the structured :class:`~repro.parallel.supervisor.TaskFailure`
     records so callers can see *which* items died and why without
     parsing the message.  Distinct from :class:`SimulationError`: the

@@ -9,11 +9,16 @@ Two tiers live here:
   all-or-nothing: one raising item (or one dead worker) fails the whole
   call.
 - :mod:`repro.parallel.supervisor` — the fault-tolerant layer on top:
-  :class:`TaskSupervisor` submits per-item futures under an
-  :class:`ExecutionPolicy` (attempts, per-item timeout, deterministic
-  backoff, quarantine vs. abort), rebuilds the pool after worker death,
-  and reports poison items as structured :class:`TaskFailure` records in
-  a :class:`SupervisionReport` instead of aborting the map.
+  :class:`TaskSupervisor` drives either backend through one loop of
+  per-item futures under an :class:`ExecutionPolicy` (attempts and a
+  per-item timeout, retried on the fixed :func:`backoff_seconds`
+  schedule), rebuilds the pool after worker death, and reports poison
+  items as structured :class:`TaskFailure` records in a
+  :class:`SupervisionReport` instead of failing the map on the first.
+  A library error (:class:`~repro.errors.DoppioError`) raised by a task
+  is final on its first attempt and surfaces as itself; worker loss,
+  timeouts and other exceptions surface as
+  :class:`~repro.errors.ExecutionError` once retries run out.
 
 Both tiers preserve the package's core contract — results in input
 order, bit-identical to a serial run — so callers choose robustness per
@@ -31,7 +36,6 @@ from repro.parallel.backends import (
     resolve_backend,
 )
 from repro.parallel.supervisor import (
-    FAILURE_MODES,
     KIND_EXCEPTION,
     KIND_TIMEOUT,
     KIND_WORKER_LOSS,
@@ -39,6 +43,7 @@ from repro.parallel.supervisor import (
     SupervisionReport,
     TaskFailure,
     TaskSupervisor,
+    backoff_seconds,
     validate_execution,
 )
 
@@ -46,7 +51,6 @@ __all__ = [
     "AUTO_WORKERS",
     "ExecutionBackend",
     "ExecutionPolicy",
-    "FAILURE_MODES",
     "KIND_EXCEPTION",
     "KIND_TIMEOUT",
     "KIND_WORKER_LOSS",
@@ -57,6 +61,7 @@ __all__ = [
     "TaskSupervisor",
     "auto_worker_count",
     "available_cpus",
+    "backoff_seconds",
     "resolve_backend",
     "validate_execution",
 ]

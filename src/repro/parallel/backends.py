@@ -30,9 +30,10 @@ context so no worker inherits its client sockets (see
 ``docs/EXECUTION.md``).  See ``docs/PERFORMANCE.md`` for when
 ``workers=`` actually helps.
 
-On top of ordered ``map``, :class:`ProcessPoolBackend` exposes the
-primitives the supervised layer (:mod:`repro.parallel.supervisor`) is
-built from: per-item :meth:`~ProcessPoolBackend.submit`,
+On top of ordered ``map``, both backends take per-item ``submit``, the
+unit the supervised layer (:mod:`repro.parallel.supervisor`) is built
+from; a serial one runs the item before it returns the settled future.
+:class:`ProcessPoolBackend` adds
 :meth:`~ProcessPoolBackend.worker_pids` for host-level fault injection,
 and :meth:`~ProcessPoolBackend.rebuild`, which kills the pool's worker
 processes and discards the executor so the next submit gets a fresh
@@ -82,9 +83,10 @@ class ExecutionBackend(Protocol):
 
     Implementations must return results **in input order** and may not
     drop or duplicate items; beyond that, how and where the function
-    runs is theirs to choose.  ``shutdown`` releases whatever the
-    backend holds (processes, threads); backends are context managers
-    that call it on exit.
+    runs is theirs to choose.  ``submit`` runs one item and returns its
+    future, the unit the supervised layer is built from.  ``shutdown``
+    releases whatever the backend holds (processes, threads); backends
+    are context managers that call it on exit.
     """
 
     workers: int
@@ -93,15 +95,17 @@ class ExecutionBackend(Protocol):
         self, fn: Callable[[Any], Any], items: Iterable[Any]
     ) -> list[Any]: ...
 
+    def submit(self, fn: Callable[[Any], Any], item: Any) -> Future: ...
+
     def shutdown(self) -> None: ...
 
 
 class SerialBackend:
     """Everything in-process, in order — the degenerate one-worker pool.
 
-    Runs ``initializer`` once (lazily, before the first mapped item) so
-    task functions relying on initializer-installed state work
-    identically under both backends: an empty ``map`` runs no
+    Runs ``initializer`` once (lazily, before the first mapped or
+    submitted item) so task functions relying on initializer-installed
+    state work identically under both backends: an empty ``map`` runs no
     initializer on either backend (a process pool spawns lazily), and
     :meth:`shutdown` forgets the initialization — a reused serial
     backend re-runs its initializer exactly as a reused process backend
@@ -121,10 +125,30 @@ class SerialBackend:
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         items = list(items)
-        if items and not self._initialized and self._initializer is not None:
+        if items:
+            self._initialize()
+        return [fn(item) for item in items]
+
+    def submit(self, fn: Callable[[Any], Any], item: Any) -> Future:
+        """Run one item now, in the calling thread; return its settled future.
+
+        The supervisor drives both backends through ``submit``.  Here the
+        call (and, on first use, the initializer) has finished before
+        the future is returned, its result or exception stored in it
+        the way a pool worker would report it.
+        """
+        future: Future = Future()
+        try:
+            self._initialize()
+            future.set_result(fn(item))
+        except Exception as exc:  # noqa: BLE001 - the future carries it
+            future.set_exception(exc)
+        return future
+
+    def _initialize(self) -> None:
+        if not self._initialized and self._initializer is not None:
             self._initializer(*self._initargs)
             self._initialized = True
-        return [fn(item) for item in items]
 
     def shutdown(self) -> None:
         """Forget initializer state so reuse mirrors a fresh pool."""

@@ -9,11 +9,11 @@ robust path the pipeline's long fan-outs run through:
 - **per-item futures** — every item is submitted individually, so each
   item's outcome (result, exception, worker loss, timeout) is observed
   and handled on its own;
-- **bounded retries with deterministic backoff** — failed and timed-out
-  items are retried up to :attr:`ExecutionPolicy.max_attempts` times,
-  waiting :meth:`ExecutionPolicy.backoff_seconds` between attempts (a
-  pure exponential schedule, no jitter: reproducible timings are worth
-  more here than thundering-herd protection on a local pool);
+- **bounded retries on a fixed backoff** — failed and timed-out items
+  are retried up to :attr:`ExecutionPolicy.max_attempts` times, waiting
+  :func:`backoff_seconds` between attempts (a pure exponential
+  schedule, no jitter: reproducible timings are worth more here than
+  thundering-herd protection on a local pool);
 - **pool rebuilds** — after ``BrokenProcessPool`` the dead pool is
   replaced and only the in-flight items are resubmitted.  A break is
   charged as an attempt only to the item that caused it: with one item
@@ -26,12 +26,13 @@ robust path the pipeline's long fan-outs run through:
   charged a timeout attempt; since a running future cannot be cancelled,
   the pool's workers are killed and rebuilt, and the *innocent* in-flight
   items are resubmitted without being charged;
-- **quarantine over abort** — items that fail every attempt land in a
-  structured :class:`TaskFailure` report while the rest of the map
-  completes (``on_failure="abort"`` flips this to fail-fast).  A
-  :class:`~repro.errors.ConfigurationError` is deterministic — the same
-  inputs raise it again — so it quarantines on the attempt that raised
-  it, with no retry or backoff.
+- **quarantine** — items that fail every attempt land in a structured
+  :class:`TaskFailure` report while the rest of the map completes.  A
+  library error (:class:`~repro.errors.DoppioError`) raised by the task
+  is final on its first attempt — the same inputs raise it again — and
+  :meth:`SupervisionReport.raise_if_failed` raises it as itself, so a
+  pooled map fails with the same error, and the CLI with the same exit
+  code, as a serial one.
 
 Successful results come back **in input order**, computed by exactly the
 same function calls a serial run would make — the supervisor adds
@@ -39,10 +40,12 @@ scheduling, never semantics — so the bit-identical-to-serial contract of
 :mod:`repro.parallel` holds under supervision too (pinned by
 ``tests/properties/test_parallel.py`` and ``tests/chaos/``).
 
-On a :class:`SerialBackend` the retry/backoff/quarantine semantics are
-identical but timeouts are not enforced: there is no preemption inside
-one process, so a hung serial task hangs the caller (documented in
-``docs/EXECUTION.md``).
+Both backends run through the same loop.  A
+:class:`~repro.parallel.backends.SerialBackend` runs each submitted item
+in the calling thread before ``submit`` returns, so one item is in
+flight at a time and timeouts are not enforced: there is no preemption
+inside one process, so a hung serial task hangs the caller (documented
+in ``docs/EXECUTION.md``).
 
 :meth:`TaskSupervisor.cancel` stops a run from another thread: nothing
 more is submitted, a process pool's workers are killed, and the run
@@ -51,19 +54,17 @@ raises :class:`~repro.errors.ExecutionError` instead of returning.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ConfigurationError, DoppioError, ExecutionError
 from repro.parallel.backends import ProcessPoolBackend
-
-#: ``ExecutionPolicy.on_failure`` values: keep going and report, or stop.
-FAILURE_MODES = ("quarantine", "abort")
 
 #: ``TaskFailure.kind`` values.
 KIND_EXCEPTION = "exception"
@@ -71,29 +72,33 @@ KIND_TIMEOUT = "timeout"
 KIND_WORKER_LOSS = "worker-loss"
 
 
+def backoff_seconds(attempt: int) -> float:
+    """The wait before retrying an item whose ``attempt``-th try failed.
+
+    0.05 s after the first failure, doubling with each further one,
+    capped at 5 s.  Pure and stateless, so tests (and the chaos harness)
+    can assert the exact waits a run performed.
+    """
+    # The cap binds from attempt 8 on; bounding the exponent keeps a
+    # huge attempt count from overflowing the float power.
+    return min(0.05 * 2.0 ** min(attempt - 1, 8), 5.0)
+
+
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How a supervised map treats failure: attempts, deadline, backoff.
+    """How a supervised map treats failure: attempts and a deadline.
 
-    The default policy retries twice (three attempts total) with a tiny
-    deterministic exponential backoff and no deadline — safe for the
-    pipeline's deterministic task functions, where a repeated failure is
-    almost always environmental (worker OOM-killed, machine descheduled)
+    ``max_attempts`` (``--task-retries``) counts every attempt an item
+    gets, the first included; ``timeout_seconds`` (``--task-timeout``)
+    is each attempt's wall-clock deadline, or ``None`` for none.  The
+    default retries twice with no deadline — safe for the pipeline's
+    deterministic task functions, where a repeated failure is almost
+    always environmental (worker OOM-killed, machine descheduled)
     rather than data-dependent.
-
-    ``backoff_seconds(attempt)`` is the full schedule:
-    ``backoff_base_seconds * backoff_factor**(attempt - 1)``, capped at
-    ``backoff_max_seconds`` — attempt 1 failing waits the base, attempt
-    2 twice that, and so on.  Pure and stateless, so tests (and the
-    chaos harness) can assert the exact waits a run performed.
     """
 
     max_attempts: int = 3
     timeout_seconds: float | None = None
-    backoff_base_seconds: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_seconds: float = 5.0
-    on_failure: str = "quarantine"
 
     def __post_init__(self) -> None:
         if (
@@ -109,34 +114,6 @@ class ExecutionPolicy:
                 f"timeout_seconds must be positive or None,"
                 f" got {self.timeout_seconds!r}"
             )
-        if self.backoff_base_seconds < 0:
-            raise ConfigurationError(
-                f"backoff_base_seconds must be >= 0,"
-                f" got {self.backoff_base_seconds!r}"
-            )
-        if self.backoff_factor < 1:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
-            )
-        if self.backoff_max_seconds < 0:
-            raise ConfigurationError(
-                f"backoff_max_seconds must be >= 0,"
-                f" got {self.backoff_max_seconds!r}"
-            )
-        if self.on_failure not in FAILURE_MODES:
-            raise ConfigurationError(
-                f"on_failure must be one of {FAILURE_MODES},"
-                f" got {self.on_failure!r}"
-            )
-
-    def backoff_seconds(self, attempt: int) -> float:
-        """Deterministic wait after ``attempt`` failed (1-based)."""
-        if attempt < 1:
-            return 0.0
-        return min(
-            self.backoff_base_seconds * self.backoff_factor ** (attempt - 1),
-            self.backoff_max_seconds,
-        )
 
     def describe(self) -> str:
         """One-line summary for logs and reports."""
@@ -145,12 +122,7 @@ class ExecutionPolicy:
             if self.timeout_seconds is not None
             else "no timeout"
         )
-        return (
-            f"{self.max_attempts} attempt(s), {deadline},"
-            f" backoff {self.backoff_base_seconds:g}s"
-            f" x{self.backoff_factor:g} (cap {self.backoff_max_seconds:g}s),"
-            f" {self.on_failure}"
-        )
+        return f"{self.max_attempts} attempt(s), {deadline}"
 
 
 def validate_execution(
@@ -171,7 +143,11 @@ def validate_execution(
 
 @dataclass(frozen=True)
 class TaskFailure:
-    """One quarantined item: what it was and how it kept failing."""
+    """One quarantined item: what it was and how it kept failing.
+
+    ``error`` is the library error the task raised, when it raised one:
+    that failure is final on its first attempt and surfaces as itself.
+    """
 
     index: int
     item: Any
@@ -179,6 +155,7 @@ class TaskFailure:
     attempts: int
     error_type: str
     message: str
+    error: DoppioError | None = None
 
     def describe(self) -> str:
         return (
@@ -191,11 +168,11 @@ class TaskFailure:
 class SupervisionReport:
     """Outcome of one supervised map.
 
-    ``results`` is input-ordered; quarantined (and, under abort,
-    never-started) indices hold ``None``.  The counters describe the
-    run's failure history: ``attempts`` counts every charged attempt
-    (successes included), ``backoff_waits`` the exact deterministic
-    sleeps performed before retries, in the order they were scheduled.
+    ``results`` is input-ordered; quarantined indices hold ``None``.
+    The counters describe the run's failure history: ``attempts``
+    counts every charged attempt (successes included), ``backoff_waits``
+    the exact deterministic sleeps performed before retries, in the
+    order they were scheduled.
     """
 
     results: list[Any]
@@ -206,23 +183,30 @@ class SupervisionReport:
     worker_losses: int = 0
     pool_rebuilds: int = 0
     backoff_waits: tuple[float, ...] = ()
-    aborted: bool = False
 
     @property
     def ok(self) -> bool:
         """True iff every item produced a result."""
-        return not self.failures and not self.aborted
+        return not self.failures
 
     def raise_if_failed(self, label: str = "supervised map") -> None:
-        """Promote failures to a structured :class:`ExecutionError`."""
+        """Raise the map's failure: a task's library error as itself.
+
+        The first quarantined item that raised a
+        :class:`~repro.errors.DoppioError` re-raises it, exactly as a
+        serial run would have; otherwise worker loss, timeouts and other
+        exceptions become one structured :class:`ExecutionError`.
+        """
         if self.ok:
             return
+        for failure in self.failures:
+            if failure.error is not None:
+                raise failure.error
         detail = "; ".join(f.describe() for f in self.failures[:5])
         if len(self.failures) > 5:
             detail += f"; ... {len(self.failures) - 5} more"
-        mode = "aborted" if self.aborted else "quarantined"
         raise ExecutionError(
-            f"{label}: {len(self.failures)} item(s) {mode}"
+            f"{label}: {len(self.failures)} item(s) quarantined"
             f" after {self.attempts} attempt(s)"
             f" ({self.pool_rebuilds} pool rebuild(s)): {detail}",
             failures=self.failures,
@@ -240,11 +224,12 @@ class _InFlight:
 class TaskSupervisor:
     """Run ``fn`` over ``items`` under an :class:`ExecutionPolicy`.
 
-    Wraps an execution backend: a :class:`ProcessPoolBackend` gets the
-    full event loop (per-item futures, deadlines, pool rebuilds); any
-    other backend — :class:`~repro.parallel.backends.SerialBackend` in
-    practice — gets in-process retries with the same backoff and
-    quarantine semantics, minus timeout enforcement.
+    Wraps an execution backend and drives it through one loop of
+    per-item futures, deadlines and retries.  A
+    :class:`ProcessPoolBackend` also gets pool rebuilds; a
+    :class:`~repro.parallel.backends.SerialBackend` settles each future
+    inside ``submit``, so it gets the same retry and quarantine
+    semantics minus timeout enforcement.
 
     Under a timeout the number of in-flight futures never exceeds the
     pool's worker count, so a submitted item starts (approximately)
@@ -293,7 +278,11 @@ class TaskSupervisor:
             raise ExecutionError("supervised map cancelled")
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        """Ordered results, or :class:`ExecutionError` on any quarantine."""
+        """Ordered results, or the map's failure raised.
+
+        As :meth:`SupervisionReport.raise_if_failed` raises it: a task's
+        library error as itself, anything else as an ExecutionError.
+        """
         report = self.run(fn, items)
         report.raise_if_failed()
         return report.results
@@ -312,82 +301,13 @@ class TaskSupervisor:
         it lands, see ``docs/EXECUTION.md``).
         """
         items = list(items)
-        if not items:
-            return SupervisionReport(results=[])
-        if isinstance(self.backend, ProcessPoolBackend):
-            return self._run_pooled(fn, items, on_result)
-        return self._run_serial(fn, items, on_result)
-
-    # -- serial path ---------------------------------------------------------
-
-    def _run_serial(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        on_result: Callable[[int, Any], None] | None,
-    ) -> SupervisionReport:
         policy = self.policy
-        report = SupervisionReport(results=[None] * len(items))
-        failures: list[TaskFailure] = []
-        waits: list[float] = []
-        for index, item in enumerate(items):
-            attempt = 0
-            while True:
-                self._check_cancelled()
-                attempt += 1
-                report.attempts += 1
-                try:
-                    # Route through the backend's one-item map so the
-                    # lazy-initializer contract stays the backend's.
-                    result = self.backend.map(fn, [item])[0]
-                except Exception as exc:
-                    if (
-                        attempt >= policy.max_attempts
-                        or isinstance(exc, ConfigurationError)
-                    ):
-                        failures.append(TaskFailure(
-                            index=index,
-                            item=item,
-                            kind=KIND_EXCEPTION,
-                            attempts=attempt,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                        ))
-                        if policy.on_failure == "abort":
-                            report.aborted = True
-                        break
-                    report.retries += 1
-                    delay = policy.backoff_seconds(attempt)
-                    waits.append(delay)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                report.results[index] = result
-                if on_result is not None:
-                    on_result(index, result)
-                break
-            if report.aborted:
-                break
-        report.failures = tuple(failures)
-        report.backoff_waits = tuple(waits)
-        return report
-
-    # -- pooled path ---------------------------------------------------------
-
-    def _run_pooled(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        on_result: Callable[[int, Any], None] | None,
-    ) -> SupervisionReport:
-        policy = self.policy
-        backend: ProcessPoolBackend = self.backend
+        backend = self.backend
         n = len(items)
         report = SupervisionReport(results=[None] * n)
         failures: dict[int, TaskFailure] = {}
         waits: list[float] = []
         attempts_used = [0] * n
-        done_flags = [False] * n
 
         ready: deque[int] = deque(range(n))
         #: (monotonic ready-time, index) pairs waiting out a backoff.
@@ -396,15 +316,23 @@ class TaskSupervisor:
         #: Unfinished items a break with several in flight left unblamed:
         #: while any remain, they alone run, one at a time.
         suspects: set[int] = set()
+        pooled = isinstance(backend, ProcessPoolBackend)
+        # A serial submit runs its item before returning: with one in
+        # flight, a clean map runs its items (and fires on_result) in
+        # input order, and cancel() stops it before the next item.  It
+        # runs outside the lock, so cancel() never waits on it.  A pooled
+        # submit must hold the lock, or a cancel() racing it could leave
+        # a freshly spawned pool behind.
+        guard = self._lock if pooled else contextlib.nullcontext()
         # With a timeout, cap in-flight futures at the worker count so a
         # submitted item starts (approximately) immediately and its
         # deadline measures execution, not queueing.  Without one, queue
         # depth costs nothing — keep the workers saturated instead of
         # lockstepping each completion with the next submit.
         max_in_flight = (
-            backend.workers
-            if policy.timeout_seconds is not None
-            else max(backend.workers * 4, 1)
+            backend.workers * 4
+            if pooled and policy.timeout_seconds is None
+            else backend.workers
         )
         # A break with one item in flight charges it an attempt; a break
         # with several charges none but makes them suspects, and an item
@@ -417,7 +345,7 @@ class TaskSupervisor:
             kind: str,
             error_type: str,
             message: str,
-            final: bool = False,
+            error: DoppioError | None = None,
         ) -> None:
             attempts_used[index] += 1
             report.attempts += 1
@@ -425,7 +353,7 @@ class TaskSupervisor:
                 report.timeouts += 1
             elif kind == KIND_WORKER_LOSS:
                 report.worker_losses += 1
-            if final or attempts_used[index] >= policy.max_attempts:
+            if error is not None or attempts_used[index] >= policy.max_attempts:
                 suspects.discard(index)
                 failures[index] = TaskFailure(
                     index=index,
@@ -434,13 +362,11 @@ class TaskSupervisor:
                     attempts=attempts_used[index],
                     error_type=error_type,
                     message=message,
+                    error=error,
                 )
-                done_flags[index] = True
-                if policy.on_failure == "abort":
-                    report.aborted = True
             else:
                 report.retries += 1
-                delay = policy.backoff_seconds(attempts_used[index])
+                delay = backoff_seconds(attempts_used[index])
                 waits.append(delay)
                 sleeping.append((time.monotonic() + delay, index))
                 sleeping.sort()
@@ -450,7 +376,6 @@ class TaskSupervisor:
             attempts_used[index] += 1
             report.attempts += 1
             report.results[index] = result
-            done_flags[index] = True
             if on_result is not None:
                 on_result(index, result)
 
@@ -459,12 +384,14 @@ class TaskSupervisor:
             exc = future.exception()
             if exc is None:
                 record_success(index, future.result())
-            elif isinstance(exc, BrokenProcessPool):
+            elif pooled and isinstance(exc, BrokenProcessPool):
+                # Only a pool can be lost; a serial task raising this
+                # error is charged like any other exception.
                 lost.append(index)
             else:
                 charge_failure(
                     index, KIND_EXCEPTION, type(exc).__name__, str(exc),
-                    final=isinstance(exc, ConfigurationError),
+                    exc if isinstance(exc, DoppioError) else None,
                 )
 
         def rebuild_pool() -> None:
@@ -493,7 +420,7 @@ class TaskSupervisor:
                     return index
             return None  # every suspect is waiting out a backoff
 
-        while not report.aborted and (ready or sleeping or in_flight):
+        while ready or sleeping or in_flight:
             self._check_cancelled()
             now = time.monotonic()
             # Wake items whose backoff has elapsed.
@@ -504,7 +431,7 @@ class TaskSupervisor:
                 if index is None:
                     break
                 try:
-                    with self._lock:
+                    with guard:
                         self._check_cancelled()
                         future = backend.submit(fn, items[index])
                 except BrokenProcessPool:
@@ -573,6 +500,8 @@ class TaskSupervisor:
                 continue
 
             # Deadline sweep: charge expired items, resubmit innocents.
+            # A serial future is settled before its deadline is set, so
+            # only a pool's items can expire.
             now = time.monotonic()
             expired = {
                 entry.index
@@ -603,13 +532,6 @@ class TaskSupervisor:
                 # Running futures cannot be cancelled; killing the
                 # workers is the only way to stop a hung task.
                 rebuild_pool()
-
-        if report.aborted and in_flight:
-            # Fail fast: abandon outstanding work and reclaim workers.
-            for future in in_flight:
-                future.cancel()
-            in_flight.clear()
-            rebuild_pool()
 
         report.failures = tuple(
             failures[index] for index in sorted(failures)

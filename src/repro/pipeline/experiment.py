@@ -32,10 +32,12 @@ Parallel grids run *supervised*: cold cells go through a
 :class:`~repro.parallel.supervisor.ExecutionPolicy` (``execution=``), so
 a dead worker rebuilds the pool and retries only the in-flight cells, a
 hung cell trips its per-item timeout, and a poison cell is quarantined
-into a structured :class:`~repro.errors.ExecutionError` *after* the
-surviving cells' shards are merged — and each shard is checkpointed to a
-file-backed cache as it lands, so a killed or failed run resumes from
-the last merged shard (see ``docs/EXECUTION.md``).
+*after* the surviving cells' shards are merged: a cell's own library
+error is raised as itself, as a serial grid raises it, and host
+failures as a structured :class:`~repro.errors.ExecutionError`.  Each
+shard is checkpointed to a file-backed cache as it lands, so a killed
+or failed run resumes from the last merged shard (see
+``docs/EXECUTION.md``).
 """
 
 from __future__ import annotations
@@ -325,15 +327,20 @@ class Experiment:
         ``k`` worker processes.  Results are **bit-identical** across
         all settings.
 
-        ``execution`` tunes the supervision of a parallel grid (per-cell
-        timeout, retry attempts, backoff, quarantine vs. abort); the
-        default :class:`~repro.parallel.supervisor.ExecutionPolicy`
-        retries transient failures and rebuilds the pool after worker
-        death.  Cells that fail every attempt raise a structured
-        :class:`~repro.errors.ExecutionError` — after the surviving
-        shards are merged and checkpointed, so the rerun recomputes only
-        the failed cells.  Serial grids ignore the policy (exceptions
-        propagate immediately, as they always have).
+        ``execution`` tunes the supervision of a parallel grid (retry
+        attempts and a per-cell timeout); the default
+        :class:`~repro.parallel.supervisor.ExecutionPolicy` retries
+        transient failures and rebuilds the pool after worker death.  A
+        cell whose simulation raises a library error
+        (:class:`~repro.errors.DoppioError`) is not retried: the grid
+        raises that error as itself, so serial and parallel grids fail
+        with the same error and exit code.  Cells lost to worker death,
+        timeouts or other exceptions on every attempt raise a structured
+        :class:`~repro.errors.ExecutionError`.  Either way the error
+        surfaces after the surviving shards are merged and checkpointed,
+        so the rerun recomputes only the failed cells.  Serial grids
+        ignore the policy (exceptions propagate immediately, as they
+        always have).
         """
         node_axis = self._axis(nodes, self.platform.default_nodes(), "nodes")
         core_axis = self._axis(
@@ -667,11 +674,11 @@ class Experiment:
         in-flight cells, hung cells trip the policy's timeout, and each
         completed shard is merged — and, on a file-backed cache,
         atomically checkpointed — *as it lands*, so a run killed between
-        shards resumes from the last merged one.  Cells that fail every
-        attempt surface as a structured
-        :class:`~repro.errors.ExecutionError` after the survivors'
-        shards are safely merged: the cache stays resumable and a rerun
-        recomputes only the failed cells.
+        shards resumes from the last merged one.  A cell's own library
+        error surfaces as itself, and cells that fail every attempt as a
+        structured :class:`~repro.errors.ExecutionError`, after the
+        survivors' shards are safely merged: the cache stays resumable
+        and a rerun recomputes only the failed cells.
         """
         resolved = self.resolved  # force resolution before building payload
         cold: list[tuple[int, int, int]] = []

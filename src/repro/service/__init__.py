@@ -23,8 +23,9 @@ Semantics, limits, and the exit-code/HTTP-status mapping are documented
 in ``docs/SERVICE.md``.
 """
 
+from repro.cloud.pricing import config_dict
 from repro.service.batcher import MicroBatcher
-from repro.service.engine import QueryEngine, config_dict
+from repro.service.engine import QueryEngine
 from repro.service.http import QueryServer, serve
 from repro.service.query import (
     DEFAULT_OPTIMIZE_VCPU_GRID,

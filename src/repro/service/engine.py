@@ -76,7 +76,7 @@ from multiprocessing.context import BaseContext
 
 from repro.cloud.instance import machine_for_vcpus
 from repro.cloud.optimizer import CostOptimizer
-from repro.cloud.pricing import CloudConfiguration
+from repro.cloud.pricing import CloudConfiguration, config_dict
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -94,21 +94,7 @@ from repro.service.query import Query, parse_query
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.runner import measure_workload
 
-__all__ = ["QueryEngine", "config_dict"]
-
-
-def config_dict(config: CloudConfiguration) -> dict:
-    """A CloudConfiguration as a JSON-ready mapping (the CLI's shape)."""
-    return {
-        "machine": config.machine.name,
-        "vcpus": config.machine.vcpus,
-        "num_workers": config.num_workers,
-        "hdfs_disk_kind": config.hdfs_disk_kind,
-        "hdfs_disk_gb": config.hdfs_disk_gb,
-        "local_disk_kind": config.local_disk_kind,
-        "local_disk_gb": config.local_disk_gb,
-        "label": config.label(),
-    }
+__all__ = ["QueryEngine"]
 
 
 @dataclass(frozen=True)
@@ -671,21 +657,20 @@ class QueryEngine:
                     await self._run_profile_batch(batch)
 
     async def _supervised(self, fn, payloads: list, what: str) -> list:
-        """One supervised map off the loop: each item's result or error."""
+        """One supervised map off the loop: each item's result or error.
+
+        A failed item's error is the library error its task raised, as
+        itself, or else an :class:`ExecutionError` for worker loss,
+        timeouts and other exceptions.
+        """
         report = await asyncio.to_thread(self._supervisor.run, fn, payloads)
-        failures = {failure.index: failure for failure in report.failures}
-        outcomes = []
-        for index, result in enumerate(report.results):
-            failure = failures.get(index)
-            if failure is not None:
-                result = ExecutionError(
-                    f"{what} failed after {failure.attempts}"
-                    f" attempt(s): {failure.message}",
-                    failures=(failure,),
-                )
-            elif result is None:
-                result = ServiceError(f"{what} batch aborted before this item")
-            outcomes.append(result)
+        outcomes = list(report.results)
+        for failure in report.failures:
+            outcomes[failure.index] = failure.error or ExecutionError(
+                f"{what} failed after {failure.attempts}"
+                f" attempt(s): {failure.message}",
+                failures=(failure,),
+            )
         return outcomes
 
     async def _run_profile_batch(self, batch: list[_ProfileItem]) -> None:

@@ -17,9 +17,7 @@ from repro.pipeline.cache import ResultCache
 from ._faults import cell_tag, poison_cell
 from .conftest import CELLS, GRID, records
 
-FAST = ExecutionPolicy(
-    max_attempts=2, backoff_base_seconds=0.01, backoff_max_seconds=0.05
-)
+POLICY = ExecutionPolicy(max_attempts=2)
 
 
 def test_quarantined_cell_leaves_a_resumable_cache(
@@ -31,7 +29,7 @@ def test_quarantined_cell_leaves_a_resumable_cache(
     inject(poison_cell, target=cell_tag(poisoned))
     cache_path = tmp_path / "cache.json"
     with pytest.raises(ExecutionError) as err:
-        make_experiment(cache_path).run_grid(workers=2, execution=FAST, **GRID)
+        make_experiment(cache_path).run_grid(workers=2, execution=POLICY, **GRID)
     failure = err.value.failures[0]
     assert failure.item == poisoned
     assert failure.kind == "exception"
@@ -63,11 +61,11 @@ def test_run_killed_between_shard_merges_resumes_incrementally(
     cache_path = tmp_path / "cache.json"
     partial = make_experiment(cache_path)
     sub_grid = dict(GRID, nodes=(2,))  # half the cells, then "killed"
-    partial.run_grid(workers=2, execution=FAST, **sub_grid)
+    partial.run_grid(workers=2, execution=POLICY, **sub_grid)
     assert cache_path.exists()
 
     resumed = make_experiment(cache_path)
-    result = resumed.run_grid(workers=2, execution=FAST, **GRID)
+    result = resumed.run_grid(workers=2, execution=POLICY, **GRID)
     assert records(result) == serial_records
     # The pre-split saw the first half warm: no recomputation for it.
     # (contains_* peeks are counter-free, so count via a serial replay.)
@@ -84,13 +82,13 @@ def test_truncated_checkpoint_degrades_to_recompute(
     # crash racing the final shard merge.  The resume warns, starts
     # empty, recomputes, and still matches the baseline bit-for-bit.
     cache_path = tmp_path / "cache.json"
-    make_experiment(cache_path).run_grid(workers=2, execution=FAST, **GRID)
+    make_experiment(cache_path).run_grid(workers=2, execution=POLICY, **GRID)
     text = cache_path.read_text()
     cache_path.write_text(text[: len(text) // 3])
 
     with pytest.warns(UserWarning, match="unreadable"):
         resumed = make_experiment(cache_path)
-    result = resumed.run_grid(workers=2, execution=FAST, **GRID)
+    result = resumed.run_grid(workers=2, execution=POLICY, **GRID)
     assert records(result) == serial_records
     # The recomputed checkpoint is whole again.
     assert records(
@@ -105,7 +103,7 @@ def test_corrupt_shard_entries_recompute_only_themselves(
     # checkpoint: the resume must warn, keep every healthy entry, and
     # recompute exactly the damaged cell.
     cache_path = tmp_path / "cache.json"
-    make_experiment(cache_path).run_grid(workers=2, execution=FAST, **GRID)
+    make_experiment(cache_path).run_grid(workers=2, execution=POLICY, **GRID)
 
     data = json.loads(cache_path.read_text())
     victim = next(iter(data["measurements"]))
@@ -114,5 +112,5 @@ def test_corrupt_shard_entries_recompute_only_themselves(
 
     with pytest.warns(UserWarning, match="skipping corrupt measurements"):
         resumed = make_experiment(cache_path)
-    result = resumed.run_grid(workers=2, execution=FAST, **GRID)
+    result = resumed.run_grid(workers=2, execution=POLICY, **GRID)
     assert records(result) == serial_records

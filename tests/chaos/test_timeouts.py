@@ -8,7 +8,7 @@ exceptions exercise the retry/backoff path without touching the pool.
 
 import time
 
-from repro.parallel import ExecutionPolicy
+from repro.parallel import ExecutionPolicy, backoff_seconds
 
 from ._faults import cell_tag, flaky_cell, hang_once_cell
 from .conftest import CELLS, GRID, records
@@ -22,12 +22,7 @@ def test_hung_task_trips_timeout_and_retries(
     inject, make_experiment, serial_records
 ):
     inject(hang_once_cell, target=cell_tag(CELLS[0]), hang_seconds=HANG_SECONDS)
-    policy = ExecutionPolicy(
-        max_attempts=3,
-        timeout_seconds=1.5,
-        backoff_base_seconds=0.01,
-        backoff_max_seconds=0.05,
-    )
+    policy = ExecutionPolicy(max_attempts=3, timeout_seconds=1.5)
     experiment = make_experiment()
     start = time.monotonic()
     result = experiment.run_grid(workers=2, execution=policy, **GRID)
@@ -47,9 +42,7 @@ def test_transient_exceptions_retry_with_backoff(
     # enough, so success here pins that retries are per-item (a shared
     # budget would exhaust) and that first attempts are charged once.
     inject(flaky_cell, target="*")
-    policy = ExecutionPolicy(
-        max_attempts=2, backoff_base_seconds=0.01, backoff_max_seconds=0.05
-    )
+    policy = ExecutionPolicy(max_attempts=2)
     experiment = make_experiment()
     result = experiment.run_grid(workers=2, execution=policy, **GRID)
     assert records(result) == serial_records
@@ -57,10 +50,7 @@ def test_transient_exceptions_retry_with_backoff(
 
 def test_backoff_schedule_is_reproducible():
     # The waits the supervisor sleeps between attempts are a pure
-    # function of the policy — chaos reruns see identical schedules.
-    policy = ExecutionPolicy(
-        backoff_base_seconds=0.05, backoff_factor=2.0, backoff_max_seconds=5.0
-    )
-    schedule = [policy.backoff_seconds(attempt) for attempt in range(1, 6)]
+    # function of the attempt — chaos reruns see identical schedules.
+    schedule = [backoff_seconds(attempt) for attempt in range(1, 6)]
     assert schedule == [0.05, 0.1, 0.2, 0.4, 0.8]
-    assert schedule == [policy.backoff_seconds(a) for a in range(1, 6)]
+    assert schedule == [backoff_seconds(a) for a in range(1, 6)]

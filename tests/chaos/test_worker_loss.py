@@ -11,9 +11,7 @@ from repro.parallel import ExecutionPolicy
 from ._faults import cell_tag, kill_once_cell, poison_cell
 from .conftest import CELLS, GRID, records
 
-FAST = ExecutionPolicy(
-    max_attempts=4, backoff_base_seconds=0.01, backoff_max_seconds=0.05
-)
+POLICY = ExecutionPolicy(max_attempts=4)
 
 
 def test_sigkilled_worker_recovers_bit_identical(
@@ -21,7 +19,7 @@ def test_sigkilled_worker_recovers_bit_identical(
 ):
     inject(kill_once_cell, target=cell_tag(CELLS[0]))
     experiment = make_experiment()
-    result = experiment.run_grid(workers=2, execution=FAST, **GRID)
+    result = experiment.run_grid(workers=2, execution=POLICY, **GRID)
     assert records(result) == serial_records
 
 
@@ -33,7 +31,7 @@ def test_every_cell_killed_once_still_recovers(
     # resubmitted too — and the sweep still converges to the baseline.
     inject(kill_once_cell, target="*")
     experiment = make_experiment()
-    result = experiment.run_grid(workers=2, execution=FAST, **GRID)
+    result = experiment.run_grid(workers=2, execution=POLICY, **GRID)
     assert records(result) == serial_records
 
 
@@ -52,7 +50,7 @@ def test_survivor_shards_are_checkpointed_despite_poison(
     cache_path = tmp_path / "cache.json"
     experiment = make_experiment(cache_path)
     with pytest.raises(ExecutionError) as err:
-        experiment.run_grid(workers=2, execution=FAST, **GRID)
+        experiment.run_grid(workers=2, execution=POLICY, **GRID)
     assert len(err.value.failures) == 1
-    assert err.value.failures[0].attempts == FAST.max_attempts
+    assert err.value.failures[0].attempts == POLICY.max_attempts
     assert cache_path.exists()  # survivors checkpointed incrementally

@@ -62,18 +62,15 @@ def _records(results) -> str:
     return json.dumps([result.to_dict() for result in results], sort_keys=True)
 
 
-#: Supervision knobs must be invisible on clean runs: any mix of retry
-#: budget, generous timeout, and backoff shape yields the same records.
-#: Timeouts stay large (or absent) so no healthy cell can trip one.
+#: Supervision knobs must be invisible on clean runs: any retry budget
+#: and generous timeout yields the same records.  Timeouts stay large
+#: (or absent) so no healthy cell can trip one.
 execution_policies = st.one_of(
     st.none(),
     st.builds(
         ExecutionPolicy,
         max_attempts=st.sampled_from((1, 2, 3)),
         timeout_seconds=st.sampled_from((None, 120.0)),
-        backoff_base_seconds=st.sampled_from((0.0, 0.01)),
-        backoff_factor=st.sampled_from((1.0, 2.0)),
-        on_failure=st.sampled_from(("quarantine", "abort")),
     ),
 )
 

@@ -167,6 +167,21 @@ class TestGrids:
         with pytest.raises(ConfigurationError):
             experiment.run_repeated(NODES, CORES, runs=0)
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_a_cells_library_error_is_raised_as_itself(
+        self, tiny_workload, tiny_report, workers
+    ):
+        # Serial and pooled grids fail alike: a pool worker's
+        # ConfigurationError is not retried or wrapped in an
+        # ExecutionError, so the CLI exits 2 either way.
+        experiment = Experiment(
+            ResolvedSource(tiny_workload, tiny_report), HYBRID_CONFIGS[0]
+        )
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            experiment.run_grid(
+                nodes=(0,), cores_per_node=(CORES,), workers=workers
+            )
+
 
 class TestShapeDefaults:
     def test_parametric_platform_needs_an_explicit_shape(self, tiny_workload):

@@ -241,6 +241,25 @@ class TestPipelineCommand:
         parallel = json.loads(capsys.readouterr().out)
         assert parallel["runs"] == serial["runs"]
 
+    def test_a_stage_abort_exits_3_serially_and_pooled(self, capsys, tmp_path):
+        # A pool worker's StageFailedError comes home as itself, so the
+        # pooled run prints it and exits 3 like the serial one, not 5.
+        plan = tmp_path / "doom.json"
+        plan.write_text(json.dumps({
+            "name": "doom",
+            "faults": [{"type": "disk", "factor": 0.0, "start": 0.0}],
+        }))
+        argv = [
+            "pipeline", "--workload", "lr-small", "--profile-nodes", "2",
+            "--slaves", "2", "--cores", "2", "--max-task-attempts", "1",
+            "--fault-plan", str(plan),
+        ]
+        for workers in ([], ["--workers", "2"]):
+            assert main(argv + workers) == 3
+            assert capsys.readouterr().err.startswith(
+                "error[StageFailedError]: stage 'dataValidator' aborted"
+            )
+
     def test_optimize_top_lists_ranked_configs(self, capsys):
         argv = [
             "optimize", "--workload", "svm", "--profile-nodes", "2",

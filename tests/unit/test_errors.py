@@ -1,9 +1,43 @@
 """Unit tests for the exception hierarchy."""
 
+import pickle
+
 import pytest
 
 from repro import errors
+from repro.parallel import TaskFailure
 from repro.schedule.scheduler import SchedulingError
+
+#: Error classes whose fields go beyond the message, built with them set.
+STRUCTURED = {
+    errors.StageFailedError: lambda: errors.StageFailedError(
+        stage="s0", task_id=3, attempts=4, stage_attempts=2,
+        reason="stream stalled",
+    ),
+    errors.ExecutionError: lambda: errors.ExecutionError(
+        "grid failed",
+        failures=(TaskFailure(
+            index=2, item=(3, 4, 0), kind="timeout", attempts=3,
+            error_type="TimeoutError", message="no result within 1s",
+        ),),
+    ),
+    errors.AdmissionError: lambda: errors.AdmissionError(
+        "queue full", queue_depth=9, queue_cap=8
+    ),
+    errors.BenchmarkRegressionError: lambda: errors.BenchmarkRegressionError(
+        "1 benchmark gate(s) failed", verdicts=["engine.wall_s: fail"]
+    ),
+}
+
+#: Every error class ``repro.errors`` defines.
+ERROR_CLASSES = sorted(
+    (
+        value
+        for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.DoppioError)
+    ),
+    key=lambda cls: cls.__name__,
+)
 
 
 class TestHierarchy:
@@ -108,3 +142,17 @@ class TestExitCodes:
         }
         assert len(codes) == 6
         assert 1 not in codes  # reserved for unexpected crashes
+
+
+class TestPickling:
+    """Pool workers send errors home by pickle: every class must survive."""
+
+    @pytest.mark.parametrize(
+        "cls", ERROR_CLASSES, ids=lambda cls: cls.__name__
+    )
+    def test_round_trip_keeps_type_message_and_fields(self, cls):
+        error = STRUCTURED.get(cls, lambda: cls("plain message"))()
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is cls
+        assert str(copy) == str(error)
+        assert vars(copy) == vars(error)

@@ -1,9 +1,11 @@
-"""EXPERIMENTS.md quotes the accuracy figures' recorded headlines.
+"""EXPERIMENTS.md and README quote the recorded figure results.
 
 Each accuracy benchmark writes ``avg X% / max Y%`` into the first line
-of its ``benchmarks/results`` file.  The EXPERIMENTS.md row for that
-figure quotes the same two numbers by hand; this test fails as soon as
-the quote and the record disagree.
+of its ``benchmarks/results`` file, and the Section-VI cost benchmarks
+write their optimum, R1/R2 and savings rows into
+``fig13_hdd_optimum.txt`` and ``fig15_headline.txt``.  The docs quote
+the same numbers by hand; these tests fail as soon as a quote and its
+record disagree.
 """
 
 from __future__ import annotations
@@ -33,15 +35,18 @@ HEADLINE = re.compile(r"avg (\d+\.\d)% / max (\d+\.\d)%")
 QUOTED = re.compile(r"\*\*(\d+\.\d) %\*\* \((?:max )?(\d+\.\d) %")
 
 
-def _row(figure: str) -> str:
-    prefix = f"| {figure} "
-    rows = [
-        line
-        for line in (REPO / "EXPERIMENTS.md").read_text().splitlines()
+def _line(path: Path, prefix: str) -> str:
+    """The one line of ``path`` that starts with ``prefix``."""
+    lines = [
+        line for line in path.read_text().splitlines()
         if line.startswith(prefix)
     ]
-    assert len(rows) == 1, f"expected one EXPERIMENTS.md row for {figure}"
-    return rows[0]
+    assert len(lines) == 1, f"expected one {path.name} line for {prefix!r}"
+    return lines[0]
+
+
+def _row(figure: str) -> str:
+    return _line(REPO / "EXPERIMENTS.md", f"| {figure} ")
 
 
 @pytest.mark.parametrize("figure", sorted(FIGURES))
@@ -55,4 +60,83 @@ def test_row_quotes_the_recorded_headline(figure):
         f"EXPERIMENTS.md quotes {figure} as avg {quoted[1]}% / max"
         f" {quoted[2]}%, but {results.name} records avg {recorded[1]}%"
         f" / max {recorded[2]}%"
+    )
+
+
+RESULTS = REPO / "benchmarks" / "results"
+DOLLARS = re.compile(r"\$(\d+\.\d\d)")
+PERCENT = re.compile(r"(\d+)%")
+
+
+def _recorded(name: str, label: str, pattern: re.Pattern) -> str:
+    """The first ``pattern`` match on the results row starting ``label``.
+
+    The reproduction's column comes before the paper's on every row.
+    """
+    found = pattern.search(_line(RESULTS / name, label))
+    assert found is not None, f"{name}: no value on the {label!r} row"
+    return found[1]
+
+
+def _third_cell(path: Path, prefix: str) -> str:
+    """A table row's third cell: this reproduction's column."""
+    return _line(path, prefix).strip("|").split("|")[2].strip()
+
+
+def _measured(figure: str) -> str:
+    """The "measured here" cell of a Section-VI EXPERIMENTS.md row."""
+    return _third_cell(REPO / "EXPERIMENTS.md", f"| {figure} ")
+
+
+def _quoted(cell: str, pattern: str) -> tuple[str, ...]:
+    found = re.search(pattern, cell)
+    assert found is not None, f"no {pattern!r} in {cell!r}"
+    return found.groups()
+
+
+def test_fig13_row_quotes_the_recorded_costs_and_savings():
+    name = "fig13_hdd_optimum.txt"
+    cell = _measured("Fig. 13")
+    assert _quoted(cell, r"\*\*\$(\d+\.\d\d)\*\*") == (
+        _recorded(name, "model-chosen HDD optimum", DOLLARS),
+    )
+    assert _quoted(cell, r"R1 \$(\d+\.\d\d), R2 \$(\d+\.\d\d)") == (
+        _recorded(name, "R1", DOLLARS), _recorded(name, "R2", DOLLARS),
+    )
+    assert _quoted(cell, r"(\d+) %/(\d+) % savings") == (
+        _recorded(name, "savings vs R1", PERCENT),
+        _recorded(name, "savings vs R2", PERCENT),
+    )
+
+
+def test_fig15_row_quotes_the_recorded_optimum_savings_and_ratio():
+    name = "fig15_headline.txt"
+    cell = _measured("Fig. 15")
+    overall = _recorded(name, "overall optimum", DOLLARS)
+    hdd = _recorded(name, "HDD-only optimum", DOLLARS)
+    assert _quoted(cell, r"\*\*\$(\d+\.\d\d)\*\*") == (overall,)
+    assert _quoted(cell, r"(\d+) %/(\d+) % below R1/R2") == (
+        _recorded(name, "savings vs R1", PERCENT),
+        _recorded(name, "savings vs R2", PERCENT),
+    )
+    # The SSD-local optimum's edge over the HDD-only one.
+    assert _quoted(cell, r"beats HDD optimum (\d+\.\d\d)x") == (
+        f"{float(hdd) / float(overall):.2f}",
+    )
+
+
+def test_readme_summary_quotes_the_recorded_cloud_results():
+    name = "fig15_headline.txt"
+    readme = REPO / "README.md"
+    savings = _third_cell(readme, "| cloud savings vs R1 / R2 |")
+    assert _quoted(savings, r"^(\d+) % / (\d+) %$") == (
+        _recorded(name, "savings vs R1", PERCENT),
+        _recorded(name, "savings vs R2", PERCENT),
+    )
+    disk = _third_cell(readme, "| cost-optimal local disk |")
+    kind, size = _recorded(
+        name, "overall optimum", re.compile(r"local=(pd-\S+ \d+)GB")
+    ).split()
+    assert _quoted(disk, r"^(\d+) GB (pd-\S+) \(\$(\d+\.\d\d)\)$") == (
+        size, kind, _recorded(name, "overall optimum", DOLLARS),
     )

@@ -100,6 +100,17 @@ class TestSerialBackend:
         with SerialBackend() as backend:
             assert backend.map(_double, [5]) == [10]
 
+    def test_submit_returns_a_settled_future(self):
+        # The item (and, once, the lazy initializer) has run by the time
+        # submit returns; a raised exception is stored, not thrown.
+        _INIT_CALLS.clear()
+        backend = SerialBackend(_record_init, ("submit",))
+        future = backend.submit(_double, 21)
+        assert future.done() and future.result() == 42
+        failed = backend.submit(_double, None)
+        assert failed.done() and isinstance(failed.exception(), TypeError)
+        assert _INIT_CALLS == ["submit"]
+
     def test_shutdown_then_reuse_reruns_initializer(self):
         # Parity with ProcessPoolBackend: after shutdown, a reused
         # backend behaves like a fresh pool and re-runs its initializer.

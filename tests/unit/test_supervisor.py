@@ -1,10 +1,11 @@
 """Unit tests for the supervised execution layer (:mod:`repro.parallel`).
 
-Process-pool tests use tiny item counts and near-zero backoffs so the
-whole module stays fast; the heavier end-to-end fault scenarios (worker
-SIGKILL mid-grid, hangs, checkpoint resume) live in ``tests/chaos/``.
+Process-pool tests use tiny item counts so the whole module stays fast;
+the heavier end-to-end fault scenarios (worker SIGKILL mid-grid, hangs,
+checkpoint resume) live in ``tests/chaos/``.
 """
 
+import dataclasses
 import os
 import signal
 import threading
@@ -12,7 +13,12 @@ import time
 
 import pytest
 
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import (
+    ConfigurationError,
+    ExecutionError,
+    SimulationError,
+    StageFailedError,
+)
 from repro.parallel import (
     KIND_EXCEPTION,
     KIND_WORKER_LOSS,
@@ -22,10 +28,9 @@ from repro.parallel import (
     SupervisionReport,
     TaskFailure,
     TaskSupervisor,
+    backoff_seconds,
     validate_execution,
 )
-
-FAST = dict(backoff_base_seconds=0.001, backoff_max_seconds=0.01)
 
 
 def _double(x):
@@ -47,6 +52,18 @@ def _fail_odd(x):
 def _misconfigured(x):
     if x == 1:
         raise ConfigurationError("node count must be positive")
+    return 2 * x
+
+
+def _simulation_fails(x):
+    if x == 1:
+        raise SimulationError("node slave-0 has only 36 cores")
+    return 2 * x
+
+
+def _stage_fails(x):
+    if x == 1:
+        raise StageFailedError("s0", 3, 1, 1, "stream stalled")
     return 2 * x
 
 
@@ -74,7 +91,10 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy()
         assert policy.max_attempts == 3
         assert policy.timeout_seconds is None
-        assert policy.on_failure == "quarantine"
+        # The two settings callers set (--task-retries, --task-timeout).
+        assert [field.name for field in dataclasses.fields(policy)] == [
+            "max_attempts", "timeout_seconds",
+        ]
 
     @pytest.mark.parametrize("bad", [
         dict(max_attempts=0),
@@ -82,33 +102,27 @@ class TestExecutionPolicy:
         dict(max_attempts=2.5),
         dict(timeout_seconds=0.0),
         dict(timeout_seconds=-1.0),
-        dict(backoff_base_seconds=-0.1),
-        dict(backoff_factor=0.5),
-        dict(backoff_max_seconds=-1.0),
-        dict(on_failure="explode"),
+        dict(max_attempts=-1),
+        dict(max_attempts="3"),
+        dict(max_attempts=None),
+        dict(timeout_seconds=float("nan")),
     ])
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             ExecutionPolicy(**bad)
 
     def test_backoff_schedule_is_deterministic_exponential(self):
-        policy = ExecutionPolicy(
-            backoff_base_seconds=0.1, backoff_factor=2.0,
-            backoff_max_seconds=0.35,
-        )
-        assert policy.backoff_seconds(0) == 0.0
-        assert policy.backoff_seconds(1) == pytest.approx(0.1)
-        assert policy.backoff_seconds(2) == pytest.approx(0.2)
-        assert policy.backoff_seconds(3) == pytest.approx(0.35)  # capped
-        assert policy.backoff_seconds(9) == pytest.approx(0.35)
-        # Pure: same input, same wait, every time.
-        assert policy.backoff_seconds(2) == policy.backoff_seconds(2)
+        # 0.05 s, doubling, capped at 5 s — and pure: same attempt, same
+        # wait, every time, even far past the cap.
+        assert [backoff_seconds(attempt) for attempt in range(1, 10)] == [
+            0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 5.0,
+        ]
+        assert backoff_seconds(10_000) == 5.0
 
     def test_describe_mentions_every_knob(self):
         text = ExecutionPolicy(timeout_seconds=30.0).describe()
         assert "3 attempt(s)" in text
         assert "30s timeout" in text
-        assert "quarantine" in text
 
     def test_validate_execution(self):
         policy = ExecutionPolicy()
@@ -136,6 +150,23 @@ class TestSupervisionReport:
         assert "my map" in str(err.value)
         assert "quarantined" in str(err.value)
 
+    def test_raise_if_failed_raises_the_first_library_error_itself(self):
+        error = SimulationError("stage s0 cannot place its tasks")
+        lost = TaskFailure(
+            index=0, item="a", kind=KIND_WORKER_LOSS, attempts=3,
+            error_type="BrokenProcessPool", message="a worker died",
+        )
+        library = TaskFailure(
+            index=1, item="b", kind=KIND_EXCEPTION, attempts=1,
+            error_type="SimulationError", message=str(error), error=error,
+        )
+        report = SupervisionReport(
+            results=[None, None], failures=(lost, library)
+        )
+        with pytest.raises(SimulationError) as err:
+            report.raise_if_failed()
+        assert err.value is error
+
 
 class TestSupervisorValidation:
     def test_rejects_non_policy(self):
@@ -154,24 +185,22 @@ class TestSupervisorValidation:
 
 class TestSerialSupervision:
     def test_clean_map_matches_backend(self):
-        supervisor = TaskSupervisor(SerialBackend(), ExecutionPolicy(**FAST))
+        supervisor = TaskSupervisor(SerialBackend())
         assert supervisor.map(_double, [3, 1, 2]) == [6, 2, 4]
 
     def test_retries_then_quarantines(self):
         supervisor = TaskSupervisor(
-            SerialBackend(), ExecutionPolicy(max_attempts=2, **FAST)
+            SerialBackend(), ExecutionPolicy(max_attempts=2)
         )
         report = supervisor.run(_fail_odd, [0, 1, 2, 3])
         assert report.results == [0, None, 2, None]
         assert [f.index for f in report.failures] == [1, 3]
         assert all(f.attempts == 2 for f in report.failures)
         assert report.retries == 2  # one retry per failing item
-        assert report.backoff_waits == (
-            supervisor.policy.backoff_seconds(1),
-        ) * 2
+        assert report.backoff_waits == (backoff_seconds(1),) * 2
 
     def test_configuration_error_quarantines_on_first_attempt(self):
-        supervisor = TaskSupervisor(SerialBackend(), ExecutionPolicy(**FAST))
+        supervisor = TaskSupervisor(SerialBackend())
         report = supervisor.run(_misconfigured, [0, 1, 2])
         assert report.results == [0, None, 4]
         assert [f.index for f in report.failures] == [1]
@@ -180,31 +209,31 @@ class TestSerialSupervision:
         assert report.attempts == 3
         assert report.retries == 0 and report.backoff_waits == ()
 
-    def test_abort_stops_at_first_exhausted_item(self):
-        supervisor = TaskSupervisor(
-            SerialBackend(),
-            ExecutionPolicy(max_attempts=1, on_failure="abort", **FAST),
-        )
-        report = supervisor.run(_fail_odd, [0, 1, 2])
-        assert report.aborted and not report.ok
-        assert [f.index for f in report.failures] == [1]
-        assert report.results == [0, None, None]  # 2 never ran
+    def test_library_error_is_final_and_raised_as_itself(self):
+        supervisor = TaskSupervisor(SerialBackend())
+        report = supervisor.run(_simulation_fails, [0, 1, 2])
+        assert report.results == [0, None, 4]
+        assert report.failures[0].attempts == 1
+        assert isinstance(report.failures[0].error, SimulationError)
+        assert report.retries == 0 and report.backoff_waits == ()
+        with pytest.raises(SimulationError, match="only 36 cores"):
+            supervisor.map(_simulation_fails, [0, 1, 2])
 
     def test_on_result_fires_in_order_serially(self):
         seen = []
-        supervisor = TaskSupervisor(SerialBackend(), ExecutionPolicy(**FAST))
+        supervisor = TaskSupervisor(SerialBackend())
         supervisor.run(_double, [5, 6], on_result=lambda i, r: seen.append((i, r)))
         assert seen == [(0, 10), (1, 12)]
 
     def test_map_raises_execution_error(self):
         supervisor = TaskSupervisor(
-            SerialBackend(), ExecutionPolicy(max_attempts=1, **FAST)
+            SerialBackend(), ExecutionPolicy(max_attempts=1)
         )
         with pytest.raises(ExecutionError):
             supervisor.map(_fail_odd, [1])
 
     def test_cancel_stops_before_the_next_item(self):
-        supervisor = TaskSupervisor(SerialBackend(), ExecutionPolicy(**FAST))
+        supervisor = TaskSupervisor(SerialBackend())
         seen = []
 
         def cancel_after_first(index, result):
@@ -219,9 +248,7 @@ class TestSerialSupervision:
 class TestPooledSupervision:
     def test_clean_map_is_ordered_and_charged_once(self):
         with ProcessPoolBackend(2) as backend:
-            report = TaskSupervisor(backend, ExecutionPolicy(**FAST)).run(
-                _double, list(range(12))
-            )
+            report = TaskSupervisor(backend).run(_double, list(range(12)))
         assert report.results == [2 * i for i in range(12)]
         assert report.ok
         assert report.attempts == 12
@@ -234,7 +261,7 @@ class TestPooledSupervision:
         # chunk; per-item supervised submission must lose only itself.
         with ProcessPoolBackend(2) as backend:
             supervisor = TaskSupervisor(
-                backend, ExecutionPolicy(max_attempts=1, **FAST)
+                backend, ExecutionPolicy(max_attempts=1)
             )
             report = supervisor.run(_poison_three, list(range(10)))
         expected = [2 * i for i in range(10)]
@@ -246,9 +273,7 @@ class TestPooledSupervision:
 
     def test_configuration_error_quarantines_on_first_attempt(self):
         with ProcessPoolBackend(2) as backend:
-            report = TaskSupervisor(backend, ExecutionPolicy(**FAST)).run(
-                _misconfigured, [0, 1, 2]
-            )
+            report = TaskSupervisor(backend).run(_misconfigured, [0, 1, 2])
         assert report.results == [0, None, 4]
         assert [f.index for f in report.failures] == [1]
         assert report.failures[0].kind == KIND_EXCEPTION
@@ -256,6 +281,29 @@ class TestPooledSupervision:
         assert report.failures[0].error_type == "ConfigurationError"
         assert report.attempts == 3
         assert report.retries == 0 and report.backoff_waits == ()
+
+    def test_library_error_is_final_and_raised_as_itself(self):
+        with ProcessPoolBackend(2) as backend:
+            supervisor = TaskSupervisor(backend)
+            report = supervisor.run(_simulation_fails, [0, 1, 2])
+            with pytest.raises(SimulationError, match="only 36 cores"):
+                supervisor.map(_simulation_fails, [0, 1, 2])
+        assert report.results == [0, None, 4]
+        assert report.failures[0].attempts == 1
+        assert isinstance(report.failures[0].error, SimulationError)
+        assert report.retries == 0 and report.backoff_waits == ()
+
+    def test_stage_failure_comes_home_as_itself(self):
+        # A StageFailedError must survive the pickle trip from the
+        # worker: one charged attempt, no pool rebuild, no worker loss.
+        with ProcessPoolBackend(2) as backend:
+            report = TaskSupervisor(backend).run(_stage_fails, [0, 1, 2])
+        assert report.results == [0, None, 4]
+        failure = report.failures[0]
+        assert failure.kind == KIND_EXCEPTION and failure.attempts == 1
+        assert isinstance(failure.error, StageFailedError)
+        assert failure.error.stage == "s0" and failure.error.task_id == 3
+        assert report.pool_rebuilds == 0 and report.worker_losses == 0
 
     def test_chunked_map_blast_radius_is_why_supervision_exists(self):
         # Contrast pin: the raw chunked map loses the whole call.
@@ -268,7 +316,7 @@ class TestPooledSupervision:
         # budget (each pool break charges it), not respawn pools forever.
         with ProcessPoolBackend(2) as backend:
             supervisor = TaskSupervisor(
-                backend, ExecutionPolicy(max_attempts=2, **FAST)
+                backend, ExecutionPolicy(max_attempts=2)
             )
             report = supervisor.run(_die, [0])
         assert not report.ok
@@ -282,7 +330,7 @@ class TestPooledSupervision:
         # break would quarantine items 1-3 alongside the killer.
         with ProcessPoolBackend(2) as backend:
             supervisor = TaskSupervisor(
-                backend, ExecutionPolicy(max_attempts=1, **FAST)
+                backend, ExecutionPolicy(max_attempts=1)
             )
             report = supervisor.run(_zero_dies_others_dawdle, [0, 1, 2, 3])
         assert report.results == [None, 2, 4, 6]
@@ -293,7 +341,7 @@ class TestPooledSupervision:
 
     def test_cancel_kills_the_pool_and_ends_the_run(self):
         backend = ProcessPoolBackend(2)
-        supervisor = TaskSupervisor(backend, ExecutionPolicy(**FAST))
+        supervisor = TaskSupervisor(backend)
         outcome = {}
 
         def run():
@@ -321,7 +369,7 @@ class TestPooledSupervision:
     def test_on_result_receives_original_indices(self):
         seen = {}
         with ProcessPoolBackend(2) as backend:
-            TaskSupervisor(backend, ExecutionPolicy(**FAST)).run(
+            TaskSupervisor(backend).run(
                 _double, [7, 8, 9], on_result=seen.__setitem__
             )
         assert seen == {0: 14, 1: 16, 2: 18}
@@ -330,9 +378,7 @@ class TestPooledSupervision:
         items = list(range(16))
         serial = [_double(item) for item in items]
         with ProcessPoolBackend(3) as backend:
-            supervised = TaskSupervisor(backend, ExecutionPolicy(**FAST)).map(
-                _double, items
-            )
+            supervised = TaskSupervisor(backend).map(_double, items)
         assert supervised == serial
 
 
