@@ -37,6 +37,9 @@ class StageFailedError(SimulationError):
     the structured analogue of Spark's job abort on repeated stage
     failure.  Carries the failing stage/task and attempt counts so
     callers can report the abort without parsing the message.
+    ``task_id`` is the task's index in its stage (its position in the
+    stage's task-id order, like Spark's per-stage task index), so the
+    same failing run names the same task in every process.
     """
 
     def __init__(

@@ -109,9 +109,13 @@ class ExecutionPolicy:
             raise ConfigurationError(
                 f"max_attempts must be an int >= 1, got {self.max_attempts!r}"
             )
-        if self.timeout_seconds is not None and not self.timeout_seconds > 0:
+        if self.timeout_seconds is not None and (
+            not isinstance(self.timeout_seconds, (int, float))
+            or isinstance(self.timeout_seconds, bool)
+            or not self.timeout_seconds > 0
+        ):
             raise ConfigurationError(
-                f"timeout_seconds must be positive or None,"
+                f"timeout_seconds must be a positive number or None,"
                 f" got {self.timeout_seconds!r}"
             )
 

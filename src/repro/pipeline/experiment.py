@@ -75,7 +75,7 @@ from repro.schedule.mix import (
     canonical_jobs,
     measure_mix as simulate_mix,
 )
-from repro.simulator.run import ApplicationMeasurement
+from repro.simulator.run import ApplicationMeasurement, busy_fractions
 from repro.workloads.base import WorkloadSpec, scale_workload_volume
 from repro.workloads.runner import measure_workload
 
@@ -508,8 +508,8 @@ class Experiment:
     ) -> MixMeasurement:
         """A one-job mix via the solo path, bit-identical to ``measure``.
 
-        The cache key is the plain single-job ``run_key`` of the (scaled)
-        spec, so a K = 1 mix and the equivalent solo experiment share one
+        The job is measured by a child experiment on the (scaled) spec,
+        so a K = 1 mix and the equivalent solo experiment share one
         cached measurement.  The job's stage device utilizations are
         re-expressed over the mix makespan (``arrival`` + runtime) for
         the cluster-level view.
@@ -522,29 +522,18 @@ class Experiment:
                 f"unknown mix policy {policy!r}; expected one of {MIX_POLICIES}"
             )
         name, job = named
-        spec = scale_workload_volume(job.spec, job.volume_scale)
-        key = run_key(
-            fingerprint(spec),
-            self._platform_fp,
-            nodes,
-            cores,
-            run_index=run_index,
-            network_fp=self._network_fp(),
-            fault_fp=self._fault_fp(plan),
+        child = Experiment(
+            scale_workload_volume(job.spec, job.volume_scale),
+            self.platform,
+            cache=self.cache,
+            network=self.network,
         )
-        measurement = self.cache.get_measurement(key)
-        if measurement is None:
-            measurement = measure_workload(
-                self.platform.cluster(nodes),
-                cores,
-                spec,
-                run_index=run_index,
-                network=self.network,
-                faults=plan,
-            )
-            self.cache.put_measurement(key, measurement)
-            if self.cache.path is not None:
-                self.cache.save()
+        misses_before = self._total_misses()
+        measurement = child.measure(
+            nodes, cores, run_index=run_index, faults=plan, resilience=None
+        )
+        if self.cache.path is not None and self._total_misses() > misses_before:
+            self.cache.save()
         if measurement.name != name:
             measurement = ApplicationMeasurement(
                 name=name, stages=measurement.stages
@@ -572,11 +561,7 @@ class Experiment:
                     measurement=measurement,
                 ),
             ),
-            device_utilizations=tuple(
-                (device, is_write, seconds / makespan)
-                for (device, is_write), seconds in sorted(busy.items())
-                if makespan > 0
-            ),
+            device_utilizations=busy_fractions(busy, makespan),
         )
 
     @staticmethod

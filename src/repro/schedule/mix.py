@@ -6,9 +6,15 @@ tasks onto the shared executor :class:`~repro.resources.SlotPool`s, and
 their I/O streams land on the very same HDFS-disk, local-disk, and NIC
 resources — so co-located stages contend under the registry's max-min
 filling and genuinely slow each other down.  Nothing about contention is
-re-modeled here: :class:`MixEngine` only adds admission, a per-node
-multi-queue, and per-job accounting on top of the single-job
-:class:`~repro.simulator.engine.SimulationEngine` event loop.
+re-modeled here: :class:`MixEngine` runs the single-job
+:class:`~repro.simulator.engine.SimulationEngine`'s event loop, launch
+scan, phase transitions and node-death requeue, and adds only
+
+- admission: one heap event per job arrival;
+- a per-node multi-queue with fifo/fair picking (the engine's
+  ``_next_task``, ``_queue_task`` and ``_take_queued`` hooks);
+- per-job stage barriers (the ``_task_done`` hook);
+- per-job core-time and iostat accounting.
 
 Scheduling policies
 -------------------
@@ -44,19 +50,24 @@ Semantics worth knowing:
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from collections import defaultdict, deque
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkModel
+from repro.cluster.node import Node
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.schedule.scheduler import SchedulingError
-from repro.simulator.engine import _EV_FAULT, SimulationEngine, _Running
-from repro.simulator.run import ApplicationMeasurement, StageMeasurement
+from repro.simulator.engine import SimulationEngine, _Running
+from repro.simulator.run import (
+    ApplicationMeasurement,
+    StageMeasurement,
+    busy_fractions,
+    record_stage,
+)
 from repro.simulator.task import SimTask
 from repro.storage.iostat import IostatCollector
 from repro.workloads.base import WorkloadSpec, scale_workload_volume
@@ -216,7 +227,13 @@ class _Job:
 
 class MixEngine(SimulationEngine):
     """The single-job event loop, extended with admission and a per-node
-    multi-queue.  All contention flows through the inherited registry."""
+    multi-queue.  All contention flows through the inherited registry.
+
+    A mix engine runs its jobs once: :meth:`run_mix`, then
+    :meth:`measurement`.
+    """
+
+    _unit = "job"
 
     def __init__(
         self,
@@ -227,7 +244,6 @@ class MixEngine(SimulationEngine):
         run_index: int = 0,
         network: NetworkModel | None = None,
         faults: FaultPlan | None = None,
-        max_events: int = 50_000_000,
     ) -> None:
         if policy not in MIX_POLICIES:
             raise SchedulingError(
@@ -235,10 +251,7 @@ class MixEngine(SimulationEngine):
             )
         if not jobs:
             raise SchedulingError("a mix needs at least one job")
-        super().__init__(
-            cluster, cores_per_node, network=network, faults=faults,
-            max_events=max_events,
-        )
+        super().__init__(cluster, cores_per_node, network=network, faults=faults)
         self.policy = policy
         self.run_index = run_index
         self._jitter_offset = run_index * _JITTER_STRIDE
@@ -259,56 +272,19 @@ class MixEngine(SimulationEngine):
         #: task_id -> owning job, filled at stage submission.
         self._task_job: dict[int, _Job] = {}
         #: node name -> {job index -> FIFO deque} — the multi-queue.
-        self._queues: dict[str, dict[int, deque[SimTask]]] = {}
-        self._unfinished_jobs = 0
-
-    # -- the mix event loop ------------------------------------------------
+        self._queues: dict[str, dict[int, deque[SimTask]]] = {
+            node.name: {} for node in cluster.slaves
+        }
 
     def run_mix(self) -> float:
         """Admit and execute every job; returns the mix makespan."""
-        self._heap = []
-        self._seq = itertools.count()
-        self._dirty_resources = {}
-        self._busy = {}
-        self._owner = {}
-        self._stalled = {}
-        self._freed_nodes = set()
-        self._dead_nodes = set()
-        self._active = {}
-        self._pending = {node.name: deque() for node in self.cluster.slaves}
-        self._queues = {node.name: {} for node in self.cluster.slaves}
-        self._task_job = {}
-        self._num_running = 0
-        self._remaining_tasks = 0
-        self._unfinished_jobs = len(self._jobs)
-        if self._injector is not None:
-            self._injector.reset()
-            for at_seconds, action in self._injector.initial_actions():
-                heapq.heappush(
-                    self._heap, (at_seconds, next(self._seq), _EV_FAULT, action, 0)
-                )
+        self._reset()
+        self._unfinished = len(self._jobs)
         for job in self._jobs:  # canonical order -> deterministic sequence
             heapq.heappush(
                 self._heap, (job.arrival, next(self._seq), _EV_ARRIVAL, job, 0)
             )
-        now = 0.0
-        events = 0
-        while self._unfinished_jobs > 0:
-            events += 1
-            if events > self.max_events:
-                raise SimulationError(
-                    f"exceeded {self.max_events} events; simulation is stuck"
-                )
-            batch = self._pop_batch()
-            if not batch:
-                self._raise_stuck()
-            dt = batch[0][0] - now
-            self._account_busy_time(dt)
-            now = batch[0][0]
-            for entry in batch:
-                self._process_entry(entry, now)
-            self._settle(now)
-        return now
+        return self._loop()
 
     def measurement(self, makespan: float) -> MixMeasurement:
         """The :class:`MixMeasurement` of a completed :meth:`run_mix`."""
@@ -334,12 +310,8 @@ class MixEngine(SimulationEngine):
             cores_per_node=self.cores_per_node,
             makespan=makespan,
             jobs=tuple(timelines),
-            device_utilizations=tuple(
-                (name, is_write, busy / makespan)
-                for (name, is_write), busy in sorted(
-                    self.device_busy_seconds.items()
-                )
-                if makespan > 0
+            device_utilizations=busy_fractions(
+                self.device_busy_seconds, makespan
             ),
         )
 
@@ -373,12 +345,12 @@ class MixEngine(SimulationEngine):
             )
         job.iteration_remaining = len(tasks)
         job.stage_tasks.extend(tasks)
-        self._remaining_tasks += len(tasks)
         for index, task in enumerate(tasks):
             self._task_job[task.task_id] = job
-            queues = self._queues[targets[index % len(targets)].name]
-            queues.setdefault(job.index, deque()).append(task)
+            self._queue_task(task, targets[index % len(targets)])
         self._freed_nodes.update(node.name for node in targets)
+
+    # -- the multi-queue ---------------------------------------------------
 
     def _pick_job(self, queues: dict[int, deque[SimTask]]) -> _Job | None:
         """The scheduling policy: which queued job launches next here."""
@@ -392,53 +364,37 @@ class MixEngine(SimulationEngine):
                 best = job
         return best
 
-    def _launch_waiting(self, now: float, freed: set[str]) -> None:
-        for node in self.cluster.slaves:
-            if node.name not in freed:
-                continue
-            freed.remove(node.name)
-            if node.name in self._dead_nodes:
-                continue
-            queues = self._queues[node.name]
-            pool = self._cores[node.name]
-            while pool.free > 0:
-                job = self._pick_job(queues)
-                if job is None:
-                    break
-                task = queues[job.index].popleft()
-                if not queues[job.index]:
-                    del queues[job.index]
-                pool.acquire()
-                self._num_running += 1
-                job.num_running += 1
-                if job.first_launch < 0:
-                    job.first_launch = now
-                task.start_time = now
-                running = _Running(task=task, node=node)
-                if not self._enter_phase(running, now):
-                    pool.release()
-                    self._num_running -= 1
-                    job.num_running -= 1
-                    self._task_finished(job, now)
-                    self._freed_nodes.add(node.name)
-                else:
-                    self._active[id(running)] = running
+    def _next_task(self, node: Node, now: float) -> SimTask | None:
+        """The head of the picked job's queue here; the launch counts
+        toward that job's running tasks."""
+        queues = self._queues[node.name]
+        job = self._pick_job(queues)
+        if job is None:
+            return None
+        task = queues[job.index].popleft()
+        if not queues[job.index]:
+            del queues[job.index]
+        job.num_running += 1
+        if job.first_launch < 0:
+            job.first_launch = now
+        return task
 
-    def _transition(self, running: _Running, now: float) -> None:
-        running.epoch += 1
-        running.phase_index += 1
-        if not self._enter_phase(running, now):
-            self._active.pop(id(running), None)
-            self._cores[running.node.name].release()
-            self._num_running -= 1
-            job = self._task_job[running.task.task_id]
-            job.num_running -= 1
-            self._task_finished(job, now)
-            self._freed_nodes.add(running.node.name)
+    def _queue_task(self, task: SimTask, node: Node) -> None:
+        job = self._task_job[task.task_id]
+        self._queues[node.name].setdefault(job.index, deque()).append(task)
 
-    def _task_finished(self, job: _Job, now: float) -> None:
+    def _take_queued(self, name: str) -> list[SimTask]:
+        queues = self._queues[name]
+        tasks = [task for index in sorted(queues) for task in queues[index]]
+        queues.clear()
+        return tasks
+
+    # -- per-job barriers and accounting -----------------------------------
+
+    def _task_done(self, running: _Running, now: float) -> None:
         """Advance the job's barrier: next iteration, next stage, or done."""
-        self._remaining_tasks -= 1
+        job = self._task_job[running.task.task_id]
+        job.num_running -= 1
         job.iteration_remaining -= 1
         if job.iteration_remaining > 0:
             return
@@ -455,56 +411,32 @@ class MixEngine(SimulationEngine):
         else:
             job.done = True
             job.finish = now
-            self._unfinished_jobs -= 1
+            self._unfinished -= 1
 
     def _finish_stage(self, job: _Job, stage_name: str, now: float) -> None:
         """Close the job's stage window into a StageMeasurement.
 
-        Mirrors :func:`repro.simulator.run.run_stage`, except times are
-        windows on the mix clock and device utilization is cluster-wide
-        only (shared devices are not attributable to one job).
+        The record :func:`~repro.simulator.run.run_stage` builds, over a
+        window of the mix clock; device utilization is cluster-wide only
+        (shared devices are not attributable to one job).
         """
-        tasks = job.stage_tasks
-        makespan = now - job.stage_start
-        durations: dict[str, list[float]] = defaultdict(list)
-        for task in tasks:
-            durations[task.group].append(task.duration)
-        samples = []
-        for device_name in job.iostat.devices():
-            for is_write in (False, True):
-                sample = job.iostat.sample(device_name, is_write)
-                if sample.num_requests > 0:
-                    samples.append(sample)
-        core_seconds = job.core_busy - job.stage_core_anchor
-        capacity = makespan * self.cluster.num_slaves * self.cores_per_node
         job.stages.append(
-            StageMeasurement(
-                name=stage_name,
+            record_stage(
+                stage_name,
+                job.stage_tasks,
                 nodes=self.cluster.num_slaves,
                 cores_per_node=self.cores_per_node,
-                makespan=makespan,
-                num_tasks=len(tasks),
-                task_avg_seconds={
-                    group: sum(values) / len(values)
-                    for group, values in durations.items()
-                },
-                task_counts={
-                    group: len(values) for group, values in durations.items()
-                },
-                first_finish_seconds=(
-                    min(t.finish_time for t in tasks) - job.stage_start
-                ),
-                read_bytes=sum(t.io_bytes(is_write=False) for t in tasks),
-                write_bytes=sum(t.io_bytes(is_write=True) for t in tasks),
-                iostat_samples=tuple(samples),
-                avg_gc_seconds=sum(t.gc_seconds for t in tasks) / len(tasks),
-                core_utilization=(
-                    core_seconds / capacity if capacity > 0 else 0.0
-                ),
+                start=job.stage_start,
+                makespan=now - job.stage_start,
+                iostat=job.iostat,
+                core_seconds=job.core_busy - job.stage_core_anchor,
             )
         )
 
-    # -- per-job accounting hooks ------------------------------------------
+    def _cancel_attempt(self, running: _Running, release_slot: bool = True) -> None:
+        """A node death cancels the attempt: its job runs one task fewer."""
+        super()._cancel_attempt(running, release_slot)
+        self._task_job[running.task.task_id].num_running -= 1
 
     def _account_busy_time(self, dt: float) -> None:
         super()._account_busy_time(dt)
@@ -521,56 +453,6 @@ class MixEngine(SimulationEngine):
             super()._open_io(running, phase, now)
         finally:
             self.iostat = None
-
-    # -- node death under multi-tenancy ------------------------------------
-
-    def _kill_node(self, name: str, now: float) -> None:
-        """Node death with per-job requeue: every job's in-flight and
-        pending tasks on the dead node restart round-robin on survivors."""
-        if name in self._dead_nodes:
-            return
-        self._dead_nodes.add(name)
-        survivors = [
-            node for node in self.cluster.slaves
-            if node.name not in self._dead_nodes
-        ]
-        requeue: list[SimTask] = []
-        for running in [r for r in self._active.values() if r.node.name == name]:
-            running.epoch += 1
-            for stream in running.streams:
-                stream.epoch += 1
-                self._stalled.pop(stream.stream_id, None)
-                self._owner.pop(stream.stream_id, None)
-                for resource in list(stream.resources):
-                    resource.detach(stream, rebalance=False)
-                    self._mark_dirty(resource)
-            running.streams.clear()
-            running.open_streams = 0
-            del self._active[id(running)]
-            self._num_running -= 1
-            self._task_job[running.task.task_id].num_running -= 1
-            task = running.task
-            task.start_time = -1.0
-            task.finish_time = -1.0
-            requeue.append(task)
-        queues = self._queues[name]
-        for job_index in sorted(queues):
-            requeue.extend(queues[job_index])
-        queues.clear()
-        if not survivors:
-            if self._unfinished_jobs > 0:
-                raise SimulationError(
-                    f"node {name} died leaving no live nodes with"
-                    f" {self._unfinished_jobs} job(s) unfinished"
-                )
-            return
-        requeue.sort(key=lambda t: t.task_id)
-        for index, task in enumerate(requeue):
-            target = survivors[index % len(survivors)]
-            job = self._task_job[task.task_id]
-            self._queues[target.name].setdefault(job.index, deque()).append(task)
-        if requeue:
-            self._freed_nodes.update(node.name for node in survivors)
 
 
 def measure_mix(

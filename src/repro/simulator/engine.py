@@ -74,6 +74,10 @@ from repro.storage.iostat import IostatCollector
 _BYTE_EPS = 1e-6
 _TIME_EPS = 1e-9
 
+#: The stuck-loop guard: a run that processes more event batches than
+#: this raises instead of spinning.
+MAX_EVENTS = 50_000_000
+
 #: Heap entry kinds.
 _EV_STREAM = 0
 _EV_COMPUTE = 1
@@ -119,6 +123,10 @@ class _TaskRecord:
     """
 
     task: SimTask
+    #: The task's position in its stage's task-id order: the number a
+    #: :class:`StageFailedError` names it by, whatever ids the process
+    #: handed out before.
+    index: int
     completed: bool = False
     #: Consecutive failures in the current attempt budget (reset when a
     #: stage re-attempt grants a fresh one).
@@ -135,14 +143,25 @@ class _TaskRecord:
 
 
 class SimulationEngine:
-    """Runs task sets on a cluster with ``P`` executor cores per node."""
+    """Runs task sets on a cluster with ``P`` executor cores per node.
+
+    The engine owns the event loop, the launch scan, phase transitions
+    and node death.  A subclass changes what it needs through four
+    hooks: :meth:`_next_task`, :meth:`_queue_task` and
+    :meth:`_take_queued` say which queued task a node launches next and
+    where a requeued task goes, and :meth:`_task_done` says what a
+    finished task means.  :class:`~repro.schedule.mix.MixEngine` uses
+    them to run several jobs at once.
+    """
+
+    #: What :meth:`_loop` counts down (named in error messages).
+    _unit = "task"
 
     def __init__(
         self,
         cluster: Cluster,
         cores_per_node: int,
         iostat: IostatCollector | None = None,
-        max_events: int = 50_000_000,
         network: NetworkModel | None = None,
         faults: FaultPlan | None = None,
         resilience: ResiliencePolicy | None = None,
@@ -159,7 +178,6 @@ class SimulationEngine:
         self.cluster = cluster
         self.cores_per_node = cores_per_node
         self.iostat = iostat
-        self.max_events = max_events
         self.network = network
         self.registry = ResourceRegistry()
         self._cores: dict[str, SlotPool] = {}
@@ -199,11 +217,6 @@ class SimulationEngine:
                 )
             elif isinstance(resource, LinkResource):
                 self._busy_keys[id(resource)] = (resource.name, False)
-        #: Seconds each (device name, is_write) direction had >= 1 active
-        #: stream, accumulated by :meth:`run`.
-        self.device_busy_seconds: dict[tuple[str, bool], float] = {}
-        #: Core-seconds occupied by tasks (held during I/O and compute).
-        self.core_busy_seconds: float = 0.0
         # -- fault injection ------------------------------------------------
         self.faults = faults
         self._injector: FaultInjector | None = None
@@ -217,7 +230,15 @@ class SimulationEngine:
         self.resilience = resilience
         self._rpolicy = resilience
         self.stage_name = stage_name
-        # -- per-run state (reset in :meth:`run`) --------------------------
+        self._reset()
+
+    def _reset(self) -> None:
+        """Clear the per-run state, then arm the fault plan's first actions."""
+        #: Seconds each (device name, is_write) direction had >= 1 active
+        #: stream over the last run.
+        self.device_busy_seconds: dict[tuple[str, bool], float] = {}
+        #: Core-seconds occupied by tasks (held during I/O and compute).
+        self.core_busy_seconds: float = 0.0
         self._heap: list[tuple] = []
         self._seq = itertools.count()
         self._dirty_resources: dict[int, Resource] = {}
@@ -229,6 +250,13 @@ class SimulationEngine:
         self._freed_nodes: set[str] = set()
         self._dead_nodes: set[str] = set()
         self._active: dict[int, _Running] = {}
+        self._pending: dict[str, deque[SimTask]] = {
+            node.name: deque() for node in self.cluster.slaves
+        }
+        self._num_running = 0
+        #: Work the loop runs until none is left (see ``_unit``).
+        self._unfinished = 0
+        # -- resilience (inert without a policy) ---------------------------
         self._records: dict[int, _TaskRecord] = {}
         self._records_order: list[_TaskRecord] = []
         self._finished_durations: list[float] = []
@@ -236,12 +264,23 @@ class SimulationEngine:
         self._spec_candidates: list[_TaskRecord] = []
         self._stall_failed: list[_Running] = []
         self._blacklist: ExecutorBlacklist | None = None
+        if self._rpolicy is not None and self._rpolicy.blacklist is not None:
+            self._blacklist = ExecutorBlacklist(
+                self._rpolicy.blacklist.max_node_strikes,
+                [node.name for node in self.cluster.slaves],
+            )
         self._res_attempts = 0
         self._res_spec_launched = 0
         self._res_spec_wins = 0
         self._res_retries = 0
         self._res_reattempts = 0
         self._res_backoff = 0.0
+        if self._injector is not None:
+            self._injector.reset()
+            for at_seconds, action in self._injector.initial_actions():
+                heapq.heappush(
+                    self._heap, (at_seconds, next(self._seq), _EV_FAULT, action, 0)
+                )
 
     # -- resource resolution ----------------------------------------------
 
@@ -270,64 +309,31 @@ class SimulationEngine:
         if not tasks:
             return 0.0
         tasks = sorted(tasks, key=lambda t: t.task_id)
-        pending: dict[str, deque[SimTask]] = {
-            node.name: deque() for node in self.cluster.slaves
-        }
+        self._reset()
+        slaves = self.cluster.slaves
         for index, task in enumerate(tasks):
-            node = self.cluster.slaves[index % self.cluster.num_slaves]
-            pending[node.name].append(task)
-
-        self._heap = []
-        self._seq = itertools.count()
-        self._dirty_resources = {}
-        self._busy = {}
-        self._owner = {}
-        self._stalled = {}
-        self._freed_nodes = set()
-        self._dead_nodes = set()
-        self._active = {}
-        self._pending = pending
-        self._remaining_tasks = len(tasks)
-        self._num_running = 0
+            self._pending[slaves[index % len(slaves)].name].append(task)
         if self._rpolicy is not None:
-            self._records = {}
-            self._records_order = []
-            for task in tasks:
-                record = _TaskRecord(task=task)
+            for index, task in enumerate(tasks):
+                record = _TaskRecord(task=task, index=index)
                 self._records[task.task_id] = record
                 self._records_order.append(record)
-            self._finished_durations = []
             self._total_tasks = len(tasks)
-            self._spec_candidates = []
-            self._stall_failed = []
-            self._res_attempts = 0
-            self._res_spec_launched = 0
-            self._res_spec_wins = 0
-            self._res_retries = 0
-            self._res_reattempts = 0
-            self._res_backoff = 0.0
-            self._blacklist = None
-            if self._rpolicy.blacklist is not None:
-                self._blacklist = ExecutorBlacklist(
-                    self._rpolicy.blacklist.max_node_strikes,
-                    [node.name for node in self.cluster.slaves],
-                )
-        if self._injector is not None:
-            self._injector.reset()
-            for at_seconds, action in self._injector.initial_actions():
-                heapq.heappush(
-                    self._heap, (at_seconds, next(self._seq), _EV_FAULT, action, 0)
-                )
+        self._unfinished = len(tasks)
+        self._launch_waiting(0.0, set(self._pending))
+        return self._loop()
 
+    def _loop(self) -> float:
+        """Process event batches from t = 0 until no work is unfinished;
+        returns the time of the last batch."""
         now = 0.0
-        self._launch_waiting(now, set(pending))
         self._settle(now)
         events = 0
-        while self._remaining_tasks > 0:
+        while self._unfinished > 0:
             events += 1
-            if events > self.max_events:
+            if events > MAX_EVENTS:
                 raise SimulationError(
-                    f"exceeded {self.max_events} events; simulation is stuck"
+                    f"exceeded {MAX_EVENTS} events; simulation is stuck"
                 )
             batch = self._pop_batch()
             if not batch:
@@ -413,14 +419,15 @@ class SimulationEngine:
 
         In-flight tasks lose all progress (their streams are detached and
         their compute abandoned) and are re-queued from scratch, together
-        with the dead node's pending queue, round-robin across the
-        surviving nodes — Spark's task re-execution on executor loss.
+        with the dead node's queued tasks, round-robin across the
+        surviving nodes in task-id order — Spark's task re-execution on
+        executor loss.
 
         With a resilience policy, in-flight attempts instead *fail*: each
         is charged against its task's attempt budget and resubmitted
         after the modeled backoff (never to the dead node), escalating to
         stage re-attempts and :class:`~repro.errors.StageFailedError`.
-        Pending tasks never started, so they move without a charge.
+        Queued tasks never started, so they move without a charge.
         """
         if name in self._dead_nodes:
             return
@@ -428,61 +435,37 @@ class SimulationEngine:
         survivors = [
             node for node in self.cluster.slaves if node.name not in self._dead_nodes
         ]
-        if self._rpolicy is not None:
-            if not survivors and self._remaining_tasks > 0:
+        if not survivors:
+            if self._unfinished > 0:
                 raise SimulationError(
                     f"node {name} died leaving no live nodes with"
-                    f" {self._remaining_tasks} task(s) unfinished"
+                    f" {self._unfinished} {self._unit}(s) unfinished"
                 )
-            doomed = [r for r in self._active.values() if r.node.name == name]
+            return
+        doomed = [r for r in self._active.values() if r.node.name == name]
+        if self._rpolicy is not None:
             doomed.sort(key=lambda r: (r.task.task_id, r.speculative))
             for running in doomed:
                 self._fail_attempt(
                     running, now, f"node {name} died", release_slot=False
                 )
-            queue = self._pending[name]
-            moved = sorted(queue, key=lambda t: t.task_id)
-            queue.clear()
-            if moved:
-                targets = [node for node in self._eligible_nodes()
-                           if node.name != name]
-                for index, task in enumerate(moved):
-                    self._pending[targets[index % len(targets)].name].append(task)
-                self._freed_nodes.update(node.name for node in targets)
-            return
-        requeue: list[SimTask] = []
-        for running in [r for r in self._active.values() if r.node.name == name]:
-            running.epoch += 1  # drop any scheduled compute entry
-            for stream in running.streams:
-                stream.epoch += 1  # drop any scheduled stream entry
-                self._stalled.pop(stream.stream_id, None)
-                self._owner.pop(stream.stream_id, None)
-                for resource in list(stream.resources):
-                    resource.detach(stream, rebalance=False)
-                    self._mark_dirty(resource)
-            running.streams.clear()
-            running.open_streams = 0
-            del self._active[id(running)]
-            self._num_running -= 1
-            task = running.task
-            task.start_time = -1.0
-            task.finish_time = -1.0
-            requeue.append(task)
-        queue = self._pending[name]
-        requeue.extend(queue)
-        queue.clear()
-        if not survivors:
-            if self._remaining_tasks > 0:
-                raise SimulationError(
-                    f"node {name} died leaving no live nodes with"
-                    f" {self._remaining_tasks} task(s) unfinished"
-                )
-            return
-        requeue.sort(key=lambda t: t.task_id)
-        for index, task in enumerate(requeue):
-            self._pending[survivors[index % len(survivors)].name].append(task)
-        if requeue:
-            self._freed_nodes.update(node.name for node in survivors)
+            moved = self._take_queued(name)
+            targets = [node for node in self._eligible_nodes()
+                       if node.name != name]
+        else:
+            moved = []
+            for running in doomed:
+                self._cancel_attempt(running, release_slot=False)
+                running.task.start_time = -1.0
+                running.task.finish_time = -1.0
+                moved.append(running.task)
+            moved.extend(self._take_queued(name))
+            targets = survivors
+        moved.sort(key=lambda t: t.task_id)
+        for index, task in enumerate(moved):
+            self._queue_task(task, targets[index % len(targets)])
+        if moved:
+            self._freed_nodes.update(node.name for node in targets)
 
     def _complete_stream(self, stream: SharedStream, now: float) -> None:
         stream.epoch += 1  # invalidate any scheduled entry
@@ -497,18 +480,19 @@ class SimulationEngine:
             self._transition(running, now)
 
     def _transition(self, running: _Running, now: float) -> None:
-        """Move a task past its completed phase; free its slot if done."""
+        """Move a task past its completed phase; complete it if done."""
         running.epoch += 1
         running.phase_index += 1
         if not self._enter_phase(running, now):
-            self._active.pop(id(running), None)
-            self._cores[running.node.name].release()
-            self._num_running -= 1
-            if self._rpolicy is None:
-                self._remaining_tasks -= 1
-            else:
-                self._finish_task(running, now)
-            self._freed_nodes.add(running.node.name)
+            self._complete(running, now)
+
+    def _complete(self, running: _Running, now: float) -> None:
+        """An attempt ran out of phases: free its core, record the task done."""
+        self._active.pop(id(running), None)
+        self._cores[running.node.name].release()
+        self._num_running -= 1
+        self._task_done(running, now)
+        self._freed_nodes.add(running.node.name)
 
     def _launch_waiting(self, now: float, freed: set[str]) -> None:
         """Start queued tasks on the free cores of the nodes in ``freed``.
@@ -526,34 +510,74 @@ class SimulationEngine:
             freed.remove(node.name)
             if node.name in self._dead_nodes:
                 continue
-            queue = self._pending[node.name]
             pool = self._cores[node.name]
-            while queue and pool.free > 0:
-                task = queue.popleft()
+            while pool.free > 0:
+                task = self._next_task(node, now)
+                if task is None:
+                    break
                 pool.acquire()
                 self._num_running += 1
                 task.start_time = now
-                if self._rpolicy is None:
-                    running = _Running(task=task, node=node)
-                else:
-                    record = self._records[task.task_id]
-                    running = _Running(
-                        task=task, node=node, attempt_start=now, record=record
-                    )
+                record = (
+                    self._records[task.task_id] if self._rpolicy is not None else None
+                )
+                running = _Running(
+                    task=task, node=node, attempt_start=now, record=record
+                )
+                if record is not None:
                     record.running.append(running)
                     self._res_attempts += 1
                 if not self._enter_phase(running, now):
-                    pool.release()
-                    self._num_running -= 1
-                    if self._rpolicy is None:
-                        self._remaining_tasks -= 1
-                    else:
-                        self._finish_task(running, now)
-                        self._freed_nodes.add(node.name)
+                    self._complete(running, now)
                 else:
                     self._active[id(running)] = running
-                    if self._rpolicy is not None:
+                    if record is not None:
                         self._arm_spec_check(running, now)
+
+    # -- what a subclass may change ----------------------------------------
+
+    def _next_task(self, node: Node, now: float) -> SimTask | None:
+        """Pop the task ``node`` launches at ``now``: the head of its queue
+        (``None`` when nothing is queued there)."""
+        queue = self._pending[node.name]
+        return queue.popleft() if queue else None
+
+    def _queue_task(self, task: SimTask, node: Node) -> None:
+        """Queue a (re)submitted task on ``node``."""
+        self._pending[node.name].append(task)
+
+    def _take_queued(self, name: str) -> list[SimTask]:
+        """Remove and return every task queued on node ``name``."""
+        queue = self._pending[name]
+        tasks = list(queue)
+        queue.clear()
+        return tasks
+
+    def _task_done(self, running: _Running, now: float) -> None:
+        """What a finished attempt means: one fewer task is unfinished.
+
+        Under a resilience policy the first finisher wins: the task
+        completes, its twin attempts are cancelled, and speculation
+        re-examines the stragglers.
+        """
+        record = running.record
+        if record is None:
+            self._unfinished -= 1
+            return
+        if running in record.running:
+            record.running.remove(running)
+        record.completed = True
+        task = running.task
+        task.start_time = running.attempt_start
+        if running.speculative:
+            self._res_spec_wins += 1
+        for loser in list(record.running):
+            self._cancel_attempt(loser)
+        record.running.clear()
+        self._unfinished -= 1
+        if self._rpolicy is not None and self._rpolicy.speculation is not None:
+            self._finished_durations.append(now - running.attempt_start)
+            self._update_speculation(now)
 
     def _settle(self, now: float) -> None:
         """Launch onto freed slots and re-balance dirty resources, to fixpoint.
@@ -687,7 +711,7 @@ class SimulationEngine:
         """Zero rate with work remaining: one strike, then a hard error.
 
         A second consecutive zero-rate allocation can never finish — fail
-        loudly naming the culprit instead of hanging until ``max_events``.
+        loudly naming the culprit instead of hanging until ``MAX_EVENTS``.
         With a retry policy the stall becomes a *task failure* instead:
         the second strike defers the owning attempt to :meth:`_settle`
         (this runs mid-rebalance, so streams cannot be detached here),
@@ -761,11 +785,9 @@ class SimulationEngine:
         ]
         if not self._blacklist.strike(name, survivors=alive):
             return
-        queue = self._pending.get(name)
-        if not queue:
+        moved = sorted(self._take_queued(name), key=lambda t: t.task_id)
+        if not moved:
             return
-        moved = sorted(queue, key=lambda t: t.task_id)
-        queue.clear()
         targets = [node for node in self._eligible_nodes() if node.name != name]
         if not targets:  # pragma: no cover - exclusion guarantees a survivor
             targets = [
@@ -773,7 +795,7 @@ class SimulationEngine:
                 if node.name not in self._dead_nodes and node.name != name
             ]
         for index, task in enumerate(moved):
-            self._pending[targets[index % len(targets)].name].append(task)
+            self._queue_task(task, targets[index % len(targets)])
         self._freed_nodes.update(node.name for node in targets)
 
     def _cancel_attempt(self, running: _Running, release_slot: bool = True) -> None:
@@ -828,7 +850,7 @@ class SimulationEngine:
             if record.stage_reattempts >= retry.max_stage_attempts:
                 raise StageFailedError(
                     self.stage_name,
-                    record.task.task_id,
+                    record.index,
                     failures,
                     record.stage_reattempts,
                     reason,
@@ -846,7 +868,7 @@ class SimulationEngine:
         if record.completed or record.running:
             return
         target = self._retry_target(record)
-        self._pending[target.name].append(record.task)
+        self._queue_task(record.task, target)
         self._freed_nodes.add(target.name)
 
     def _retry_target(self, record: _TaskRecord) -> Node:
@@ -884,25 +906,6 @@ class SimulationEngine:
                 self._fail_attempt(running, now, "stream stalled at zero rate")
                 failed = True
         return failed
-
-    def _finish_task(self, running: _Running, now: float) -> None:
-        """First finisher wins: complete the task, cancel the losers."""
-        record = running.record
-        assert record is not None
-        if running in record.running:
-            record.running.remove(running)
-        record.completed = True
-        task = running.task
-        task.start_time = running.attempt_start
-        if running.speculative:
-            self._res_spec_wins += 1
-        for loser in list(record.running):
-            self._cancel_attempt(loser)
-        record.running.clear()
-        self._remaining_tasks -= 1
-        if self._rpolicy is not None and self._rpolicy.speculation is not None:
-            self._finished_durations.append(now - running.attempt_start)
-            self._update_speculation(now)
 
     def _arm_spec_check(self, running: _Running, now: float) -> None:
         """Schedule the straggler check for a freshly launched attempt.
@@ -1032,10 +1035,7 @@ class SimulationEngine:
             )
             record.running.append(running)
             if not self._enter_phase(running, now):
-                pool.release()
-                self._num_running -= 1
-                self._finish_task(running, now)
-                self._freed_nodes.add(target.name)
+                self._complete(running, now)
             else:
                 self._active[id(running)] = running
         self._spec_candidates = still

@@ -9,6 +9,7 @@ totals per direction, and iostat request-size samples.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.cluster.cluster import Cluster
@@ -112,6 +113,75 @@ class ApplicationMeasurement:
         raise SimulationError(f"{self.name}: no measured stage named {name!r}")
 
 
+def busy_fractions(
+    busy_seconds: Mapping[tuple[str, bool], float], makespan: float
+) -> tuple[tuple[str, bool, float], ...]:
+    """``(resource name, is_write, busy / makespan)`` per busy direction,
+    sorted; empty for a zero makespan."""
+    if not makespan > 0:
+        return ()
+    return tuple(
+        (name, is_write, busy / makespan)
+        for (name, is_write), busy in sorted(busy_seconds.items())
+    )
+
+
+def record_stage(
+    name: str,
+    tasks: Sequence[SimTask],
+    nodes: int,
+    cores_per_node: int,
+    makespan: float,
+    iostat: IostatCollector,
+    core_seconds: float,
+    start: float = 0.0,
+    device_utilizations: tuple[tuple[str, bool, float], ...] = (),
+    resilience: StageResilience | None = None,
+) -> StageMeasurement:
+    """The measurement record of a stage whose ``tasks`` have all run.
+
+    The stage ran from ``start`` (on the engine's clock) for ``makespan``
+    seconds, its tasks occupying ``core_seconds`` of core time; ``iostat``
+    holds the requests of its I/O phases.
+    """
+    durations_by_group: dict[str, list[float]] = defaultdict(list)
+    for task in tasks:
+        durations_by_group[task.group].append(task.duration)
+    samples = []
+    for device_name in iostat.devices():
+        for is_write in (False, True):
+            sample = iostat.sample(device_name, is_write)
+            if sample.num_requests > 0:
+                samples.append(sample)
+    capacity = makespan * nodes * cores_per_node
+    return StageMeasurement(
+        name=name,
+        nodes=nodes,
+        cores_per_node=cores_per_node,
+        makespan=makespan,
+        num_tasks=len(tasks),
+        task_avg_seconds={
+            group: sum(values) / len(values)
+            for group, values in durations_by_group.items()
+        },
+        task_counts={
+            group: len(values) for group, values in durations_by_group.items()
+        },
+        first_finish_seconds=(
+            min((t.finish_time for t in tasks), default=start) - start
+        ),
+        read_bytes=sum(t.io_bytes(is_write=False) for t in tasks),
+        write_bytes=sum(t.io_bytes(is_write=True) for t in tasks),
+        iostat_samples=tuple(samples),
+        avg_gc_seconds=(
+            sum(t.gc_seconds for t in tasks) / len(tasks) if tasks else 0.0
+        ),
+        core_utilization=core_seconds / capacity if makespan > 0 else 0.0,
+        device_utilizations=device_utilizations,
+        resilience=resilience,
+    )
+
+
 def run_stage(
     cluster: Cluster,
     cores_per_node: int,
@@ -136,44 +206,15 @@ def run_stage(
         resilience=resilience, stage_name=name,
     )
     makespan = engine.run(tasks)
-
-    durations_by_group: dict[str, list[float]] = defaultdict(list)
-    for task in tasks:
-        durations_by_group[task.group].append(task.duration)
-    task_avg = {
-        group: sum(values) / len(values)
-        for group, values in durations_by_group.items()
-    }
-    task_counts = {group: len(values) for group, values in durations_by_group.items()}
-    samples = []
-    for device_name in iostat.devices():
-        for is_write in (False, True):
-            sample = iostat.sample(device_name, is_write)
-            if sample.num_requests > 0:
-                samples.append(sample)
-    return StageMeasurement(
-        name=name,
+    return record_stage(
+        name,
+        tasks,
         nodes=cluster.num_slaves,
         cores_per_node=cores_per_node,
         makespan=makespan,
-        num_tasks=len(tasks),
-        task_avg_seconds=task_avg,
-        task_counts=task_counts,
-        first_finish_seconds=min((t.finish_time for t in tasks), default=0.0),
-        read_bytes=sum(t.io_bytes(is_write=False) for t in tasks),
-        write_bytes=sum(t.io_bytes(is_write=True) for t in tasks),
-        iostat_samples=tuple(samples),
-        avg_gc_seconds=(
-            sum(t.gc_seconds for t in tasks) / len(tasks) if tasks else 0.0
-        ),
-        core_utilization=engine.core_utilization(makespan),
-        device_utilizations=tuple(
-            (device_name, is_write, busy / makespan)
-            for (device_name, is_write), busy in sorted(
-                engine.device_busy_seconds.items()
-            )
-            if makespan > 0
-        ),
+        iostat=iostat,
+        core_seconds=engine.core_busy_seconds,
+        device_utilizations=busy_fractions(engine.device_busy_seconds, makespan),
         resilience=engine.resilience_summary(),
     )
 

@@ -6,13 +6,15 @@ subpackage reproduces each piece:
 
 - :mod:`repro.storage.device` — HDD/SSD models whose effective bandwidth
   depends on the request size, anchored to the paper's fio measurements.
-- :mod:`repro.storage.queue` — processor-sharing contention when several
-  cores hit the same device (the mechanism behind ``b = BW / T``).
 - :mod:`repro.storage.fio` — a fio-style microbenchmark producing Fig. 5.
 - :mod:`repro.storage.iostat` — request-size statistics (``avgrq-sz``).
 - :mod:`repro.storage.hdfs` — HDFS files, 128 MB blocks, replication.
 - :mod:`repro.storage.local` — the Spark-local directory for shuffle and
   persisted RDD files.
+
+Contention when several cores hit the same device (the mechanism behind
+``b = BW / T``) is :class:`repro.resources.DeviceResource`'s water-filling,
+one resource per device direction.
 """
 
 from repro.storage.device import (
@@ -24,7 +26,6 @@ from repro.storage.device import (
     SSD_READ_ANCHORS,
     SSD_WRITE_ANCHORS,
 )
-from repro.storage.queue import DeviceQueue, IoStream
 from repro.storage.fio import FioResult, run_fio_sweep
 from repro.storage.iostat import IostatCollector, IostatSample
 from repro.storage.hdfs import Hdfs, HdfsFile
@@ -38,8 +39,6 @@ __all__ = [
     "HDD_WRITE_ANCHORS",
     "SSD_READ_ANCHORS",
     "SSD_WRITE_ANCHORS",
-    "DeviceQueue",
-    "IoStream",
     "FioResult",
     "run_fio_sweep",
     "IostatCollector",

@@ -3,16 +3,17 @@
 The paper uses ``fio`` to measure IOPS and effective bandwidth at a sweep
 of read block sizes on both devices (Section III-C1).  Against our device
 models the "measurement" is a direct query of the effective-bandwidth
-curves, optionally with several concurrent jobs to exercise the
-processor-sharing queue exactly the way fio's ``numjobs`` does.
+curves, optionally with several concurrent jobs sharing the device's
+bandwidth exactly the way fio's ``numjobs`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.resources.resource import DeviceResource
+from repro.resources.stream import SharedStream
 from repro.storage.device import StorageDevice
-from repro.storage.queue import DeviceQueue, IoStream
 from repro.units import KB, MB
 
 #: The block-size sweep used for Fig. 5 (4 KB ... 128 MB).
@@ -53,20 +54,21 @@ def run_fio_point(
     """Measure one (device, block size) point, like a single fio job spec.
 
     With ``num_jobs > 1`` the aggregate bandwidth is obtained by attaching
-    that many uncapped streams to a :class:`DeviceQueue` and summing their
-    allocated rates — which, by construction of the queue, equals the
-    device's effective bandwidth at the block size.
+    that many uncapped streams to the device direction's
+    :class:`~repro.resources.resource.DeviceResource` and summing their
+    allocated rates — which, by water-filling, equals the device's
+    effective bandwidth at the block size.
     """
-    queue = DeviceQueue(device)
+    resource = DeviceResource(device, is_write)
     streams = [
-        IoStream(remaining_bytes=1.0, request_size=block_size, is_write=is_write)
+        SharedStream(remaining_bytes=1.0, request_size=block_size)
         for _ in range(max(1, num_jobs))
     ]
     for stream in streams:
-        queue.attach(stream)
+        resource.attach(stream)
     aggregate = sum(stream.rate for stream in streams)
     for stream in streams:
-        queue.detach(stream)
+        resource.detach(stream)
     return FioResult(
         device_name=device.name,
         block_size=block_size,

@@ -1,5 +1,6 @@
-"""Property-based tests for the processor-sharing device queue and the
-generic resource layer beneath it."""
+"""Property-based tests for a storage device's two I/O queues (one
+:class:`~repro.resources.resource.DeviceResource` per direction) and the
+generic resource layer beneath them."""
 
 import math
 
@@ -13,7 +14,6 @@ from repro.resources import (
     rebalance_coupled,
 )
 from repro.storage.device import make_ssd
-from repro.storage.queue import DeviceQueue, IoStream
 from repro.units import KB, MB
 
 from tests.properties.strategies import PROPERTY_SETTINGS
@@ -30,25 +30,29 @@ stream_specs = st.lists(
 
 
 def build_queue(specs):
-    queue = DeviceQueue(make_ssd())
+    """A device's read and write queues holding one stream per spec;
+    returns the queues by direction and ``(is_write, stream)`` pairs."""
+    device = make_ssd()
+    queues = {
+        is_write: DeviceResource(device, is_write) for is_write in (False, True)
+    }
     streams = []
     for request_size, cap, is_write in specs:
-        stream = IoStream(
+        stream = SharedStream(
             remaining_bytes=1 * MB,
             request_size=request_size,
-            is_write=is_write,
             per_stream_cap=cap,
         )
-        queue.attach(stream)
-        streams.append(stream)
-    return queue, streams
+        queues[is_write].attach(stream)
+        streams.append((is_write, stream))
+    return queues, streams
 
 
 @given(specs=stream_specs)
 @settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_rates_never_exceed_caps(specs):
     _, streams = build_queue(specs)
-    for stream in streams:
+    for _, stream in streams:
         if stream.per_stream_cap is not None:
             assert stream.rate <= stream.per_stream_cap * (1 + 1e-9)
 
@@ -58,9 +62,9 @@ def test_rates_never_exceed_caps(specs):
 def test_aggregate_within_device_capacity(specs):
     """Per direction, allocated rates never exceed the effective bandwidth
     at the smallest active request size."""
-    queue, streams = build_queue(specs)
-    for is_write in (False, True):
-        group = [s for s in streams if s.is_write == is_write]
+    queues, streams = build_queue(specs)
+    for is_write, queue in queues.items():
+        group = [s for w, s in streams if w == is_write]
         if not group:
             continue
         smallest = min(s.request_size for s in group)
@@ -72,9 +76,9 @@ def test_aggregate_within_device_capacity(specs):
 @settings(max_examples=200, **PROPERTY_SETTINGS)
 def test_work_conserving(specs):
     """Either the capacity is fully used or every stream runs at its cap."""
-    queue, streams = build_queue(specs)
-    for is_write in (False, True):
-        group = [s for s in streams if s.is_write == is_write]
+    queues, streams = build_queue(specs)
+    for is_write, queue in queues.items():
+        group = [s for w, s in streams if w == is_write]
         if not group:
             continue
         smallest = min(s.request_size for s in group)
@@ -92,10 +96,10 @@ def test_work_conserving(specs):
 @settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_identical_streams_get_identical_rates(specs):
     request_size, cap, is_write = specs[0]
-    queue = DeviceQueue(make_ssd())
+    queue = DeviceResource(make_ssd(), is_write)
     streams = [
-        IoStream(remaining_bytes=1 * MB, request_size=request_size,
-                 is_write=is_write, per_stream_cap=cap)
+        SharedStream(remaining_bytes=1 * MB, request_size=request_size,
+                     per_stream_cap=cap)
         for _ in range(6)
     ]
     for stream in streams:
@@ -107,11 +111,11 @@ def test_identical_streams_get_identical_rates(specs):
 @given(specs=stream_specs)
 @settings(max_examples=100, **PROPERTY_SETTINGS)
 def test_detach_all_leaves_queue_empty(specs):
-    queue, streams = build_queue(specs)
-    for stream in streams:
-        queue.detach(stream)
-    assert queue.num_active == 0
-    assert all(s.rate == 0.0 for s in streams)
+    queues, streams = build_queue(specs)
+    for is_write, stream in streams:
+        queues[is_write].detach(stream)
+    assert all(queue.num_active == 0 for queue in queues.values())
+    assert all(s.rate == 0.0 for _, s in streams)
 
 
 # -- generic resource invariants under mixed request sizes -----------------

@@ -67,7 +67,7 @@ class TestStallGuard:
 
     def test_consecutive_stall_raises_naming_device_and_request(self):
         """A stream allocated rate 0 twice in a row is reported with the
-        device and request size instead of hanging until max_events."""
+        device and request size instead of hanging until MAX_EVENTS."""
         cluster = self._dead_cluster()
         io = IoPhase(
             role="local", total_bytes=10 * MB, request_size=30 * KB,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import HYBRID_CONFIGS, make_paper_cluster
 from repro.errors import SimulationError
+from repro.simulator import engine as engine_module
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.task import ComputePhase, IoPhase, SimTask
 from repro.units import KB, MB
@@ -123,8 +124,9 @@ class TestValidation:
         with pytest.raises(SimulationError):
             SimulationEngine(one_node_cluster, cores_per_node=37)
 
-    def test_max_events_guard(self, one_node_cluster):
-        engine = SimulationEngine(one_node_cluster, cores_per_node=1, max_events=2)
+    def test_max_events_guard(self, one_node_cluster, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_EVENTS", 2)
+        engine = SimulationEngine(one_node_cluster, cores_per_node=1)
         tasks = [compute_task(1.0) for _ in range(5)]
         with pytest.raises(SimulationError):
             engine.run(tasks)

@@ -43,6 +43,15 @@ class TestCoreUtilization:
         engine = SimulationEngine(cluster, cores_per_node=1)
         assert engine.core_utilization(0.0) == 0.0
 
+    def test_each_run_accounts_only_itself(self):
+        cluster = make_paper_cluster(1, HYBRID_CONFIGS[0])
+        engine = SimulationEngine(cluster, cores_per_node=2)
+        for _ in range(2):
+            makespan = engine.run(read_tasks(4, 60 * MB, 60 * MB))
+            assert engine.core_utilization(makespan) == pytest.approx(1.0)
+            busy = engine.device_busy_seconds
+            assert max(busy.values()) == pytest.approx(makespan)
+
 
 class TestDeviceUtilization:
     def test_io_bound_device_saturated(self):

@@ -230,6 +230,30 @@ class TestRetry:
         assert error.stage_attempts >= 1
         assert "aborted" in str(error)
 
+    def test_abort_names_the_task_by_its_place_in_the_stage(self):
+        # The same doomed run must report the same task whatever the
+        # process built before it (a pool worker forks after its parent
+        # has profiled, so process-wide task ids differ there).
+        plan = FaultPlan(
+            name="doom", faults=(DiskFault(factor=0.0, start=0.0),)
+        )
+        policy = ResiliencePolicy(
+            retry=RetryPolicy(max_task_attempts=1, max_stage_attempts=1)
+        )
+
+        def abort() -> StageFailedError:
+            with pytest.raises(StageFailedError) as info:
+                _measure(_spec(), faults=plan, resilience=policy)
+            return info.value
+
+        first = abort()
+        _spec(count=500).stages[0].build_tasks(
+            cores_per_node=2, jitter_offset=0.0
+        )
+        second = abort()
+        assert str(second) == str(first)
+        assert 0 <= first.task_id < 8
+
 
 class TestBlacklistInTheEngine:
     POLICY = ResiliencePolicy(

@@ -106,6 +106,9 @@ class TestExecutionPolicy:
         dict(max_attempts="3"),
         dict(max_attempts=None),
         dict(timeout_seconds=float("nan")),
+        dict(timeout_seconds="30"),
+        dict(timeout_seconds=True),
+        dict(timeout_seconds=[30.0]),
     ])
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises(ConfigurationError):
