@@ -54,19 +54,6 @@ reserved for unexpected crashes.
     array kernel (:mod:`repro.model.arrays`).  ``--top K`` prints the K
     cheapest feasible configurations instead of just the winner, and
     ``--json`` emits the search outcome as a machine-readable record.
-``bench [--sections a,b] [--rounds N] [--check] [--skip-slow] [--json]
-[--history FILE] [--output FILE] [--max-history N] [--list]``
-    Run the registered benchmark sections (:mod:`repro.bench`).  A
-    normal run appends one record to the ``BENCH_history.jsonl``
-    trajectory and atomically refreshes the ``BENCH_simulator.json``
-    latest snapshot; ``--check`` runs gate-only (nothing written,
-    nonzero exit iff a section regresses beyond the noise band vs the
-    rolling history or breaks an absolute floor).  ``--skip-slow``
-    drops the slow sections so CI stays in budget, and ``--list``
-    prints the registry with each section's gate specs (which metrics
-    are band-gated vs history and which must stay exact).  ``--report``
-    renders per-metric sparkline trajectories from the history file,
-    partitioned by host fingerprint and labeled with git SHAs.
 ``serve [--host H] [--port P] [--workloads a,b] [--cache FILE] [--warm]
 [--queue-cap N] [--lru-size N] [--batch-max N] [--workers K]``
     Run the optimizer-as-a-service query engine behind a stdlib
@@ -850,106 +837,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import repro.bench as bench
-    from repro.errors import BenchmarkRegressionError
-
-    if args.report:
-        history = bench.BenchHistory(args.history)
-        print(bench.render_history_report(history.load(), path=history.path))
-        return 0
-
-    if args.list:
-        def gate_spec(gate) -> str:
-            if gate.direction == "exact":
-                return f"{gate.metric}=exact"
-            return (
-                f"{gate.metric}:{gate.direction}"
-                f"(warn x{gate.warn_ratio:g}, fail x{gate.fail_ratio:g})"
-            )
-
-        rows = [
-            [
-                section.name,
-                section.snapshot_key or "(top level)",
-                "slow" if section.slow else "",
-                "; ".join(gate_spec(gate) for gate in section.gates)
-                or "(none)",
-                section.title,
-            ]
-            for section in bench.all_sections()
-        ]
-        print(render_table(
-            "registered benchmark sections",
-            ["name", "snapshot key", "", "gates", "description"], rows))
-        return 0
-
-    names = None
-    if args.sections:
-        names = [
-            name.strip()
-            for chunk in args.sections
-            for name in chunk.split(",")
-            if name.strip()
-        ]
-    sections = bench.resolve_sections(names, skip_slow=args.skip_slow)
-    if not sections:
-        raise ConfigurationError("no benchmark sections selected")
-
-    history = bench.BenchHistory(args.history)
-    report = bench.run_bench(sections, rounds=args.rounds, history=history)
-
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        for verdict in report.verdicts:
-            if verdict.status != "pass":
-                print(verdict.describe())
-
-    if args.check:
-        if not report.ok:
-            raise BenchmarkRegressionError(
-                f"{len(report.failures)} benchmark gate(s) failed"
-                f" across {len(report.sections)} section(s)",
-                verdicts=report.failures,
-            )
-        if not args.json:
-            print(
-                f"bench check OK: {len(report.sections)} section(s),"
-                f" {len(report.warnings)} warning(s),"
-                f" fingerprint {bench.fingerprint_key(report.fingerprint)}"
-            )
-        return 0
-
-    history.append(report.record)
-    if args.max_history is not None:
-        dropped = history.rotate(args.max_history)
-        if dropped and not args.json:
-            print(f"[history rotated: dropped {dropped} oldest record(s)]")
-
-    output = Path(args.output)
-    existing = None
-    if output.exists() and len(report.sections) < len(bench.all_sections()):
-        try:
-            existing = json.loads(output.read_text())
-        except (OSError, json.JSONDecodeError):
-            existing = None
-    snapshot = bench.compose_snapshot(report.sections, existing=existing)
-    bench.write_snapshot(output, snapshot)
-    if not args.json:
-        print(
-            f"[appended record #{len(history)} to {history.path};"
-            f" snapshot saved to {output}]"
-        )
-    if not report.ok:
-        raise BenchmarkRegressionError(
-            f"{len(report.failures)} benchmark gate(s) failed"
-            f" across {len(report.sections)} section(s)",
-            verdicts=report.failures,
-        )
-    return 0
-
-
 def _service_workloads(args: argparse.Namespace) -> dict:
     """The ``{name: spec}`` map a service engine serves."""
     if args.workloads:
@@ -1223,51 +1110,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--json", action="store_true",
                           help="emit the search outcome as JSON")
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the benchmark sections with history-gated regression"
-             " detection",
-    )
-    bench.add_argument(
-        "--sections", action="append", default=None, metavar="NAMES",
-        help="comma-separated section names to run (repeatable);"
-             " default: all registered sections",
-    )
-    bench.add_argument("--rounds", type=int, default=3,
-                       help="timing rounds per section (best-of)")
-    bench.add_argument(
-        "--check", action="store_true",
-        help="gate-only mode: judge against the rolling history without"
-             " appending a record or rewriting the snapshot; exit"
-             " nonzero iff a gate fails",
-    )
-    bench.add_argument(
-        "--skip-slow", action="store_true",
-        help="skip sections flagged slow (unless named via --sections)",
-    )
-    bench.add_argument("--json", action="store_true",
-                       help="emit metrics and verdicts as JSON")
-    bench.add_argument(
-        "--history", default="BENCH_history.jsonl", metavar="FILE",
-        help="append-only trajectory file (default: ./BENCH_history.jsonl)",
-    )
-    bench.add_argument(
-        "--output", default="BENCH_simulator.json", metavar="FILE",
-        help="latest-snapshot view (default: ./BENCH_simulator.json)",
-    )
-    bench.add_argument(
-        "--max-history", type=int, default=None, metavar="N",
-        help="after appending, atomically rotate the history down to the"
-             " newest N records",
-    )
-    bench.add_argument("--list", action="store_true",
-                       help="print the registered sections and exit")
-    bench.add_argument(
-        "--report", action="store_true",
-        help="render per-metric sparkline trajectories from the history"
-             " file (partitioned by host fingerprint) and exit",
-    )
-
     def _add_service_flags(
         sub: argparse.ArgumentParser, workers: int | None = None
     ) -> None:
@@ -1343,7 +1185,6 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "pipeline": cmd_pipeline,
     "optimize": cmd_optimize,
-    "bench": cmd_bench,
     "serve": cmd_serve,
     "loadgen": cmd_loadgen,
 }

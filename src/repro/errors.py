@@ -153,19 +153,6 @@ class QueryError(ServiceError):
     """
 
 
-class BenchmarkRegressionError(DoppioError):
-    """A benchmark run failed its regression gates (``repro bench --check``).
-
-    Carries the failing verdicts so callers can render them; maps to the
-    simulation-error exit code (3) because a regression means the
-    measured system drifted, not that the invocation was malformed.
-    """
-
-    def __init__(self, message: str, verdicts: list | None = None) -> None:
-        self.verdicts = list(verdicts) if verdicts is not None else []
-        super().__init__(message)
-
-
 # -- CLI exit-code mapping ----------------------------------------------------
 
 #: Process exit codes the CLI maps :class:`DoppioError` subclasses onto.

@@ -5,9 +5,8 @@ Two tiers live here:
 - :mod:`repro.parallel.backends` — the execution seam itself:
   :class:`SerialBackend` and :class:`ProcessPoolBackend` behind the
   :class:`ExecutionBackend` protocol, resolved from a ``workers=``
-  argument by :func:`resolve_backend`.  ``map`` is ordered and fast but
-  all-or-nothing: one raising item (or one dead worker) fails the whole
-  call.
+  argument by :func:`resolve_backend`.  ``submit`` runs one item and
+  returns its future.
 - :mod:`repro.parallel.supervisor` — the fault-tolerant layer on top:
   :class:`TaskSupervisor` drives either backend through one loop of
   per-item futures under an :class:`ExecutionPolicy` (attempts and a

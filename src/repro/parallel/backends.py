@@ -12,13 +12,13 @@ loops fan out through:
   :class:`concurrent.futures.ProcessPoolExecutor`, auto-sized to the
   CPUs this process may actually use.
 
-Both satisfy the :class:`ExecutionBackend` protocol, whose single
-obligation makes parallelism safe to offer everywhere: **``map`` returns
-results in the order of its inputs** (``concurrent.futures`` guarantees
-this regardless of completion order).  Since every mapped function is
-deterministic, a caller that merges results positionally gets output
-bit-identical to a serial run — the invariant the property suite in
-``tests/properties/test_parallel.py`` pins down.
+Both satisfy the :class:`ExecutionBackend` protocol: per-item
+``submit`` returns one future per item, the unit the supervised layer
+(:mod:`repro.parallel.supervisor`) is built from; a serial backend runs
+the item before it returns the settled future.  Since every submitted
+function is deterministic, a caller that merges results by input
+position gets output bit-identical to a serial run — the invariant the
+property suite in ``tests/properties/test_parallel.py`` pins down.
 
 Worker processes often need one-time, per-process state (e.g. a rebuilt
 ``Experiment``); pass ``initializer``/``initargs`` to
@@ -30,9 +30,6 @@ context so no worker inherits its client sockets (see
 ``docs/EXECUTION.md``).  See ``docs/PERFORMANCE.md`` for when
 ``workers=`` actually helps.
 
-On top of ordered ``map``, both backends take per-item ``submit``, the
-unit the supervised layer (:mod:`repro.parallel.supervisor`) is built
-from; a serial one runs the item before it returns the settled future.
 :class:`ProcessPoolBackend` adds
 :meth:`~ProcessPoolBackend.worker_pids` for host-level fault injection,
 and :meth:`~ProcessPoolBackend.rebuild`, which kills the pool's worker
@@ -45,7 +42,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing.context import BaseContext
-from typing import Any, Callable, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
 
@@ -79,21 +76,16 @@ def auto_worker_count() -> int:
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """The execution seam: ordered ``map`` over independent items.
+    """The execution seam: one future per independent item.
 
-    Implementations must return results **in input order** and may not
-    drop or duplicate items; beyond that, how and where the function
-    runs is theirs to choose.  ``submit`` runs one item and returns its
-    future, the unit the supervised layer is built from.  ``shutdown``
-    releases whatever the backend holds (processes, threads); backends
-    are context managers that call it on exit.
+    ``submit`` runs one item and returns its future, the unit the
+    supervised layer is built from; how and where the function runs is
+    the implementation's to choose.  ``shutdown`` releases whatever the
+    backend holds (processes, threads); backends are context managers
+    that call it on exit.
     """
 
     workers: int
-
-    def map(
-        self, fn: Callable[[Any], Any], items: Iterable[Any]
-    ) -> list[Any]: ...
 
     def submit(self, fn: Callable[[Any], Any], item: Any) -> Future: ...
 
@@ -103,10 +95,10 @@ class ExecutionBackend(Protocol):
 class SerialBackend:
     """Everything in-process, in order — the degenerate one-worker pool.
 
-    Runs ``initializer`` once (lazily, before the first mapped or
-    submitted item) so task functions relying on initializer-installed
-    state work identically under both backends: an empty ``map`` runs no
-    initializer on either backend (a process pool spawns lazily), and
+    Runs ``initializer`` once (lazily, before the first submitted item)
+    so task functions relying on initializer-installed state work
+    identically under both backends: a backend given no item runs no
+    initializer on either side (a process pool spawns lazily), and
     :meth:`shutdown` forgets the initialization — a reused serial
     backend re-runs its initializer exactly as a reused process backend
     spawns fresh, freshly initialized workers.
@@ -122,12 +114,6 @@ class SerialBackend:
         self._initializer = initializer
         self._initargs = initargs
         self._initialized = False
-
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        items = list(items)
-        if items:
-            self._initialize()
-        return [fn(item) for item in items]
 
     def submit(self, fn: Callable[[Any], Any], item: Any) -> Future:
         """Run one item now, in the calling thread; return its settled future.
@@ -164,13 +150,10 @@ class SerialBackend:
 class ProcessPoolBackend:
     """Fan items across worker processes (``concurrent.futures``).
 
-    The executor is created lazily on the first non-empty :meth:`map`,
-    so building a backend costs nothing when every item turns out to be
-    a cache hit.  Items are chunked (several per pickle round-trip) to
-    amortize IPC; ``Executor.map`` preserves input order, which is what
-    makes positional merges bit-identical to serial execution.
-    ``mp_context`` is the multiprocessing context workers start from
-    (``None``: the platform default).
+    The executor is created lazily on the first :meth:`submit`, so
+    building a backend costs nothing when every item turns out to be a
+    cache hit.  ``mp_context`` is the multiprocessing context workers
+    start from (``None``: the platform default).
     """
 
     def __init__(
@@ -192,20 +175,12 @@ class ProcessPoolBackend:
         self._mp_context = mp_context
         self._executor: ProcessPoolExecutor | None = None
 
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        items = list(items)
-        if not items:
-            return []
-        # ~4 chunks per worker balances pickling overhead against skew.
-        chunksize = max(1, -(-len(items) // (self.workers * 4)))
-        return list(self._ensure_executor().map(fn, items, chunksize=chunksize))
-
     def submit(self, fn: Callable[[Any], Any], item: Any) -> Future:
         """One item, one future — the supervised layer's building block.
 
-        Unlike the chunked :meth:`map`, a raising item can only take
-        itself down, and the caller sees each item's outcome (result,
-        exception, pool breakage) individually.
+        A raising item can only take itself down, and the caller sees
+        each item's outcome (result, exception, pool breakage)
+        individually.
         """
         return self._ensure_executor().submit(fn, item)
 
@@ -227,8 +202,8 @@ class ProcessPoolBackend:
         The recovery primitive after ``BrokenProcessPool`` (the workers
         are already dying) and after a hung task (they are not — a SIGKILL
         is the only way to reclaim a worker stuck in C code or an
-        unbounded loop).  The next :meth:`submit`/:meth:`map` lazily
-        spawns a fresh, freshly initialized pool.
+        unbounded loop).  The next :meth:`submit` lazily spawns a fresh,
+        freshly initialized pool.
         """
         executor, self._executor = self._executor, None
         if executor is None:

@@ -1,10 +1,10 @@
 """Supervised task maps: retries, timeouts, pool rebuilds, quarantine.
 
-:class:`ProcessPoolBackend.map` is fast but brittle: one worker death
-raises ``BrokenProcessPool`` and discards the whole map, a hung task
-stalls it forever, and a chunked submission lets one raising item take
-its chunkmates' results down with it.  :class:`TaskSupervisor` is the
-robust path the pipeline's long fan-outs run through:
+A plain chunked ``ProcessPoolExecutor.map`` is fast but brittle: one
+worker death raises ``BrokenProcessPool`` and discards the whole map, a
+hung task stalls it forever, and a chunked submission lets one raising
+item take its chunkmates' results down with it.  :class:`TaskSupervisor`
+is the robust path the pipeline's long fan-outs run through:
 
 - **per-item futures** — every item is submitted individually, so each
   item's outcome (result, exception, worker loss, timeout) is observed

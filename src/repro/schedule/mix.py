@@ -61,7 +61,7 @@ from repro.cluster.node import Node
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.schedule.scheduler import SchedulingError
-from repro.simulator.engine import SimulationEngine, _Running
+from repro.simulator.engine import SimulationEngine, _position, _Running
 from repro.simulator.run import (
     ApplicationMeasurement,
     StageMeasurement,
@@ -229,8 +229,8 @@ class MixEngine(SimulationEngine):
     """The single-job event loop, extended with admission and a per-node
     multi-queue.  All contention flows through the inherited registry.
 
-    A mix engine runs its jobs once: :meth:`run_mix`, then
-    :meth:`measurement`.
+    :meth:`run_mix` runs the jobs and :meth:`measurement` reports the
+    run; each :meth:`run_mix` starts the jobs afresh.
     """
 
     _unit = "job"
@@ -251,7 +251,6 @@ class MixEngine(SimulationEngine):
             )
         if not jobs:
             raise SchedulingError("a mix needs at least one job")
-        super().__init__(cluster, cores_per_node, network=network, faults=faults)
         self.policy = policy
         self.run_index = run_index
         self._jitter_offset = run_index * _JITTER_STRIDE
@@ -259,21 +258,30 @@ class MixEngine(SimulationEngine):
         # the final tie-break — so permuting the submitted list cannot
         # change the schedule (exactly, when (arrival, name) pairs are
         # unique; duplicates of the *same* job are symmetric anyway).
+        self._submitted = [
+            (name, scale_workload_volume(job.spec, job.volume_scale), job)
+            for name, job in canonical_jobs(jobs)
+        ]
+        super().__init__(cluster, cores_per_node, network=network, faults=faults)
+
+    def _reset(self) -> None:
+        """The engine's per-run reset, plus fresh job states and queues."""
+        super()._reset()
         self._jobs: list[_Job] = [
             _Job(
                 index=index,
                 name=name,
-                spec=scale_workload_volume(job.spec, job.volume_scale),
+                spec=spec,
                 arrival=job.arrival,
                 volume_scale=job.volume_scale,
             )
-            for index, (name, job) in enumerate(canonical_jobs(jobs))
+            for index, (name, spec, job) in enumerate(self._submitted)
         ]
         #: task_id -> owning job, filled at stage submission.
         self._task_job: dict[int, _Job] = {}
         #: node name -> {job index -> FIFO deque} — the multi-queue.
         self._queues: dict[str, dict[int, deque[SimTask]]] = {
-            node.name: {} for node in cluster.slaves
+            node.name: {} for node in self.cluster.slaves
         }
 
     def run_mix(self) -> float:
@@ -388,6 +396,10 @@ class MixEngine(SimulationEngine):
         tasks = [task for index in sorted(queues) for task in queues[index]]
         queues.clear()
         return tasks
+
+    def _task_label(self, task: SimTask) -> str:
+        job = self._task_job[task.task_id]
+        return f"job {job.name} task {_position(job.stage_tasks, task)}"
 
     # -- per-job barriers and accounting -----------------------------------
 

@@ -16,8 +16,8 @@ The layers, bottom up:
   batched, admission-bounded compute).
 - :mod:`repro.service.http` — the stdlib ``asyncio.start_server``
   front: ``POST /query``, ``GET /stats``, ``GET /healthz``.
-- :mod:`repro.service.loadgen` — the load generator and naive baseline
-  backing the ``service`` benchmark section and the CI smoke test.
+- :mod:`repro.service.loadgen` — the load generator behind
+  ``repro loadgen`` and the CI smoke test.
 
 Semantics, limits, and the exit-code/HTTP-status mapping are documented
 in ``docs/SERVICE.md``.

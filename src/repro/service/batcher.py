@@ -50,7 +50,7 @@ class MicroBatcher:
         self.max_batch = max_batch
         self._pending: list[Any] = []
         self._scheduled: asyncio.Handle | None = None
-        # Observability: the coalescing story the bench section reports.
+        # Observability: the coalescing story ``/stats`` reports.
         self.batches_flushed = 0
         self.entries_flushed = 0
         self.max_batch_seen = 0
@@ -84,7 +84,7 @@ class MicroBatcher:
         self.flush()
 
     def stats(self) -> dict:
-        """Counters for ``/stats`` and the bench section."""
+        """Counters for ``/stats`` and ``repro loadgen``."""
         return {
             "flushed": self.batches_flushed,
             "entries": self.entries_flushed,

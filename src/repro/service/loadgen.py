@@ -1,4 +1,4 @@
-"""Load generator: the service benchmark's traffic and its baseline.
+"""Load generator: the service's benchmark traffic.
 
 Builds a deterministic what-if query mix (``distinct`` predict
 configurations, each repeated ``duplicates`` times, interleaved so
@@ -6,13 +6,6 @@ repeats land while the original is often still in flight), fires it at
 an engine — in-process or over HTTP — under bounded concurrency, and
 reports throughput, latency percentiles, and the engine's coalescing
 counters.
-
-The **naive baseline** answers the same mix the way a one-query-one-
-evaluation server would: a fresh scalar
-:meth:`~repro.cloud.optimizer.CostOptimizer.evaluate` per query, no
-LRU, no coalescing, no batching.  The service's ≥5x throughput claim in
-``repro bench`` is measured against exactly this baseline over the
-identical query list, and the results are asserted bit-identical.
 """
 
 from __future__ import annotations
@@ -23,11 +16,9 @@ import time
 from urllib.parse import urlsplit
 
 from repro.errors import ServiceError
-from repro.service.query import parse_query
 
 __all__ = [
     "build_queries",
-    "naive_baseline",
     "percentile",
     "run_against_engine",
     "run_against_url",
@@ -246,43 +237,4 @@ async def run_against_url(
 
     summary = await _drive(queries, concurrency, call)
     summary["engine"] = await _http_get(host, port, "/stats")
-    return summary
-
-
-def naive_baseline(optimizer, queries: list[dict]) -> dict:
-    """One-query-one-evaluation reference over the same mix.
-
-    ``optimizer`` must be a cache-less
-    :class:`~repro.cloud.optimizer.CostOptimizer` for the mix's
-    workload, built with the same worker count and capacity floors the
-    engine applies.  Each ``predict`` becomes one scalar
-    :meth:`evaluate` call and each ``optimize`` one full
-    :meth:`grid_search` — no batching, no dedup, no caching — which is
-    what a service without the coalescing tiers would do per request.
-    """
-    latencies: list[float] = []
-    results = []
-    wall_start = time.perf_counter()
-    for payload in queries:
-        query = parse_query(payload)
-        start = time.perf_counter()
-        if query.kind == "predict":
-            config = optimizer.make_config(
-                query.vcpus,
-                query.hdfs_kind,
-                query.hdfs_gb,
-                query.local_kind,
-                query.local_gb,
-            )
-            results.append(optimizer.evaluate(config))
-        elif query.kind == "optimize":
-            results.append(optimizer.grid_search(vcpu_grid=query.vcpu_grid))
-        else:
-            raise ServiceError(
-                f"naive baseline cannot answer {query.kind!r} queries"
-            )
-        latencies.append(time.perf_counter() - start)
-    wall = time.perf_counter() - wall_start
-    summary = summarize(latencies, wall)
-    summary["results"] = results
     return summary

@@ -40,8 +40,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkModel
@@ -77,6 +79,15 @@ _TIME_EPS = 1e-9
 #: The stuck-loop guard: a run that processes more event batches than
 #: this raises instead of spinning.
 MAX_EVENTS = 50_000_000
+
+#: Sort and search key: a task's process-wide id.
+_task_id = attrgetter("task_id")
+
+
+def _position(tasks: list[SimTask], task: SimTask) -> int:
+    """``task``'s index in ``tasks``, a list in task-id order."""
+    return bisect_left(tasks, task.task_id, key=_task_id)
+
 
 #: Heap entry kinds.
 _EV_STREAM = 0
@@ -123,10 +134,6 @@ class _TaskRecord:
     """
 
     task: SimTask
-    #: The task's position in its stage's task-id order: the number a
-    #: :class:`StageFailedError` names it by, whatever ids the process
-    #: handed out before.
-    index: int
     completed: bool = False
     #: Consecutive failures in the current attempt budget (reset when a
     #: stage re-attempt grants a fresh one).
@@ -146,12 +153,13 @@ class SimulationEngine:
     """Runs task sets on a cluster with ``P`` executor cores per node.
 
     The engine owns the event loop, the launch scan, phase transitions
-    and node death.  A subclass changes what it needs through four
+    and node death.  A subclass changes what it needs through five
     hooks: :meth:`_next_task`, :meth:`_queue_task` and
     :meth:`_take_queued` say which queued task a node launches next and
-    where a requeued task goes, and :meth:`_task_done` says what a
-    finished task means.  :class:`~repro.schedule.mix.MixEngine` uses
-    them to run several jobs at once.
+    where a requeued task goes, :meth:`_task_done` says what a finished
+    task means, and :meth:`_task_label` how an error names a task.
+    :class:`~repro.schedule.mix.MixEngine` uses them to run several jobs
+    at once.
     """
 
     #: What :meth:`_loop` counts down (named in error messages).
@@ -253,6 +261,10 @@ class SimulationEngine:
         self._pending: dict[str, deque[SimTask]] = {
             node.name: deque() for node in self.cluster.slaves
         }
+        #: The run's tasks in task-id order: a task's position here is
+        #: the number errors name it by, whatever ids the process handed
+        #: out before.
+        self._tasks: list[SimTask] = []
         self._num_running = 0
         #: Work the loop runs until none is left (see ``_unit``).
         self._unfinished = 0
@@ -308,14 +320,15 @@ class SimulationEngine:
         """
         if not tasks:
             return 0.0
-        tasks = sorted(tasks, key=lambda t: t.task_id)
+        tasks = sorted(tasks, key=_task_id)
         self._reset()
+        self._tasks = tasks
         slaves = self.cluster.slaves
         for index, task in enumerate(tasks):
             self._pending[slaves[index % len(slaves)].name].append(task)
         if self._rpolicy is not None:
-            for index, task in enumerate(tasks):
-                record = _TaskRecord(task=task, index=index)
+            for task in tasks:
+                record = _TaskRecord(task=task)
                 self._records[task.task_id] = record
                 self._records_order.append(record)
             self._total_tasks = len(tasks)
@@ -553,6 +566,10 @@ class SimulationEngine:
         queue.clear()
         return tasks
 
+    def _task_label(self, task: SimTask) -> str:
+        """How an error names ``task``: by its index in its stage."""
+        return f"task {_position(self._tasks, task)}"
+
     def _task_done(self, running: _Running, now: float) -> None:
         """What a finished attempt means: one fewer task is unfinished.
 
@@ -727,7 +744,7 @@ class SimulationEngine:
                 return
             raise SimulationError(
                 f"stream stalled at rate 0 across consecutive events:"
-                f" {stream.describe()}"
+                f" {self._describe_stream(stream)}"
             )
         stream.stalled = True
         self._stalled[stream.stream_id] = stream
@@ -753,9 +770,16 @@ class SimulationEngine:
             (finish, next(self._seq), _EV_COMPUTE, running, running.epoch),
         )
 
+    def _describe_stream(self, stream: SharedStream) -> str:
+        """A stream for an error message, led by its task's label."""
+        owner = self._owner[stream.stream_id]
+        return f"{self._task_label(owner.task)} {stream.describe()}"
+
     def _raise_stuck(self) -> None:
         if self._stalled:
-            stuck = ", ".join(s.describe() for s in self._stalled.values())
+            stuck = ", ".join(
+                self._describe_stream(s) for s in self._stalled.values()
+            )
             raise SimulationError(f"all remaining streams are stalled at rate 0: {stuck}")
         raise SimulationError(
             "no active tasks but work remains; scheduler invariant broken"
@@ -850,7 +874,7 @@ class SimulationEngine:
             if record.stage_reattempts >= retry.max_stage_attempts:
                 raise StageFailedError(
                     self.stage_name,
-                    record.index,
+                    _position(self._tasks, record.task),
                     failures,
                     record.stage_reattempts,
                     reason,
@@ -1170,8 +1194,7 @@ class SimulationEngine:
                 remaining_bytes=total_bytes,
                 request_size=phase.request_size,
                 per_stream_cap=stream_cap,
-                label=f"task {running.task.task_id} {tag} {phase.role}"
-                f" {'write' if phase.is_write else 'read'}",
+                label=f"{tag} {phase.role} {'write' if phase.is_write else 'read'}",
                 last_update=now,
             )
             for resource in resources:

@@ -117,6 +117,11 @@ class TestFig3CoreScaling:
         )
         assert ssd_gain > hdd_gain
 
+    def test_ssd_totals_are_unchanged(self, scaling):
+        assert [
+            scaling[("2SSD", cores)].total_seconds for cores in (12, 24, 36)
+        ] == [6114.56388483668, 3080.387442443461, 2080.2485847812695]
+
 
 class TestFig7ModelAccuracy:
     """Fig. 7: model vs measurement on ten slaves at P = 6, 12, 24."""

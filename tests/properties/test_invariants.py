@@ -124,7 +124,7 @@ def test_faster_disks_never_increase_makespan(spec, nodes, cores):
 def test_identical_inputs_measure_bit_identically(spec, plan, nodes, cores):
     # Two runs from fresh clusters with the same spec, shape, and fault
     # plan must agree bit for bit — the foundation the result cache and
-    # every benchmark guard stand on.
+    # every golden test stand on.
     first = measure_workload(_cluster(nodes), cores, spec, faults=plan)
     second = measure_workload(_cluster(nodes), cores, spec, faults=plan)
     violations = check_measurements_identical(first, second, spec.name)

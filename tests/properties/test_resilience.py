@@ -142,7 +142,7 @@ def test_clean_runs_without_speculation_are_bit_identical(
 @settings(max_examples=60, **PROPERTY_SETTINGS)
 def test_mitigated_runs_are_deterministic(spec, plan, policy, nodes, cores):
     # Speculation, retries, and blacklisting must stay pure functions of
-    # their inputs — the cache and every benchmark guard depend on it.
+    # their inputs — the cache and every golden test depend on it.
     first = measure_workload(
         _cluster(nodes), cores, spec, faults=plan, resilience=policy
     )

@@ -119,6 +119,50 @@ class TestGridSearch:
         )
 
 
+class TestPaperGrid:
+    """The Fig. 13-15 search on GATK4 at ten workers under its own
+    capacity floors, pinned float for float."""
+
+    SIZES_GB = (20, 50, 100, 200, 500, 1000, 1500, 2000, 3000, 4000)
+
+    @pytest.fixture(scope="class")
+    def paper_optimizer(self, gatk4_predictor, gatk4_workload):
+        hdfs_gb, local_gb = CostOptimizer.capacity_requirements(
+            gatk4_workload, num_workers=10
+        )
+        return CostOptimizer(
+            gatk4_predictor, num_workers=10,
+            min_hdfs_gb=hdfs_gb, min_local_gb=local_gb,
+        )
+
+    def test_optimum_is_unchanged(self, paper_optimizer):
+        result = paper_optimizer.grid_search(vcpu_grid=(8, 16, 32))
+        assert result.num_evaluated == 864
+        assert result.best.config.label() == (
+            "8vCPU x10, HDFS=pd-standard 500GB, local=pd-ssd 200GB"
+        )
+        assert result.best.cost_dollars == 3.506112752434789
+        assert result.best.runtime_seconds == 2780.655422766974
+
+    def test_kernel_equals_the_scalar_model_on_the_whole_grid(
+        self, paper_optimizer, gatk4_report
+    ):
+        configs = paper_optimizer._grid_candidates(
+            (4, 8, 16, 32), ("pd-standard", "pd-ssd"),
+            self.SIZES_GB, self.SIZES_GB,
+        )
+        assert len(configs) == 1152
+        scores = Eq1BatchEvaluator(gatk4_report).score(
+            CandidateBatch.from_configs(configs)
+        )
+        scalar = [paper_optimizer._predict_fresh(config).t_app for config in configs]
+        assert list(scores.runtime_seconds) == scalar
+        assert list(scores.cost_dollars) == [
+            config.cost_for_runtime(runtime)
+            for config, runtime in zip(configs, scalar)
+        ]
+
+
 class TestCoordinateDescent:
     def test_descends_to_local_optimum(self, optimizer):
         start = optimizer.make_config(32, "pd-standard", 4000, "pd-standard", 4000)

@@ -5,10 +5,12 @@ import dataclasses
 import pytest
 
 from repro.cluster import HYBRID_CONFIGS, make_paper_cluster
-from repro.faults.plan import FaultPlan, NodeFailureFault
+from repro.errors import SimulationError
+from repro.faults.plan import DiskFault, FaultPlan, NodeFailureFault
 from repro.invariants import check_mix_conservation
 from repro.schedule.mix import (
     MIX_POLICIES,
+    MixEngine,
     MixJob,
     canonical_jobs,
     measure_mix,
@@ -192,6 +194,34 @@ class TestMeasureMix:
         other = measure_mix(_cluster(), 2, jobs, run_index=1)
         assert base == repeat  # deterministic per run_index
         assert base.makespan != other.makespan
+
+    def test_an_engine_runs_its_mix_again_identically(self):
+        jobs = [
+            MixJob(spec=_spec("a", count=8)),
+            MixJob(spec=_spec("b", count=8), arrival=0.5),
+        ]
+        engine = MixEngine(_cluster(), 2, jobs)
+        first = engine.measurement(engine.run_mix())
+        second = engine.measurement(engine.run_mix())
+        assert second == first
+
+    def test_a_stall_names_the_job_and_the_task_in_its_stage(self):
+        jobs = [MixJob(spec=_spec("a")), MixJob(spec=_spec("b"), arrival=0.5)]
+        plan = FaultPlan(
+            name="dead", faults=(DiskFault(factor=0.0, start=0.0),)
+        )
+
+        def stall() -> str:
+            with pytest.raises(SimulationError, match="stalled") as err:
+                measure_mix(_cluster(), 2, jobs, faults=plan)
+            return str(err.value)
+
+        first = stall()
+        _spec("unrelated", count=500).stages[0].build_tasks(
+            cores_per_node=2, jitter_offset=0.0
+        )
+        assert stall() == first
+        assert "job a task 0 local hdfs read" in first
 
 
 class TestVolumeScaling:

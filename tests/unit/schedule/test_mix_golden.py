@@ -12,6 +12,10 @@ iterative (``repeat``) stage that the mix runs iteration by iteration,
 a ``volume_scale``, a duplicate job name (``etl#2``), and a fault plan
 whose disk throttle and node death requeue in-flight and queued
 tasks of every job onto the survivors.
+
+The paper-scale co-location (LR and SVM on 10x24 HDDs through
+``Experiment.measure_mix``) is pinned the same way: its makespan and
+each job's mixed and solo runtime.
 """
 
 from __future__ import annotations
@@ -20,8 +24,11 @@ import pytest
 
 from repro.cluster import HYBRID_CONFIGS, make_paper_cluster
 from repro.faults import DiskFault, FaultPlan, NodeFailureFault
+from repro.invariants import check_interference_dominance, check_mix_conservation
+from repro.pipeline import ClusterPlatform, Experiment
 from repro.schedule.mix import MixJob, MixMeasurement, measure_mix
 from repro.units import MB
+from repro.workloads import make_logistic_regression_workload, make_svm_workload
 from repro.workloads.base import ChannelSpec, StageSpec, TaskGroupSpec, WorkloadSpec
 
 HDFS_READ = ChannelSpec("hdfs_read", 16 * MB, 1 * MB, 60 * MB)
@@ -226,3 +233,64 @@ def test_the_kill_lands_mid_mix():
     mix = _run("fair-throttle-kill")
     assert all(job.first_launch < KILL_AT < job.finish for job in mix.jobs)
     assert mix.makespan > _run("fair").makespan
+
+
+# -- the paper-scale LR + SVM co-location --------------------------------------
+
+#: LR and SVM on the 10x24 paper cluster with both disks spinning (the
+#: placement with the most I/O contention), SVM arriving at 30 s under
+#: fair scheduling, through the pipeline's ``Experiment.measure_mix``.
+PAPER_NODES = 10
+PAPER_CORES = 24
+PAPER_MAKESPAN = 3215.976275823818
+PAPER_JOB_SECONDS = {
+    "LogisticRegression": 3215.976275823818,
+    "SVM": 1066.2581868202717,
+}
+PAPER_SOLO_SECONDS = {
+    "LogisticRegression": 2630.2231831555573,
+    "SVM": 760.509791131095,
+}
+
+
+@pytest.fixture(scope="module")
+def paper_mix():
+    """The mix, its jobs, and each job's solo measurement."""
+    lr = make_logistic_regression_workload(num_slaves=PAPER_NODES)
+    svm = make_svm_workload()
+    platform = ClusterPlatform(hdfs_kind="hdd", local_kind="hdd")
+    jobs = [MixJob(spec=lr), MixJob(spec=svm, arrival=30.0)]
+    experiment = Experiment(lr, platform)
+    mix = experiment.measure_mix(
+        jobs, policy="fair", nodes=PAPER_NODES, cores_per_node=PAPER_CORES
+    )
+    solos = {
+        spec.name: Experiment(spec, platform, cache=experiment.cache).measure(
+            PAPER_NODES, PAPER_CORES
+        )
+        for spec in (lr, svm)
+    }
+    return jobs, mix, solos
+
+
+def test_paper_mix_answers_are_unchanged(paper_mix):
+    _jobs, mix, solos = paper_mix
+    assert mix.makespan == PAPER_MAKESPAN
+    assert {
+        job.name: job.measurement.total_seconds for job in mix.jobs
+    } == PAPER_JOB_SECONDS
+    assert {
+        name: solo.total_seconds for name, solo in solos.items()
+    } == PAPER_SOLO_SECONDS
+
+
+def test_paper_mix_shows_real_contention(paper_mix):
+    jobs, mix, solos = paper_mix
+    violations = check_mix_conservation(jobs, mix)
+    violations += check_interference_dominance(mix, solos)
+    assert not violations, "; ".join(str(v) for v in violations)
+    peak = max(
+        job.measurement.total_seconds / solos[job.name].total_seconds
+        for job in mix.jobs
+    )
+    assert peak >= 1.05

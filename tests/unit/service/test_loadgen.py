@@ -1,14 +1,12 @@
-"""Load generator: mix construction, stats, drive, naive baseline."""
+"""Load generator: mix construction, stats, drive."""
 
 import asyncio
 
 import pytest
 
-from repro.errors import ServiceError
 from repro.service.loadgen import (
     _drive,
     build_queries,
-    naive_baseline,
     percentile,
     summarize,
 )
@@ -107,12 +105,3 @@ class TestDrive:
             assert peak <= 3
 
         asyncio.run(scenario())
-
-
-class TestNaiveBaseline:
-    def test_rejects_kinds_it_cannot_answer(self):
-        with pytest.raises(ServiceError, match="simulate"):
-            naive_baseline(
-                object(),
-                [{"kind": "simulate", "workload": "svm", "slaves": 4, "cores": 8}],
-            )

@@ -83,6 +83,28 @@ class TestStallGuard:
         assert "local-ssd" in str(err.value)
         assert "30720" in str(err.value)  # the 30 KB request size
 
+    def test_stall_names_the_task_by_its_place_in_the_stage(self):
+        # The same stall must read the same whatever the process built
+        # before it (a pool worker forks after its parent has profiled,
+        # so process-wide task ids differ there).
+        io = IoPhase(
+            role="local", total_bytes=10 * MB, request_size=30 * KB,
+            is_write=False,
+        )
+
+        def stall() -> str:
+            tasks = [SimTask(phases=(io,)), SimTask(phases=(ComputePhase(1.0), io))]
+            engine = SimulationEngine(self._dead_cluster(), cores_per_node=2)
+            with pytest.raises(SimulationError, match="consecutive") as err:
+                engine.run(tasks)
+            return str(err.value)
+
+        first = stall()
+        for _ in range(500):
+            SimTask(phases=(io,))
+        assert stall() == first
+        assert "task 0 local local read" in first
+
     def test_all_streams_stalled_raises(self):
         cluster = self._dead_cluster()
         io = IoPhase(

@@ -24,9 +24,6 @@ STRUCTURED = {
     errors.AdmissionError: lambda: errors.AdmissionError(
         "queue full", queue_depth=9, queue_cap=8
     ),
-    errors.BenchmarkRegressionError: lambda: errors.BenchmarkRegressionError(
-        "1 benchmark gate(s) failed", verdicts=["engine.wall_s: fail"]
-    ),
 }
 
 #: Every error class ``repro.errors`` defines.

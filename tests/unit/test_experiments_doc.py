@@ -1,11 +1,11 @@
 """EXPERIMENTS.md and README quote the recorded figure results.
 
 Each accuracy benchmark writes ``avg X% / max Y%`` into the first line
-of its ``benchmarks/results`` file, and the Section-VI cost benchmarks
-write their optimum, R1/R2 and savings rows into
-``fig13_hdd_optimum.txt`` and ``fig15_headline.txt``.  The docs quote
-the same numbers by hand; these tests fail as soon as a quote and its
-record disagree.
+of its ``benchmarks/results`` file, each Section-V gap benchmark writes
+``-> G.Gx (paper: P.Px)``, and the Section-VI cost benchmarks write
+their optimum, R1/R2 and savings rows into ``fig13_hdd_optimum.txt``
+and ``fig15_headline.txt``.  The docs quote the same numbers by hand;
+these tests fail as soon as a quote and its record disagree.
 """
 
 from __future__ import annotations
@@ -139,4 +139,68 @@ def test_readme_summary_quotes_the_recorded_cloud_results():
     ).split()
     assert _quoted(disk, r"^(\d+) GB (pd-\S+) \(\$(\d+\.\d\d)\)$") == (
         size, kind, _recorded(name, "overall optimum", DOLLARS),
+    )
+
+
+#: Section V figure -> the results file its HDD/SSD gap bench records.
+GAPS = {
+    "Fig. 8b": "fig8_lr_iteration_gap.txt",
+    "Fig. 9": "fig9_svm_subtract_gap.txt",
+    "Fig. 10": "fig10_pagerank_iteration_gap.txt",
+    "Fig. 11": "fig11_tc_gap.txt",
+    "Fig. 12": "fig12_terasort_gap.txt",
+}
+RECORDED_GAP = re.compile(r"-> (\d+\.\d)x \(paper: (\d+\.\d)x\)")
+
+
+def _gap(name: str) -> tuple[str, ...]:
+    """A gap file's (reproduced, paper) ratio pair."""
+    found = RECORDED_GAP.search((RESULTS / name).read_text())
+    assert found is not None, f"{name} records no gap"
+    return found.groups()
+
+
+def _avg(figure: str) -> str:
+    """The average error an accuracy results file records."""
+    results = RESULTS / FIGURES[figure]
+    return HEADLINE.search(results.read_text().splitlines()[0])[1]
+
+
+@pytest.mark.parametrize("figure", sorted(GAPS))
+def test_gap_column_quotes_the_recorded_gap(figure):
+    cell = _row(figure).strip("|").split("|")[3]
+    assert _quoted(cell, r"(\d+\.\d)x \(paper (\d+\.\d)x\)") == _gap(GAPS[figure])
+
+
+#: README summary row -> the gap file it quotes.
+README_GAPS = {
+    "| LR-large iteration HDD/SSD |": "fig8_lr_iteration_gap.txt",
+    "| PageRank iteration HDD/SSD |": "fig10_pagerank_iteration_gap.txt",
+    "| TriangleCount phase HDD/SSD |": "fig11_tc_gap.txt",
+    "| SVM subtract HDD/SSD |": "fig9_svm_subtract_gap.txt",
+}
+
+
+@pytest.mark.parametrize("row", sorted(README_GAPS))
+def test_readme_summary_quotes_the_recorded_gaps(row):
+    readme = REPO / "README.md"
+    ours, paper = _gap(README_GAPS[row])
+    assert _quoted(_third_cell(readme, row), r"^(\d+\.\d)x\b") == (ours,)
+    cells = _line(readme, row).strip("|").split("|")
+    assert cells[1].strip() == f"{paper}x"
+
+
+def test_readme_summary_quotes_the_recorded_errors():
+    readme = REPO / "README.md"
+    assert _quoted(
+        _third_cell(readme, "| GATK4 model error (Fig. 7) |"), r"^(\d+\.\d) % avg$"
+    ) == (_avg("Fig. 7"),)
+    assert _quoted(
+        _third_cell(readme, "| Fig. 14 cloud validation error |"),
+        r"^(\d+\.\d) % avg$",
+    ) == (_avg("Fig. 14"),)
+    apps = _third_cell(readme, "| LR / SVM / PR / TC / TS error |")
+    assert _quoted(apps, r"^(\S+) / (\S+) / (\S+) / (\S+) / (\S+) %$") == tuple(
+        _avg(figure)
+        for figure in ("Fig. 8a", "Fig. 9", "Fig. 10", "Fig. 11", "Fig. 12")
     )

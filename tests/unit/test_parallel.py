@@ -7,6 +7,7 @@ from repro.parallel import (
     AUTO_WORKERS,
     ProcessPoolBackend,
     SerialBackend,
+    TaskSupervisor,
     auto_worker_count,
     available_cpus,
     resolve_backend,
@@ -84,21 +85,18 @@ class TestResolveBackend:
 
 
 class TestSerialBackend:
-    def test_map_preserves_order(self):
-        assert SerialBackend().map(_double, [3, 1, 2]) == [6, 2, 4]
-
     def test_initializer_runs_once_before_first_item(self):
         _INIT_CALLS.clear()
         backend = SerialBackend(_record_init, ("tag",))
-        assert backend.map(_double, []) == []
-        assert _INIT_CALLS == []  # nothing mapped: no init
-        backend.map(_double, [1])
-        backend.map(_double, [2])
+        assert TaskSupervisor(backend).map(_double, []) == []
+        assert _INIT_CALLS == []  # nothing submitted: no init
+        backend.submit(_double, 1)
+        backend.submit(_double, 2)
         assert _INIT_CALLS == ["tag"]
 
     def test_context_manager(self):
         with SerialBackend() as backend:
-            assert backend.map(_double, [5]) == [10]
+            assert backend.submit(_double, 5).result() == 10
 
     def test_submit_returns_a_settled_future(self):
         # The item (and, once, the lazy initializer) has run by the time
@@ -116,22 +114,16 @@ class TestSerialBackend:
         # backend behaves like a fresh pool and re-runs its initializer.
         _INIT_CALLS.clear()
         backend = SerialBackend(_record_init, ("again",))
-        backend.map(_double, [1])
+        backend.submit(_double, 1)
         backend.shutdown()
-        backend.map(_double, [2])
+        backend.submit(_double, 2)
         assert _INIT_CALLS == ["again", "again"]
 
 
 class TestProcessPoolBackend:
-    def test_map_preserves_input_order(self):
-        with ProcessPoolBackend(2) as backend:
-            assert backend.map(_double, list(range(20))) == [
-                2 * i for i in range(20)
-            ]
-
     def test_empty_map_never_spawns(self):
         backend = ProcessPoolBackend(2)
-        assert backend.map(_double, []) == []
+        assert TaskSupervisor(backend).map(_double, []) == []
         assert backend._executor is None  # lazily constructed
         backend.shutdown()
 
@@ -141,29 +133,31 @@ class TestProcessPoolBackend:
 
     def test_shutdown_is_idempotent(self):
         backend = ProcessPoolBackend(2)
-        backend.map(_double, [1])
+        backend.submit(_double, 1).result(timeout=30)
         backend.shutdown()
         backend.shutdown()
 
 
 class TestInitializerParity:
-    """Both backends defer the initializer past empty maps (satellite 2)."""
+    """Both backends defer the initializer past empty maps."""
 
     def test_serial_empty_then_nonempty_sequence(self, tmp_path):
         marker = tmp_path / "serial.log"
         backend = SerialBackend(_touch_init, (str(marker),))
-        backend.map(_double, [])
+        supervisor = TaskSupervisor(backend)
+        supervisor.map(_double, [])
         assert _init_count(marker) == 0
-        backend.map(_double, [1])
-        backend.map(_double, [2])
+        supervisor.map(_double, [1])
+        supervisor.map(_double, [2])
         assert _init_count(marker) == 1
 
     def test_pool_empty_then_nonempty_sequence(self, tmp_path):
         marker = tmp_path / "pool.log"
         with ProcessPoolBackend(2, _touch_init, (str(marker),)) as backend:
-            backend.map(_double, [])
+            supervisor = TaskSupervisor(backend)
+            supervisor.map(_double, [])
             assert _init_count(marker) == 0  # pool never spawned
-            assert backend.map(_double, [1, 2]) == [2, 4]
+            assert supervisor.map(_double, [1, 2]) == [2, 4]
         # Spawned once: at most one init per worker, at least one total.
         assert 1 <= _init_count(marker) <= 2
 

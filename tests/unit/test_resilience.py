@@ -276,6 +276,56 @@ class TestBlacklistInTheEngine:
         assert mitigated.total_seconds < unmitigated.total_seconds
 
 
+class TestPaperStragglerAnswers:
+    """The GATK4 MD stage alone on the 10x24 paper cluster (973 tasks)
+    against a 2.5x straggler on node 1, pinned float for float.
+
+    The clean makespan is also ``benchmarks/e2e/expected.json``'s MD
+    stage of ``gatk4@ssd/ssd``.
+    """
+
+    CLEAN_SECONDS = 258.7646272067465
+    UNMITIGATED_SECONDS = 642.8461892857794
+    MITIGATED_SECONDS = 302.70239678557164
+    PLAN = FaultPlan(
+        name="straggler",
+        faults=(StragglerFault(node=1, slowdown=2.5),),
+    )
+
+    @pytest.fixture(scope="class")
+    def md_stage(self, gatk4_workload):
+        return WorkloadSpec(name="md-stage", stages=(gatk4_workload.stages[0],))
+
+    @staticmethod
+    def _run(workload, faults=None, resilience=None):
+        return _measure(
+            workload, nodes=10, cores=24, faults=faults, resilience=resilience
+        )
+
+    def test_clean_run(self, md_stage):
+        assert self._run(md_stage).total_seconds == self.CLEAN_SECONDS
+
+    def test_armed_speculation_costs_a_clean_run_nothing(self, md_stage):
+        armed = self._run(
+            md_stage, resilience=ResiliencePolicy(speculation=SpeculationPolicy())
+        )
+        assert armed.total_seconds == self.CLEAN_SECONDS
+
+    def test_unmitigated_straggler(self, md_stage):
+        unmitigated = self._run(md_stage, faults=self.PLAN)
+        assert unmitigated.total_seconds == self.UNMITIGATED_SECONDS
+
+    def test_speculation_and_blacklisting_recover(self, md_stage):
+        mitigated = self._run(
+            md_stage, faults=self.PLAN, resilience=TestBlacklistInTheEngine.POLICY
+        )
+        assert mitigated.total_seconds == self.MITIGATED_SECONDS
+        summary = merge_summaries(stage.resilience for stage in mitigated.stages)
+        assert summary.speculative_launched == 24
+        assert summary.speculative_wins == 9
+        assert summary.blacklisted == ("slave-1",)
+
+
 class TestSummaries:
     def test_merge_unions_blacklists_and_sums_counters(self):
         merged = merge_summaries([

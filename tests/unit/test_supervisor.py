@@ -308,12 +308,6 @@ class TestPooledSupervision:
         assert failure.error.stage == "s0" and failure.error.task_id == 3
         assert report.pool_rebuilds == 0 and report.worker_losses == 0
 
-    def test_chunked_map_blast_radius_is_why_supervision_exists(self):
-        # Contrast pin: the raw chunked map loses the whole call.
-        with ProcessPoolBackend(2) as backend:
-            with pytest.raises(ValueError):
-                backend.map(_poison_three, list(range(10)))
-
     def test_worker_death_converges_to_quarantine(self):
         # An item that always kills its worker must exhaust its attempt
         # budget (each pool break charges it), not respawn pools forever.
@@ -394,23 +388,23 @@ class TestBackendPrimitives:
     def test_worker_pids_snapshot(self):
         backend = ProcessPoolBackend(2)
         assert backend.worker_pids() == ()  # lazy: nothing spawned yet
-        backend.map(_double, [1])
+        backend.submit(_double, 1).result(timeout=30)
         pids = backend.worker_pids()
         assert pids and all(isinstance(pid, int) for pid in pids)
         backend.shutdown()
 
     def test_rebuild_replaces_the_pool(self):
         backend = ProcessPoolBackend(2)
-        backend.map(_double, [1])
+        backend.submit(_double, 1).result(timeout=30)
         old = set(backend.worker_pids())
         backend.rebuild()
         assert backend._executor is None
-        assert backend.map(_double, [2]) == [4]
+        assert backend.submit(_double, 2).result(timeout=30) == 4
         assert not (set(backend.worker_pids()) & old)
         backend.shutdown()
 
     def test_rebuild_before_first_use_is_a_noop(self):
         backend = ProcessPoolBackend(2)
         backend.rebuild()
-        assert backend.map(_double, [3]) == [6]
+        assert backend.submit(_double, 3).result(timeout=30) == 6
         backend.shutdown()
