@@ -157,11 +157,6 @@ def _cache(args: argparse.Namespace) -> ResultCache:
     return ResultCache(getattr(args, "cache", None))
 
 
-def _save_cache(cache: ResultCache) -> None:
-    if cache.path is not None:
-        cache.save()
-
-
 def _cluster_platform(args: argparse.Namespace) -> ClusterPlatform:
     return ClusterPlatform(hdfs_kind=args.hdfs, local_kind=args.local)
 
@@ -251,7 +246,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(f"profiling {workload.name} on {args.nodes} slaves"
           " (four sample runs)...")
     source = SpecSource(workload, profile_nodes=args.nodes, fit_gc=args.fit_gc)
-    report = source.resolve(_cache(args)).report
+    cache = _cache(args)
+    report = source.resolve(cache).report
+    cache.checkpoint()
     if args.output:
         save_report(report, args.output)
         print(f"report saved to {args.output}")
@@ -376,7 +373,7 @@ def _simulate_mix(args: argparse.Namespace) -> int:
         solo_seconds[name] = child.measure(
             args.slaves, args.cores
         ).total_seconds
-    _save_cache(cache)
+    cache.checkpoint()
 
     def slowdown(timeline) -> float:
         solo = solo_seconds[timeline.name]
@@ -483,24 +480,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cache = _cache(args)
     plan = _fault_plan(args)
     policy = _resilience(args)
-    experiment = Experiment(
-        workload, _cluster_platform(args), cache=cache, network=network,
+    # The baselines are sibling experiments: same source, platform and
+    # cache, each with its own fault plan and resilience policy.
+    source = SpecSource(workload)
+    platform = _cluster_platform(args)
+    app = Experiment(
+        source, platform, cache=cache, network=network,
         faults=plan, resilience=policy,
-    )
-    app = experiment.measure(args.slaves, args.cores)
+    ).measure(args.slaves, args.cores)
     # Under a fault plan, also measure the clean baseline so the report
     # can show the per-stage makespan impact.
     clean = (
-        experiment.measure(args.slaves, args.cores, faults=None, resilience=None)
+        Experiment(source, platform, cache=cache, network=network)
+        .measure(args.slaves, args.cores)
         if plan is not None else None
     )
     # With mitigations armed on a faulted run, the unmitigated faulted
     # run is the second baseline: it shows what the policy recovered.
     unmitigated = (
-        experiment.measure(args.slaves, args.cores, resilience=None)
+        Experiment(source, platform, cache=cache, network=network, faults=plan)
+        .measure(args.slaves, args.cores)
         if plan is not None and policy is not None else None
     )
-    _save_cache(cache)
+    cache.checkpoint()
     summary = (
         merge_summaries(stage.resilience for stage in app.stages)
         if policy is not None else None
@@ -709,7 +711,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         args.slaves, args.cores, runs=args.runs, workers=args.workers,
         execution=_execution(args),
     )
-    _save_cache(cache)
+    cache.checkpoint()
     first = results[0]
 
     if args.json:
@@ -780,7 +782,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     result = optimizer.grid_search(vcpu_grid=(4, 8, 16, 32))
     r1 = optimizer.evaluate(r1_spark_recommendation(num_workers=nodes))
     r2 = optimizer.evaluate(r2_cloudera_recommendation(num_workers=nodes))
-    _save_cache(cache)
+    cache.checkpoint()
     # Stable sort on cost: ties keep grid order, so top[0] is exactly
     # the search's ``best``.
     top = sorted(result.evaluated, key=lambda e: e.cost_dollars)[: args.top]

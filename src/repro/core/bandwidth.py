@@ -121,47 +121,6 @@ class EffectiveBandwidthTable:
         """
         return self.bandwidth(request_size) / other.bandwidth(request_size)
 
-    def scaled(self, factor: float, name: str = "") -> "EffectiveBandwidthTable":
-        """A new table with every bandwidth multiplied by ``factor``.
-
-        Used by the cloud disk model, where a virtual disk's bandwidth
-        scales with its provisioned size.
-        """
-        if factor <= 0:
-            raise ModelError(f"scale factor must be positive, got {factor}")
-        return EffectiveBandwidthTable(
-            [(size, bw * factor) for size, bw in self.anchors],
-            name=name or self.name,
-        )
-
-    def capped(self, ceiling: float, name: str = "") -> "EffectiveBandwidthTable":
-        """A new table with bandwidths clamped to at most ``ceiling``.
-
-        Virtual disks in Google Cloud have hard throughput caps regardless
-        of provisioned size (Section VI); this models them.
-        """
-        if ceiling <= 0:
-            raise ModelError(f"bandwidth ceiling must be positive, got {ceiling}")
-        return EffectiveBandwidthTable(
-            [(size, min(bw, ceiling)) for size, bw in self.anchors],
-            name=name or self.name,
-        )
-
-    def iops_capped(self, max_iops: float, name: str = "") -> "EffectiveBandwidthTable":
-        """A new table limited to ``max_iops`` operations per second.
-
-        At each anchor the bandwidth becomes
-        ``min(bw, max_iops * request_size)`` — the IOPS ceiling binds at
-        small request sizes, the throughput curve at large ones.  This is
-        exactly how Google Cloud persistent disks behave.
-        """
-        if max_iops <= 0:
-            raise ModelError(f"IOPS cap must be positive, got {max_iops}")
-        return EffectiveBandwidthTable(
-            [(size, min(bw, max_iops * size)) for size, bw in self.anchors],
-            name=name or self.name,
-        )
-
     def __repr__(self) -> str:
         label = self.name or "table"
         anchors = ", ".join(

@@ -20,12 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import ModelError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resources import Resource
 
 
 class ExecutionPhase(enum.Enum):
@@ -116,24 +112,3 @@ class BreakPointAnalysis:
     def scales_with_cores(self, cores: float) -> bool:
         """True when adding cores at this point still reduces runtime."""
         return self.phase(cores) is not ExecutionPhase.IO_BOUND
-
-    @classmethod
-    def for_resource(
-        cls,
-        resource: Resource,
-        request_size: float,
-        per_core_throughput: float,
-        lam: float,
-    ) -> BreakPointAnalysis:
-        """Analyze a channel against a shared resource.
-
-        ``BW`` is read from the resource itself (the object the simulator
-        allocates from — see :meth:`repro.resources.Resource.bandwidth_at`),
-        so a break point quoted by this analysis is the exact core count
-        at which that resource's water-filling starts cutting rates.
-        """
-        return cls(
-            per_core_throughput=per_core_throughput,
-            bandwidth=resource.bandwidth_at(request_size),
-            lam=lam,
-        )

@@ -160,15 +160,19 @@ class StageModel:
         """Cores per node past which Equation 1 stops improving, or None.
 
         This is where ``t_scale`` crosses the larger I/O limit term: the
-        Equation-1 view of the turning point ``B``.  Returns ``None`` when
-        the stage has no I/O floor (no channels), i.e. it scales forever.
+        Equation-1 view of the turning point ``B``.  ``t_scale`` is
+        ``M·t_avg/(N·P) + M·gc/N + δ``, so the crossover solves
+        ``P* = M·t_avg / (N·(floor − δ − M·gc/N))``.  Returns ``None``
+        when ``t_scale`` never meets the floor: the stage has no I/O
+        floor (no channels), or ``δ + M·gc/N`` alone reaches it.
         """
         self._check_nodes(nodes)
         v = self.variables
         floor = max(self.t_read_limit(nodes), self.t_write_limit(nodes))
-        if floor <= v.delta_scale or v.t_avg == 0.0:
+        margin = floor - v.delta_scale - v.num_tasks * v.gc_coeff / nodes
+        if margin <= 0.0 or v.t_avg == 0.0:
             return None
-        return v.num_tasks * v.t_avg / (nodes * (floor - v.delta_scale))
+        return v.num_tasks * v.t_avg / (nodes * margin)
 
     def _check_operating_point(self, nodes: int, cores_per_node: int) -> None:
         self._check_nodes(nodes)

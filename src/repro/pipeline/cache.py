@@ -41,6 +41,10 @@ every authoritative save: one atomic checkpoint per merged shard, so a
 run killed between merges resumes from the last landed shard (see
 ``docs/EXECUTION.md``).  The interleaved-writer and corrupt-shard tests
 in ``tests/unit/pipeline/test_cache.py`` pin this down.
+
+Every save decision is :meth:`ResultCache.checkpoint`: it writes only a
+file-backed cache that holds entries added since its last load or save,
+so a warm run leaves the file untouched.
 """
 
 from __future__ import annotations
@@ -166,13 +170,15 @@ class ResultCache:
     ----------
     path:
         Optional JSON file.  When given, existing entries are loaded on
-        construction and :meth:`save` persists the current contents; the
-        in-memory maps always hold live objects, so hits cost no
-        deserialization.
+        construction and :meth:`checkpoint` persists the current contents
+        once anything new has been added; the in-memory maps always hold
+        live objects, so hits cost no deserialization.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
+        #: Entries added since the last load or save of :attr:`path`.
+        self._unsaved = 0
         self._measurements: dict[str, ApplicationMeasurement] = {}
         self._predictions: dict[str, ApplicationPrediction] = {}
         self._reports: dict[str, ProfilingReport] = {}
@@ -196,6 +202,7 @@ class ResultCache:
 
     def put_measurement(self, key: str, value: ApplicationMeasurement) -> None:
         self._measurements[key] = value
+        self._unsaved += 1
 
     # -- predictions ---------------------------------------------------------
 
@@ -209,6 +216,7 @@ class ResultCache:
 
     def put_prediction(self, key: str, value: ApplicationPrediction) -> None:
         self._predictions[key] = value
+        self._unsaved += 1
 
     # -- profiling reports ---------------------------------------------------
 
@@ -222,6 +230,7 @@ class ResultCache:
 
     def put_report(self, key: str, value: ProfilingReport) -> None:
         self._reports[key] = value
+        self._unsaved += 1
 
     # -- mixes ---------------------------------------------------------------
 
@@ -235,6 +244,7 @@ class ResultCache:
 
     def put_mix(self, key: str, value: MixMeasurement) -> None:
         self._mixes[key] = value
+        self._unsaved += 1
 
     # -- presence peeks ------------------------------------------------------
 
@@ -265,10 +275,6 @@ class ResultCache:
         key could never hit, so the hot path skips building it.
         """
         return len(self._predictions)
-
-    def contains_mix(self, key: str) -> bool:
-        """Counter-free presence check for a mix key."""
-        return key in self._mixes
 
     # -- worker shards -------------------------------------------------------
 
@@ -321,6 +327,7 @@ class ResultCache:
                 if key not in store:
                     store[key] = value
                     merged += 1
+        self._unsaved += merged
         return merged
 
     # -- bookkeeping ---------------------------------------------------------
@@ -388,6 +395,18 @@ class ResultCache:
 
     # -- persistence ---------------------------------------------------------
 
+    def checkpoint(self) -> bool:
+        """Save to :attr:`path` if it holds anything new; True if saved.
+
+        The one save decision of the pipeline, the CLI and the query
+        service: an in-memory cache, or a file-backed one with no entry
+        added since its last load or save, writes nothing.
+        """
+        if self.path is None or not self._unsaved:
+            return False
+        self.save()
+        return True
+
     def save(self, path: str | Path | None = None) -> Path:
         """Write the cache to JSON; returns the path written.
 
@@ -429,6 +448,8 @@ class ResultCache:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        if target == self.path:
+            self._unsaved = 0
         return target
 
     def _load(self, path: Path) -> None:

@@ -73,37 +73,12 @@ from repro.schedule.mix import (
     MixJob,
     MixMeasurement,
     canonical_jobs,
+    check_mix_policy,
     measure_mix as simulate_mix,
 )
 from repro.simulator.run import ApplicationMeasurement, busy_fractions
 from repro.workloads.base import WorkloadSpec, scale_workload_volume
 from repro.workloads.runner import measure_workload
-
-#: Sentinel for "use the experiment's own fault plan" on per-call
-#: ``faults=`` overrides (``None`` must mean "no faults").
-_DEFAULT_FAULTS = object()
-
-#: Same trick for per-call ``resilience=`` overrides.
-_DEFAULT_RESILIENCE = object()
-
-
-@dataclass(frozen=True)
-class _GridContext:
-    """Per-grid invariants, fingerprinted once instead of once per cell.
-
-    ``measure`` used to recompute the spec, network, fault, and
-    resilience fingerprints for every cell of a grid; they only depend
-    on the experiment and the call-level overrides, so one context per
-    grid (or per single run) covers every cell.
-    """
-
-    plan: FaultPlan | None
-    policy: ResiliencePolicy | None
-    spec: WorkloadSpec
-    spec_fp: str
-    network_fp: str
-    fault_fp: str
-    resilience_fp: str
 
 
 class Experiment:
@@ -130,13 +105,16 @@ class Experiment:
         every *measurement* (predictions stay fault-blind, so a faulted
         ``RunResult`` reads as sim-under-faults vs. the clean Eq.-1
         model).  The plan's fingerprint is folded into measurement cache
-        keys; individual calls may override with their own ``faults=``.
+        keys.
     resilience:
         Optional :class:`~repro.resilience.ResiliencePolicy` arming the
         simulator's recovery mechanisms on every measurement.  Like
-        faults, its fingerprint is folded into measurement cache keys
-        (mitigated runs never collide with unmitigated ones) and
-        individual calls may override with ``resilience=``.
+        faults, its fingerprint is folded into measurement cache keys,
+        so mitigated runs never collide with unmitigated ones.
+
+    Both are fixed for the experiment's lifetime.  A baseline under
+    another plan or policy (clean against faulted, unmitigated against
+    mitigated) is a sibling ``Experiment`` on the same ``cache``.
     """
 
     def __init__(
@@ -155,6 +133,15 @@ class Experiment:
         self.faults = faults
         self.resilience = resilience
         self._platform_fp = self.platform.fingerprint()
+        self._network_fp = (
+            "none" if network is None else repr(network.link_bandwidth)
+        )
+        self._fault_fp = (
+            "none" if faults is None or not faults.faults else faults.fingerprint()
+        )
+        self._resilience_fp = (
+            "none" if resilience is None else resilience.fingerprint()
+        )
         self._resolved: ResolvedWorkload | None = None
         self._predictor: Predictor | None = None
 
@@ -192,21 +179,15 @@ class Experiment:
         nodes: int | None = None,
         cores_per_node: int | None = None,
         run_index: int = 0,
-        faults: FaultPlan | None = _DEFAULT_FAULTS,  # type: ignore[assignment]
-        resilience: ResiliencePolicy | None = _DEFAULT_RESILIENCE,  # type: ignore[assignment]
     ) -> ApplicationMeasurement:
         """Simulated "exp" measurement at ``(N, P)`` (cached).
 
         Needs only the spec half of the source, so spec-backed sources
         are *not* profiled — ``repro simulate`` stays as cheap as the
-        bare runner it replaced.  ``faults`` overrides the experiment's
-        fault plan for this call (``None`` forces a clean run);
-        ``resilience`` likewise overrides the mitigation policy
-        (``None`` forces an unmitigated run).
+        bare runner it replaced.
         """
         nodes, cores = self._shape(nodes, cores_per_node)
-        context = self._grid_context(faults, resilience)
-        return self._measure_cell(nodes, cores, run_index, context)
+        return self._measure_cell(nodes, cores, run_index)
 
     def predict(
         self,
@@ -215,36 +196,28 @@ class Experiment:
     ) -> ApplicationPrediction:
         """Equation-1 "model" prediction at ``(N, P)`` (cached)."""
         nodes, cores = self._shape(nodes, cores_per_node)
-        return self._predict_cell(nodes, cores, self._network_fp())
+        return self._predict_cell(nodes, cores)
 
     def _measure_cell(
-        self, nodes: int, cores: int, run_index: int, context: _GridContext
+        self, nodes: int, cores: int, run_index: int
     ) -> ApplicationMeasurement:
-        key = self._measurement_key(nodes, cores, run_index, context)
+        key = self._measurement_key(nodes, cores, run_index)
         measurement = self.cache.get_measurement(key)
         if measurement is None:
             measurement = measure_workload(
                 self.platform.cluster(nodes),
                 cores,
-                context.spec,
+                self._spec_and_fingerprint()[0],
                 run_index=run_index,
                 network=self.network,
-                faults=context.plan,
-                resilience=context.policy,
+                faults=self.faults,
+                resilience=self.resilience,
             )
             self.cache.put_measurement(key, measurement)
         return measurement
 
-    def _predict_cell(
-        self, nodes: int, cores: int, network_fp: str
-    ) -> ApplicationPrediction:
-        key = prediction_key(
-            self.resolved.report_fingerprint,
-            self._platform_fp,
-            nodes,
-            cores,
-            network_fp=network_fp,
-        )
+    def _predict_cell(self, nodes: int, cores: int) -> ApplicationPrediction:
+        key = self._prediction_key(nodes, cores)
         prediction = self.cache.get_prediction(key)
         if prediction is None:
             bandwidth = (
@@ -264,21 +237,16 @@ class Experiment:
         nodes: int | None = None,
         cores_per_node: int | None = None,
         run_index: int = 0,
-        faults: FaultPlan | None = _DEFAULT_FAULTS,  # type: ignore[assignment]
-        resilience: ResiliencePolicy | None = _DEFAULT_RESILIENCE,  # type: ignore[assignment]
     ) -> RunResult:
         """One full exp-vs-model point."""
         nodes, cores = self._shape(nodes, cores_per_node)
-        context = self._grid_context(faults, resilience)
-        return self._run_cell(nodes, cores, run_index, context)
+        return self._run_cell(nodes, cores, run_index)
 
     def run_repeated(
         self,
         nodes: int | None = None,
         cores_per_node: int | None = None,
         runs: int = 5,
-        faults: FaultPlan | None = _DEFAULT_FAULTS,  # type: ignore[assignment]
-        resilience: ResiliencePolicy | None = _DEFAULT_RESILIENCE,  # type: ignore[assignment]
         workers: int | None = None,
         execution: ExecutionPolicy | None = None,
     ) -> list[RunResult]:
@@ -295,8 +263,6 @@ class Experiment:
             nodes=(nodes,),
             cores_per_node=(cores,),
             run_indices=tuple(range(runs)),
-            faults=faults,
-            resilience=resilience,
             workers=workers,
             execution=execution,
         )
@@ -306,8 +272,6 @@ class Experiment:
         nodes: Sequence[int] | None = None,
         cores_per_node: Sequence[int] | None = None,
         run_indices: Iterable[int] = (0,),
-        faults: FaultPlan | None = _DEFAULT_FAULTS,  # type: ignore[assignment]
-        resilience: ResiliencePolicy | None = _DEFAULT_RESILIENCE,  # type: ignore[assignment]
         workers: int | None = None,
         execution: ExecutionPolicy | None = None,
     ) -> list[RunResult]:
@@ -352,82 +316,74 @@ class Experiment:
             for p in core_axis
             for r in run_indices
         ]
-        context = self._grid_context(faults, resilience)
         validate_execution(execution)
         if workers is None or workers == 1:
-            return [
-                self._checkpointed_cell(n, p, r, context)
-                for (n, p, r) in cells
-            ]
-        return self._run_grid_parallel(cells, context, workers, execution)
+            return [self._checkpointed_cell(n, p, r) for (n, p, r) in cells]
+        return self._run_grid_parallel(cells, workers, execution)
 
     # -- multi-tenant mixes --------------------------------------------------
 
     def measure_mix(
         self,
-        jobs: Sequence[MixJob | WorkloadSpec | tuple],
+        jobs: Sequence[MixJob],
         policy: str = "fair",
         nodes: int | None = None,
         cores_per_node: int | None = None,
         run_index: int = 0,
-        faults: FaultPlan | None = _DEFAULT_FAULTS,  # type: ignore[assignment]
     ) -> MixMeasurement:
         """Simulate ``jobs`` sharing this platform's cluster (cached).
 
-        ``jobs`` entries may be :class:`~repro.schedule.mix.MixJob`
-        instances, bare :class:`WorkloadSpec`\\ s (arrival 0, scale 1),
-        or ``(spec,)`` / ``(spec, arrival)`` /
-        ``(spec, arrival, volume_scale)`` tuples.
+        ``jobs`` is a sequence of :class:`~repro.schedule.mix.MixJob`\\ s,
+        run under this experiment's fault plan.
 
-        A one-job mix *is* the single-tenant run: it delegates to the
-        exact solo simulation path (same cache key, same event sequence,
-        per-stage fault anchoring) and wraps the result in a
-        :class:`MixMeasurement`, so K = 1 output is bit-identical to
-        :meth:`measure` — the engine's own mix-of-one agrees only to
-        float round-off (see docs/MULTITENANT.md).  Mixes of two or more
-        run the :class:`~repro.schedule.mix.MixEngine` and are memoized
-        under a ``mix/…`` key fingerprinting every job plus the policy,
-        so no co-tenant change can alias a cached result.
+        A clean one-job mix *is* the single-tenant run: it delegates to
+        the exact solo simulation path (same cache key, same event
+        sequence) and wraps the result in a :class:`MixMeasurement`, so
+        its output is bit-identical to :meth:`measure` — the engine's own
+        mix-of-one agrees only to float round-off (see
+        docs/MULTITENANT.md).  Every other mix, a faulted one-job mix
+        included, runs the :class:`~repro.schedule.mix.MixEngine` with
+        the plan anchored to the mix clock, and is memoized under a
+        ``mix/…`` key fingerprinting every job plus the policy, so no
+        co-tenant change can alias a cached result.
         """
         mix_jobs = self._coerce_mix_jobs(jobs)
         nodes, cores = self._shape(nodes, cores_per_node)
-        plan = self._resolve_faults(faults)
         named = canonical_jobs(mix_jobs)
-        if len(named) == 1:
-            return self._solo_mix(named[0], policy, nodes, cores, run_index, plan)
-        key = mix_key(
-            self._mix_fingerprint(named, policy),
-            self._platform_fp,
-            nodes,
-            cores,
-            run_index=run_index,
-            network_fp=self._network_fp(),
-            fault_fp=self._fault_fp(plan),
-        )
-        mix = self.cache.get_mix(key)
-        if mix is None:
-            mix = simulate_mix(
-                self.platform.cluster(nodes),
+        if len(named) == 1 and self._fault_fp == "none":
+            mix = self._solo_mix(named[0], policy, nodes, cores, run_index)
+        else:
+            key = mix_key(
+                self._mix_fingerprint(named, policy),
+                self._platform_fp,
+                nodes,
                 cores,
-                mix_jobs,
-                policy=policy,
                 run_index=run_index,
-                network=self.network,
-                faults=plan,
+                network_fp=self._network_fp,
+                fault_fp=self._fault_fp,
             )
-            self.cache.put_mix(key, mix)
-            if self.cache.path is not None:
-                self.cache.save()
+            mix = self.cache.get_mix(key)
+            if mix is None:
+                mix = simulate_mix(
+                    self.platform.cluster(nodes),
+                    cores,
+                    mix_jobs,
+                    policy=policy,
+                    run_index=run_index,
+                    network=self.network,
+                    faults=self.faults,
+                )
+                self.cache.put_mix(key, mix)
+        self.cache.checkpoint()
         return mix
 
     def run_mix(
         self,
-        jobs: Sequence[MixJob | WorkloadSpec | tuple],
+        jobs: Sequence[MixJob],
         policy: str = "fair",
         nodes: int | None = None,
         cores_per_node: int | None = None,
         run_index: int = 0,
-        faults: FaultPlan | None = _DEFAULT_FAULTS,  # type: ignore[assignment]
     ) -> MixResult:
         """The full co-location experiment: mix + per-job interference.
 
@@ -441,23 +397,16 @@ class Experiment:
         """
         mix_jobs = self._coerce_mix_jobs(jobs)
         nodes, cores = self._shape(nodes, cores_per_node)
-        misses_before = self._total_misses()
         mix = self.measure_mix(
             mix_jobs,
             policy=policy,
             nodes=nodes,
             cores_per_node=cores,
             run_index=run_index,
-            faults=faults,
         )
         job_results = []
         for timeline, (name, job) in zip(mix.jobs, canonical_jobs(mix_jobs)):
-            child = Experiment(
-                scale_workload_volume(job.spec, job.volume_scale),
-                self.platform,
-                cache=self.cache,
-                network=self.network,
-            )
+            child = self._solo_child(job)
             solo_seconds = child.measure(
                 nodes, cores, run_index=run_index
             ).total_seconds
@@ -484,8 +433,7 @@ class Experiment:
                     ),
                 )
             )
-        if self.cache.path is not None and self._total_misses() > misses_before:
-            self.cache.save()
+        self.cache.checkpoint()
         return MixResult(
             policy=mix.policy,
             platform=self.platform.label,
@@ -497,6 +445,15 @@ class Experiment:
             device_utilizations=mix.device_utilizations,
         )
 
+    def _solo_child(self, job: MixJob) -> "Experiment":
+        """The job alone, clean and unmitigated, on this experiment's cache."""
+        return Experiment(
+            scale_workload_volume(job.spec, job.volume_scale),
+            self.platform,
+            cache=self.cache,
+            network=self.network,
+        )
+
     def _solo_mix(
         self,
         named: tuple[str, MixJob],
@@ -504,9 +461,8 @@ class Experiment:
         nodes: int,
         cores: int,
         run_index: int,
-        plan: FaultPlan | None,
     ) -> MixMeasurement:
-        """A one-job mix via the solo path, bit-identical to ``measure``.
+        """A clean one-job mix via the solo path, bit-identical to ``measure``.
 
         The job is measured by a child experiment on the (scaled) spec,
         so a K = 1 mix and the equivalent solo experiment share one
@@ -514,26 +470,11 @@ class Experiment:
         re-expressed over the mix makespan (``arrival`` + runtime) for
         the cluster-level view.
         """
-        from repro.schedule.mix import MIX_POLICIES
-        from repro.schedule.scheduler import SchedulingError
-
-        if policy not in MIX_POLICIES:
-            raise SchedulingError(
-                f"unknown mix policy {policy!r}; expected one of {MIX_POLICIES}"
-            )
+        check_mix_policy(policy)
         name, job = named
-        child = Experiment(
-            scale_workload_volume(job.spec, job.volume_scale),
-            self.platform,
-            cache=self.cache,
-            network=self.network,
+        measurement = self._solo_child(job).measure(
+            nodes, cores, run_index=run_index
         )
-        misses_before = self._total_misses()
-        measurement = child.measure(
-            nodes, cores, run_index=run_index, faults=plan, resilience=None
-        )
-        if self.cache.path is not None and self._total_misses() > misses_before:
-            self.cache.save()
         if measurement.name != name:
             measurement = ApplicationMeasurement(
                 name=name, stages=measurement.stages
@@ -565,42 +506,23 @@ class Experiment:
         )
 
     @staticmethod
-    def _coerce_mix_jobs(
-        jobs: Sequence[MixJob | WorkloadSpec | tuple],
-    ) -> tuple[MixJob, ...]:
-        """Normalize the accepted job shorthands into ``MixJob``s."""
-        if isinstance(jobs, (MixJob, WorkloadSpec)):
+    def _coerce_mix_jobs(jobs: Sequence[MixJob]) -> tuple[MixJob, ...]:
+        """``jobs`` as a non-empty tuple of ``MixJob``\\ s."""
+        if isinstance(jobs, MixJob):
             raise ConfigurationError(
                 "measure_mix/run_mix take a sequence of jobs; wrap the"
                 " single job in a list"
             )
-        coerced = []
-        for entry in jobs:
-            if isinstance(entry, MixJob):
-                coerced.append(entry)
-            elif isinstance(entry, WorkloadSpec):
-                coerced.append(MixJob(spec=entry))
-            elif isinstance(entry, tuple) and 1 <= len(entry) <= 3:
-                spec = entry[0]
-                if not isinstance(spec, WorkloadSpec):
-                    raise ConfigurationError(
-                        f"mix job tuple must start with a WorkloadSpec,"
-                        f" got {type(spec).__name__}"
-                    )
-                arrival = float(entry[1]) if len(entry) > 1 else 0.0
-                scale = float(entry[2]) if len(entry) > 2 else 1.0
-                coerced.append(
-                    MixJob(spec=spec, arrival=arrival, volume_scale=scale)
-                )
-            else:
+        coerced = tuple(jobs)
+        for entry in coerced:
+            if not isinstance(entry, MixJob):
                 raise ConfigurationError(
                     f"cannot interpret mix job entry {entry!r}; expected a"
-                    " MixJob, a WorkloadSpec, or a (spec, arrival,"
-                    " volume_scale) tuple"
+                    " MixJob"
                 )
         if not coerced:
             raise ConfigurationError("a mix needs at least one job")
-        return tuple(coerced)
+        return coerced
 
     @staticmethod
     def _mix_fingerprint(
@@ -628,20 +550,11 @@ class Experiment:
             }
         )
 
-    def _total_misses(self) -> int:
-        return (
-            self.cache.measurement_stats.misses
-            + self.cache.prediction_stats.misses
-            + self.cache.report_stats.misses
-            + self.cache.mix_stats.misses
-        )
-
     # -- parallel dispatch ---------------------------------------------------
 
     def _run_grid_parallel(
         self,
         cells: list[tuple[int, int, int]],
-        context: _GridContext,
         workers: int,
         execution: ExecutionPolicy | None,
     ) -> list[RunResult]:
@@ -674,18 +587,8 @@ class Experiment:
             seen.add(cell)
             n, p, r = cell
             if not (
-                self.cache.contains_measurement(
-                    self._measurement_key(n, p, r, context)
-                )
-                and self.cache.contains_prediction(
-                    prediction_key(
-                        resolved.report_fingerprint,
-                        self._platform_fp,
-                        n,
-                        p,
-                        network_fp=context.network_fp,
-                    )
-                )
+                self.cache.contains_measurement(self._measurement_key(n, p, r))
+                and self.cache.contains_prediction(self._prediction_key(n, p))
             ):
                 cold.append(cell)
         if cold:
@@ -694,18 +597,15 @@ class Experiment:
                 report=resolved.report,
                 platform=self.platform,
                 network=self.network,
-                faults=context.plan,
-                resilience=context.policy,
+                faults=self.faults,
+                resilience=self.resilience,
             )
             backend = resolve_backend(
                 workers, initializer=_init_grid_worker, initargs=(payload,)
             )
             if backend.workers == 1:
                 # Auto-sizing resolved to one CPU: plain serial grid.
-                return [
-                    self._checkpointed_cell(n, p, r, context)
-                    for (n, p, r) in cells
-                ]
+                return [self._checkpointed_cell(n, p, r) for (n, p, r) in cells]
             supervisor = TaskSupervisor(
                 backend,
                 execution if execution is not None else ExecutionPolicy(),
@@ -715,9 +615,8 @@ class Experiment:
                 # Incremental checkpoint: persist every shard as it
                 # lands, not once after the final merge, so a killed
                 # run resumes from the last completed cell.
-                added = self.cache.merge_shard(shard)
-                if self.cache.path is not None and added:
-                    self.cache.save()
+                self.cache.merge_shard(shard)
+                self.cache.checkpoint()
 
             with backend:
                 report = supervisor.run(
@@ -726,69 +625,44 @@ class Experiment:
             report.raise_if_failed(
                 f"run_grid({len(cold)} cold cell(s), workers={workers})"
             )
-        return [
-            self._run_cell(n, p, r, context) for (n, p, r) in cells
-        ]
+        return [self._run_cell(n, p, r) for (n, p, r) in cells]
 
-    def _run_cell(
-        self, nodes: int, cores: int, run_index: int, context: _GridContext
-    ) -> RunResult:
+    def _run_cell(self, nodes: int, cores: int, run_index: int) -> RunResult:
         return compose_run_result(
-            self._measure_cell(nodes, cores, run_index, context),
-            self._predict_cell(nodes, cores, context.network_fp),
+            self._measure_cell(nodes, cores, run_index),
+            self._predict_cell(nodes, cores),
             platform_label=self.platform.label,
             run_index=run_index,
             network_gbps=self.network_gbps,
         )
 
-    def _checkpointed_cell(
-        self, nodes: int, cores: int, run_index: int, context: _GridContext
-    ) -> RunResult:
-        """One grid cell, persisted to a file-backed cache when fresh."""
-        misses_before = (
-            self.cache.measurement_stats.misses
-            + self.cache.prediction_stats.misses
-            + self.cache.report_stats.misses
-        )
-        result = self._run_cell(nodes, cores, run_index, context)
-        misses_after = (
-            self.cache.measurement_stats.misses
-            + self.cache.prediction_stats.misses
-            + self.cache.report_stats.misses
-        )
-        if self.cache.path is not None and misses_after > misses_before:
-            self.cache.save()
+    def _checkpointed_cell(self, nodes: int, cores: int, run_index: int) -> RunResult:
+        """One grid cell, then a checkpoint of whatever it added."""
+        result = self._run_cell(nodes, cores, run_index)
+        self.cache.checkpoint()
         return result
 
     # -- internals -----------------------------------------------------------
 
-    def _grid_context(self, faults, resilience) -> _GridContext:
-        """Resolve overrides and fingerprint the grid's invariants once."""
-        plan = self._resolve_faults(faults)
-        policy = self._resolve_resilience(resilience)
-        spec, spec_fp = self._spec_and_fingerprint()
-        return _GridContext(
-            plan=plan,
-            policy=policy,
-            spec=spec,
-            spec_fp=spec_fp,
-            network_fp=self._network_fp(),
-            fault_fp=self._fault_fp(plan),
-            resilience_fp=self._resilience_fp(policy),
-        )
-
-    def _measurement_key(
-        self, nodes: int, cores: int, run_index: int, context: _GridContext
-    ) -> str:
+    def _measurement_key(self, nodes: int, cores: int, run_index: int) -> str:
         return run_key(
-            context.spec_fp,
+            self._spec_and_fingerprint()[1],
             self._platform_fp,
             nodes,
             cores,
             run_index=run_index,
-            network_fp=context.network_fp,
-            fault_fp=context.fault_fp,
-            resilience_fp=context.resilience_fp,
+            network_fp=self._network_fp,
+            fault_fp=self._fault_fp,
+            resilience_fp=self._resilience_fp,
+        )
+
+    def _prediction_key(self, nodes: int, cores: int) -> str:
+        return prediction_key(
+            self.resolved.report_fingerprint,
+            self._platform_fp,
+            nodes,
+            cores,
+            network_fp=self._network_fp,
         )
 
     def _spec_and_fingerprint(self):
@@ -799,29 +673,6 @@ class Experiment:
             return spec_only()
         resolved = self.resolved
         return resolved.spec, resolved.spec_fingerprint
-
-    def _network_fp(self) -> str:
-        if self.network is None:
-            return "none"
-        return repr(self.network.link_bandwidth)
-
-    def _resolve_faults(self, faults) -> FaultPlan | None:
-        return self.faults if faults is _DEFAULT_FAULTS else faults
-
-    def _resolve_resilience(self, resilience) -> ResiliencePolicy | None:
-        return self.resilience if resilience is _DEFAULT_RESILIENCE else resilience
-
-    @staticmethod
-    def _fault_fp(plan: FaultPlan | None) -> str:
-        if plan is None or not plan.faults:
-            return "none"
-        return plan.fingerprint()
-
-    @staticmethod
-    def _resilience_fp(policy: ResiliencePolicy | None) -> str:
-        if policy is None:
-            return "none"
-        return policy.fingerprint()
 
     def _shape(
         self, nodes: int | None, cores_per_node: int | None

@@ -172,30 +172,6 @@ class CloudPlatform:
         self.config = config
         self._clusters: dict[int, Cluster] = {}
 
-    @classmethod
-    def from_disks(
-        cls,
-        hdfs_kind: str,
-        hdfs_gb: float,
-        local_kind: str,
-        local_gb: float,
-        vcpus: int = 16,
-        num_workers: int = 10,
-    ) -> CloudPlatform:
-        """Convenience constructor from raw disk/shape parameters."""
-        from repro.cloud.instance import machine_for_vcpus
-
-        return cls(
-            CloudConfiguration(
-                machine=machine_for_vcpus(vcpus),
-                num_workers=num_workers,
-                hdfs_disk_kind=hdfs_kind,
-                hdfs_disk_gb=hdfs_gb,
-                local_disk_kind=local_kind,
-                local_disk_gb=local_gb,
-            )
-        )
-
     @property
     def label(self) -> str:
         return f"cloud[{self.config.label()}]"

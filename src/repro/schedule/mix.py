@@ -115,6 +115,14 @@ class MixJob:
         return self.name if self.name is not None else self.spec.name
 
 
+def check_mix_policy(policy: str) -> None:
+    """Raise :class:`SchedulingError` unless ``policy`` is in :data:`MIX_POLICIES`."""
+    if policy not in MIX_POLICIES:
+        raise SchedulingError(
+            f"unknown mix policy {policy!r}; expected one of {MIX_POLICIES}"
+        )
+
+
 def canonical_jobs(jobs: Sequence[MixJob]) -> list[tuple[str, MixJob]]:
     """The mix's canonical ``(name, job)`` sequence.
 
@@ -245,10 +253,7 @@ class MixEngine(SimulationEngine):
         network: NetworkModel | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
-        if policy not in MIX_POLICIES:
-            raise SchedulingError(
-                f"unknown mix policy {policy!r}; expected one of {MIX_POLICIES}"
-            )
+        check_mix_policy(policy)
         if not jobs:
             raise SchedulingError("a mix needs at least one job")
         self.policy = policy
@@ -480,7 +485,7 @@ def measure_mix(
 
     The direct (uncached) driver; :meth:`repro.pipeline.experiment
     .Experiment.measure_mix` wraps this with content-addressed caching
-    and delegates K = 1 mixes to the bit-identical solo path.
+    and delegates clean K = 1 mixes to the bit-identical solo path.
     """
     engine = MixEngine(
         cluster, cores_per_node, jobs, policy=policy, run_index=run_index,

@@ -255,7 +255,9 @@ class QueryEngine:
         ``{name: WorkloadSpec}`` — the specs this engine serves.
     cache:
         Optional shared :class:`ResultCache` (tier 2).  File-backed
-        caches are checkpointed after every fresh simulation batch.
+        caches are checkpointed after every simulation batch and when the
+        engine closes; :meth:`ResultCache.checkpoint` writes only what is
+        new.
     lru_size:
         Capacity of the tier-1 result LRU (canonical-fingerprint keyed).
     batch_max:
@@ -371,8 +373,7 @@ class QueryEngine:
         self._sim_pending.clear()
         self._profile_pending.clear()
         self._backend.shutdown()
-        if self.cache.path is not None:
-            self.cache.save()
+        self.cache.checkpoint()
 
     async def __aenter__(self) -> "QueryEngine":
         await self.start()
@@ -716,22 +717,19 @@ class QueryEngine:
             return
         finally:
             self._sim_running = 0
-        fresh = False
         for item, outcome in zip(batch, outcomes):
             if item.future.done():
                 continue
             if not isinstance(outcome, BaseException):
                 self.cache.put_measurement(item.key, outcome)
-                fresh = True
             _deliver(item.future, outcome)
-        if fresh and self.cache.path is not None:
-            # The answers are delivered and the entries stay in memory,
-            # so a failed checkpoint costs nothing the next save cannot
-            # retry; letting it escape would end the worker.
-            try:
-                self.cache.save()
-            except OSError:
-                self.counters["sim_save_errors"] += 1
+        # The answers are delivered and the entries stay in memory, so a
+        # failed checkpoint costs nothing the next one cannot retry;
+        # letting it escape would end the worker.
+        try:
+            self.cache.checkpoint()
+        except OSError:
+            self.counters["sim_save_errors"] += 1
 
     # -- observability -------------------------------------------------------
 

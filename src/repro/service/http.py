@@ -15,8 +15,9 @@ Routes
   engine's result payload.
 
 Error mapping mirrors the CLI's exit codes: a malformed request (a
-line over the stream reader's 64 KiB limit, more than
-:data:`MAX_HEADER_LINES` header lines, a negative ``Content-Length``, a
+line over the stream reader's 64 KiB limit, a request line plus headers
+over :data:`MAX_HEAD_BYTES`, more than :data:`MAX_HEADER_LINES` header
+lines, a negative ``Content-Length``, a
 body that ends before it, or one that is not JSON or is nested too
 deeply to parse) or a malformed query
 (:class:`QueryError`, :class:`ConfigurationError`,
@@ -58,6 +59,9 @@ MAX_BODY_BYTES = 64 * 1024
 
 #: Most header lines read from one request; more is a 400.
 MAX_HEADER_LINES = 100
+
+#: Largest request line plus headers accepted, in bytes; more is a 400.
+MAX_HEAD_BYTES = 64 * 1024
 
 
 class QueryServer:
@@ -130,7 +134,9 @@ class QueryServer:
 
     async def _respond(self, reader: asyncio.StreamReader) -> tuple[int, dict]:
         try:
-            request_line = (await reader.readline()).decode("latin-1").strip()
+            raw = await reader.readline()
+            head_bytes = len(raw)
+            request_line = raw.decode("latin-1").strip()
             if not request_line:
                 return 400, {"error": "BadRequest", "message": "empty request"}
             parts = request_line.split()
@@ -143,7 +149,14 @@ class QueryServer:
             headers: dict[str, str] = {}
             lines = 0
             while True:
-                line = (await reader.readline()).decode("latin-1")
+                raw = await reader.readline()
+                head_bytes += len(raw)
+                if head_bytes > MAX_HEAD_BYTES:
+                    return 400, {
+                        "error": "BadRequest",
+                        "message": f"request head exceeds {MAX_HEAD_BYTES} bytes",
+                    }
+                line = raw.decode("latin-1")
                 if line in ("\r\n", "\n", ""):
                     break
                 lines += 1

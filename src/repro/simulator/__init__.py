@@ -9,7 +9,7 @@ role of the paper's "exp" bars in Figs. 7-12.
   write, holding one core throughout, as a Spark task does).
 - :mod:`repro.simulator.engine` — the fluid event loop: advance to the next
   phase completion, re-balance device queues, launch waiting tasks.
-- :mod:`repro.simulator.run` — stage/application drivers returning
+- :mod:`repro.simulator.run` — the stage driver and the stage/application
   measurement records (makespan, per-task times, iostat samples).
 """
 
@@ -19,7 +19,6 @@ from repro.simulator.run import (
     StageMeasurement,
     ApplicationMeasurement,
     run_stage,
-    run_application,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "StageMeasurement",
     "ApplicationMeasurement",
     "run_stage",
-    "run_application",
 ]

@@ -119,10 +119,6 @@ class _Running:
     speculative: bool = False
     record: _TaskRecord | None = None
 
-    @property
-    def in_io(self) -> bool:
-        return self.open_streams > 0
-
 
 @dataclass
 class _TaskRecord:

@@ -1,9 +1,11 @@
-"""Stage/application measurement drivers.
+"""The stage measurement driver and the measurement records.
 
-These wrap :class:`~repro.simulator.engine.SimulationEngine` and return the
-measurement records the rest of the library consumes: the makespan (the
-"exp" bar of Figs. 7-12), per-task-group average times (``t_avg``), byte
-totals per direction, and iostat request-size samples.
+:func:`run_stage` wraps :class:`~repro.simulator.engine.SimulationEngine`
+and returns the records the rest of the library consumes: the makespan
+(the "exp" bar of Figs. 7-12), per-task-group average times (``t_avg``),
+byte totals per direction, and iostat request-size samples.
+:func:`repro.workloads.runner.measure_workload` drives whole
+applications.
 """
 
 from __future__ import annotations
@@ -217,24 +219,3 @@ def run_stage(
         device_utilizations=busy_fractions(engine.device_busy_seconds, makespan),
         resilience=engine.resilience_summary(),
     )
-
-
-def run_application(
-    cluster: Cluster,
-    cores_per_node: int,
-    staged_tasks: list[tuple[str, list[SimTask]]],
-    name: str = "app",
-    network: NetworkModel | None = None,
-    faults: FaultPlan | None = None,
-    resilience: ResiliencePolicy | None = None,
-) -> ApplicationMeasurement:
-    """Simulate stages sequentially (Spark stages synchronize at shuffles)."""
-    measurements = [
-        run_stage(
-            cluster, cores_per_node, tasks,
-            name=stage_name, network=network, faults=faults,
-            resilience=resilience,
-        )
-        for stage_name, tasks in staged_tasks
-    ]
-    return ApplicationMeasurement(name=name, stages=tuple(measurements))

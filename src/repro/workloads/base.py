@@ -373,10 +373,6 @@ class WorkloadSpec:
                 return candidate
         raise WorkloadError(f"workload {self.name}: no stage named {name!r}")
 
-    def build_staged_tasks(self) -> list[tuple[str, list[SimTask]]]:
-        """Render every stage for :func:`repro.simulator.run.run_application`."""
-        return [(stage.name, stage.build_tasks()) for stage in self.stages]
-
 
 def scale_workload_volume(spec: WorkloadSpec, factor: float) -> WorkloadSpec:
     """Scale a workload's data volume by ``factor`` (Awan-style scale-up).

@@ -210,14 +210,18 @@ class TestExperimentCaching:
         faulted_a = experiment.measure(2, 2)
         faulted_b = experiment.measure(2, 2)
         assert faulted_b is faulted_a  # cache hit: the very same record
-        clean = experiment.measure(2, 2, faults=None)
+        clean = Experiment(_spec(), ClusterPlatform(), cache=cache).measure(2, 2)
         assert clean.total_seconds < faulted_a.total_seconds
 
     def test_per_call_override_replaces_the_experiment_plan(self):
-        experiment = Experiment(_spec(), ClusterPlatform())
-        base = experiment.measure(2, 2)
+        # The override is a sibling experiment on the same cache.
+        cache = ResultCache()
+        base = Experiment(_spec(), ClusterPlatform(), cache=cache).measure(2, 2)
         plan = FaultPlan(name="s", faults=(StragglerFault(node=0, slowdown=3.0),))
-        assert experiment.measure(2, 2, faults=plan).total_seconds > base.total_seconds
+        faulted = Experiment(
+            _spec(), ClusterPlatform(), cache=cache, faults=plan
+        ).measure(2, 2)
+        assert faulted.total_seconds > base.total_seconds
 
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=15, **PROPERTY_SETTINGS)

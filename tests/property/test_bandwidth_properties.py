@@ -60,36 +60,6 @@ def test_monotone_when_anchors_monotone(anchors, a, b):
     assert table.bandwidth(low) <= table.bandwidth(high) * (1 + 1e-9)
 
 
-@given(anchors=anchor_lists, factor=st.floats(min_value=0.01, max_value=100.0),
-       request=request_sizes)
-@settings(**PROPERTY_SETTINGS)
-def test_scaling_is_multiplicative(anchors, factor, request):
-    table = EffectiveBandwidthTable(anchors)
-    scaled = table.scaled(factor)
-    assert math.isclose(
-        scaled.bandwidth(request), factor * table.bandwidth(request), rel_tol=1e-9
-    )
-
-
-@given(anchors=anchor_lists, ceiling=st.floats(min_value=1.0, max_value=1e10),
-       request=request_sizes)
-@settings(**PROPERTY_SETTINGS)
-def test_cap_is_a_ceiling(anchors, ceiling, request):
-    table = EffectiveBandwidthTable(anchors)
-    capped = table.capped(ceiling)
-    assert capped.bandwidth(request) <= ceiling * (1 + 1e-9)
-    assert capped.bandwidth(request) <= table.bandwidth(request) * (1 + 1e-9)
-
-
-@given(anchors=anchor_lists, iops=st.floats(min_value=0.1, max_value=1e6))
-@settings(**PROPERTY_SETTINGS)
-def test_iops_cap_binds_at_anchor_points(anchors, iops):
-    table = EffectiveBandwidthTable(anchors)
-    limited = table.iops_capped(iops)
-    for size, _ in anchors:
-        assert limited.bandwidth(size) <= iops * size * (1 + 1e-9)
-
-
 @given(anchors=anchor_lists, request=request_sizes,
        total=st.floats(min_value=0.0, max_value=1e12))
 @settings(max_examples=50, **PROPERTY_SETTINGS)

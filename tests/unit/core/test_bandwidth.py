@@ -94,35 +94,10 @@ class TestLookup:
 
 class TestDerivedTables:
     def test_gap_versus(self, table):
-        fast = table.scaled(32.0)
+        fast = EffectiveBandwidthTable(
+            [(size, bandwidth * 32.0) for size, bandwidth in table.anchors]
+        )
         assert fast.gap_versus(table, 30 * KB) == pytest.approx(32.0)
-
-    def test_scaled(self, table):
-        doubled = table.scaled(2.0)
-        assert doubled.bandwidth(30 * KB) == pytest.approx(30 * MB)
-
-    def test_scaled_rejects_nonpositive(self, table):
-        with pytest.raises(ModelError):
-            table.scaled(0.0)
-
-    def test_capped(self, table):
-        capped = table.capped(10 * MB)
-        assert capped.bandwidth(128 * MB) == pytest.approx(10 * MB)
-        assert capped.bandwidth(4 * KB) == pytest.approx(2.6 * MB)
-
-    def test_capped_rejects_nonpositive(self, table):
-        with pytest.raises(ModelError):
-            table.capped(-1.0)
-
-    def test_iops_capped_binds_small_requests(self, table):
-        limited = table.iops_capped(100.0)
-        assert limited.bandwidth(4 * KB) == pytest.approx(100.0 * 4 * KB)
-        # Large requests keep the throughput curve.
-        assert limited.bandwidth(128 * MB) == pytest.approx(142 * MB)
-
-    def test_iops_capped_rejects_nonpositive(self, table):
-        with pytest.raises(ModelError):
-            table.iops_capped(0.0)
 
 
 class TestPaperAnchors:

@@ -118,6 +118,39 @@ class TestMaxSelection:
         assert model.saturation_cores(10) is None
 
 
+def fast_shuffle_read(gc_coeff: float) -> StageModel:
+    """The BR stage on one 480 MB/s shuffle-read channel."""
+    channel = IoChannel(
+        kind="shuffle_read",
+        total_bytes=334 * GB,
+        request_size=30 * KB,
+        bandwidth=480 * MB,
+        is_write=False,
+        device="local",
+    )
+    return StageModel(make_variables(channels=(channel,), gc_coeff=gc_coeff))
+
+
+class TestSaturationWithGc:
+    def test_t_scale_meets_the_floor_at_saturation(self):
+        model = fast_shuffle_read(gc_coeff=0.05)
+        saturation = model.saturation_cores(10)
+        floor = model.t_read_limit(10)
+        assert model.t_scale(10, saturation) == pytest.approx(floor, rel=1e-9)
+        # The GC term is P-independent: ignoring it put P* at ~127 cores.
+        assert saturation > 400
+
+    def test_without_gc_the_crossover_is_unchanged(self):
+        model = fast_shuffle_read(gc_coeff=0.0)
+        floor = model.t_read_limit(10)
+        assert model.saturation_cores(10) == 12000 * 9.0 / (10 * (floor - 5.0))
+
+    def test_none_when_gc_alone_reaches_the_floor(self):
+        # M * gc / N = 12000 * 0.1 / 10 = 120 s, over the 90.25 s floor.
+        model = fast_shuffle_read(gc_coeff=0.1)
+        assert model.saturation_cores(10) is None
+
+
 class TestStagePrediction:
     def test_bottleneck_write(self):
         prediction = StagePrediction(

@@ -252,6 +252,62 @@ class TestPersistence:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestCheckpoint:
+    """``checkpoint`` saves a file-backed cache only when it holds news."""
+
+    @pytest.fixture()
+    def saves(self, monkeypatch):
+        calls = []
+        save = ResultCache.save
+
+        def counted_save(self, *args):
+            calls.append(self.path)
+            return save(self, *args)
+
+        monkeypatch.setattr(ResultCache, "save", counted_save)
+        return calls
+
+    def test_an_in_memory_cache_never_saves(self, saves):
+        cache = ResultCache()
+        cache.put_measurement("m", object())
+        assert cache.checkpoint() is False
+        assert saves == []
+
+    def test_saves_new_entries_once(self, populated, tmp_path, saves):
+        _, path = populated
+        cache = ResultCache(tmp_path / "cache.json")
+        assert cache.checkpoint() is False  # nothing to persist yet
+        cache.merge_shard(ResultCache(path).export_shard())
+        assert cache.checkpoint() is True
+        assert cache.checkpoint() is False  # nothing new since the save
+        assert len(ResultCache(cache.path)) == 4
+        assert saves == [cache.path]
+
+    def test_a_loaded_file_is_not_news(self, populated, saves):
+        _, path = populated
+        cache = ResultCache(path)
+        assert cache.get_measurement("m") is not None
+        assert cache.checkpoint() is False
+        assert saves == []
+
+    def test_a_merge_that_adds_nothing_does_not_save(self, populated, saves):
+        _, path = populated
+        cache = ResultCache(path)
+        assert cache.merge_shard(ResultCache(path).export_shard()) == 0
+        assert cache.checkpoint() is False
+        assert saves == []
+
+    def test_saving_elsewhere_leaves_the_news_unsaved(
+        self, populated, tmp_path, saves
+    ):
+        _, path = populated
+        cache = ResultCache(tmp_path / "cache.json")
+        cache.merge_shard(ResultCache(path).export_shard())
+        cache.save(tmp_path / "copy.json")
+        assert cache.checkpoint() is True
+        assert cache.path.exists()
+
+
 class TestShards:
     """Worker-shard export/merge and counter-free peeks."""
 
@@ -278,7 +334,9 @@ class TestShards:
         }
         assert parent.merge_shard(shard) == 3
         assert parent.get_measurement("m") is marker
-        assert parent.contains_mix("x")
+        assert ResultCache.shard_keys(parent.export_shard()) == (
+            ResultCache.shard_keys(shard)
+        )
 
     def test_export_excludes_already_shipped_keys(self):
         worker = ResultCache()

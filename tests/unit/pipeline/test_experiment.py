@@ -13,6 +13,8 @@ from repro.pipeline import (
     ResultCache,
     SpecSource,
 )
+from repro.schedule.mix import MixJob
+from repro.schedule.scheduler import SchedulingError
 from repro.workloads.runner import measure_workload
 
 NODES = 2
@@ -253,6 +255,28 @@ class TestSharedCaches:
             NODES, CORES
         )
         assert cache.measurement_stats.hits == 0
+
+
+class TestMixJobs:
+    @pytest.mark.parametrize(
+        "jobs_of",
+        [lambda spec: [], lambda spec: [spec], lambda spec: [(spec, 0.0)]],
+        ids=["empty", "bare-spec", "tuple"],
+    )
+    def test_a_mix_takes_mix_jobs_only(self, make_tiny, jobs_of):
+        spec = make_tiny()
+        experiment = Experiment(spec, HYBRID_CONFIGS[0])
+        for method in (experiment.measure_mix, experiment.run_mix):
+            with pytest.raises(ConfigurationError):
+                method(jobs_of(spec), nodes=NODES, cores_per_node=CORES)
+
+    def test_an_unknown_policy_is_rejected_on_the_solo_path(self, make_tiny):
+        spec = make_tiny()
+        with pytest.raises(SchedulingError, match="unknown mix policy"):
+            Experiment(spec, HYBRID_CONFIGS[0]).measure_mix(
+                [MixJob(spec=spec)], policy="srpt",
+                nodes=NODES, cores_per_node=CORES,
+            )
 
 
 class TestCrashSafety:

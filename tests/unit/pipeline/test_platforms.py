@@ -98,13 +98,6 @@ class TestCloudPlatform:
             assert device.kind == node_device.kind
             assert device.capacity_bytes == node_device.capacity_bytes
 
-    def test_from_disks_convenience(self):
-        platform = CloudPlatform.from_disks(
-            "pd-standard", 500, "pd-ssd", 200, vcpus=8, num_workers=3
-        )
-        assert platform.default_nodes() == 3
-        assert platform.config.machine.vcpus == 8
-
     def test_fingerprints_separate_disk_choices(self, config):
         import dataclasses
 

@@ -15,7 +15,8 @@ tasks of every job onto the survivors.
 
 The paper-scale co-location (LR and SVM on 10x24 HDDs through
 ``Experiment.measure_mix``) is pinned the same way: its makespan and
-each job's mixed and solo runtime.
+each job's mixed and solo runtime.  So is a faulted one-job mix, which
+the pipeline runs on the mix engine like any other faulted mix.
 """
 
 from __future__ import annotations
@@ -294,3 +295,28 @@ def test_paper_mix_shows_real_contention(paper_mix):
         for job in mix.jobs
     )
     assert peak >= 1.05
+
+
+#: SVM alone on 3x4 ssd/hdd under a disk throttle over [4100, 4400] s of
+#: the mix clock, which only the shuffle stages reach.
+FAULTED_SOLO_MAKESPAN = 5892.305910465422
+
+
+def test_a_faulted_one_job_mix_runs_on_the_mix_clock():
+    # A fault plan anchors to the mix clock whatever the job count: the
+    # pipeline's one-job mix must equal the mix engine's, not the solo
+    # path's per-stage fault timing.
+    svm = make_svm_workload()
+    platform = ClusterPlatform(hdfs_kind="ssd", local_kind="hdd")
+    plan = FaultPlan(
+        name="late-throttle",
+        faults=(DiskFault(factor=0.2, start=4100.0, end=4400.0),),
+    )
+    jobs = [MixJob(spec=svm)]
+    experiment = Experiment(svm, platform, faults=plan)
+    mix = experiment.measure_mix(jobs, nodes=3, cores_per_node=4)
+    direct = measure_mix(platform.cluster(3), 4, jobs, faults=plan)
+    assert mix == direct
+    assert mix.makespan == FAULTED_SOLO_MAKESPAN
+    assert experiment.measure_mix(jobs, nodes=3, cores_per_node=4) is mix
+    assert experiment.cache.mix_stats.hits == 1

@@ -8,7 +8,7 @@ import pytest
 from repro.cli import WORKLOADS
 from repro.pipeline import ResultCache, SpecSource
 from repro.service import QueryEngine, QueryServer
-from repro.service.http import MAX_BODY_BYTES, MAX_HEADER_LINES
+from repro.service.http import MAX_BODY_BYTES, MAX_HEAD_BYTES, MAX_HEADER_LINES
 from repro.service.loadgen import _http_get, _http_post, _split_url
 
 NAME = "lr-small"
@@ -201,6 +201,32 @@ class TestRoutes:
                 )
                 assert status == 400 and "header lines" in body["message"]
                 status, body = await raw_request(host, port, padded + b"\r\n")
+                assert status == 200
+            finally:
+                await server.close()
+
+        asyncio.run(scenario())
+
+    def test_request_head_over_the_byte_cap_is_a_400(self, profiled_shard):
+        # 40 header lines of 2 KiB each: every line and the line count
+        # are within their caps, the 80 KiB head is not.
+        pad = b"X-Pad: " + b"a" * (2048 - len("X-Pad: \r\n")) + b"\r\n"
+        head = b"GET /healthz HTTP/1.1\r\n" + pad * 40
+        assert len(head) > MAX_HEAD_BYTES
+
+        async def scenario():
+            engine = QueryEngine({NAME: SPEC}, cache=server_cache(profiled_shard))
+            server = QueryServer(engine, port=0)
+            await server.start()
+            host, port = server.address
+            try:
+                status, body = await raw_request(host, port, head + b"\r\n")
+                assert status == 400 and body["error"] == "BadRequest"
+                assert "request head exceeds" in body["message"]
+                # The same headers under the cap are served.
+                status, body = await raw_request(
+                    host, port, head[: MAX_HEAD_BYTES // 2] + b"\r\n\r\n"
+                )
                 assert status == 200
             finally:
                 await server.close()

@@ -1,11 +1,13 @@
-"""Unit tests for the stage/application measurement drivers."""
+"""Unit tests for the stage driver and whole-application measurements."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator.run import run_application, run_stage
+from repro.simulator.run import run_stage
 from repro.simulator.task import ComputePhase, IoPhase, SimTask
 from repro.units import KB, MB
+from repro.workloads.base import StageSpec, TaskGroupSpec, WorkloadSpec
+from repro.workloads.runner import measure_workload
 
 
 def tasks_of(group, count, seconds=1.0, read_mb=0.0):
@@ -58,13 +60,27 @@ class TestRunStage:
         assert all(not sample.is_write for sample in measurement.iostat_samples)
 
 
+def compute_app(*stage_seconds: float, count: int = 6) -> WorkloadSpec:
+    """A compute-only application: one stage per entry, ``a``, ``b``, ..."""
+    return WorkloadSpec(
+        name="app",
+        stages=tuple(
+            StageSpec(
+                name=chr(ord("a") + index),
+                groups=(
+                    TaskGroupSpec(name="g", count=count, compute_seconds=seconds),
+                ),
+            )
+            for index, seconds in enumerate(stage_seconds)
+        ),
+    )
+
+
 class TestRunApplication:
+    """Whole applications, driven by :func:`measure_workload`."""
+
     def test_total_is_sum_of_stages(self, ssd_cluster):
-        staged = [
-            ("a", tasks_of("g", 6, seconds=1.0)),
-            ("b", tasks_of("g", 6, seconds=2.0)),
-        ]
-        app = run_application(ssd_cluster, 2, staged, name="app")
+        app = measure_workload(ssd_cluster, 2, compute_app(1.0, 2.0))
         assert app.name == "app"
         assert app.total_seconds == pytest.approx(
             sum(stage.makespan for stage in app.stages)
@@ -72,6 +88,6 @@ class TestRunApplication:
         assert app.stage("b").makespan > app.stage("a").makespan
 
     def test_stage_lookup_error(self, ssd_cluster):
-        app = run_application(ssd_cluster, 2, [("a", tasks_of("g", 2))])
+        app = measure_workload(ssd_cluster, 2, compute_app(1.0, count=2))
         with pytest.raises(SimulationError):
             app.stage("zzz")

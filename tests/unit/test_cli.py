@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import WORKLOADS, build_parser, main
+from repro.pipeline import ResultCache
 
 
 class TestParser:
@@ -229,6 +230,46 @@ class TestPipelineCommand:
         assert replayed["cache"]["hits"] > 0
         assert replayed["cache"]["measurements"]["entries"] > 0
         assert replayed["runs"] == payload["runs"]
+
+    def test_a_fully_warm_run_leaves_the_cache_file_alone(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "cache.json"
+        argv = [
+            "pipeline", "--workload", "lr-small", "--slaves", "2",
+            "--cores", "4", "--runs", "2", "--profile-nodes", "2",
+            "--cache", str(cache),
+        ]
+        assert main(argv) == 0
+        written = cache.read_bytes()
+        saves = []
+        save = ResultCache.save
+
+        def counted_save(self, *args):
+            saves.append(self.path)
+            return save(self, *args)
+
+        monkeypatch.setattr(ResultCache, "save", counted_save)
+        assert main(argv) == 0
+        assert "100% hits" in capsys.readouterr().out
+        assert saves == []
+        assert cache.read_bytes() == written
+
+    def test_profile_cache_feeds_the_pipeline(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        assert main([
+            "profile", "--workload", "lr-small", "--nodes", "2",
+            "--cache", str(cache),
+        ]) == 0
+        assert cache.exists()
+        capsys.readouterr()
+        assert main([
+            "pipeline", "--workload", "lr-small", "--profile-nodes", "2",
+            "--slaves", "2", "--cores", "4", "--runs", "1", "--json",
+            "--cache", str(cache),
+        ]) == 0
+        reports = json.loads(capsys.readouterr().out)["cache"]["reports"]
+        assert (reports["hits"], reports["misses"]) == (1, 0)
 
     def test_workers_flag_reproduces_serial_json(self, capsys):
         argv = [

@@ -197,9 +197,8 @@ class TestWorkloadSpec:
         )
         workload = WorkloadSpec(name="w", stages=(stage,))
         assert workload.stage("only") is stage
-        staged = workload.build_staged_tasks()
-        assert staged[0][0] == "only"
-        assert len(staged[0][1]) == 2
+        assert [s.name for s in workload.stages] == ["only"]
+        assert len(workload.stage("only").build_tasks()) == 2
         with pytest.raises(WorkloadError):
             workload.stage("missing")
 
