@@ -55,16 +55,15 @@ reserved for unexpected crashes.
     cheapest feasible configurations instead of just the winner, and
     ``--json`` emits the search outcome as a machine-readable record.
 ``serve [--host H] [--port P] [--workloads a,b] [--cache FILE] [--warm]
-[--queue-cap N] [--lru-size N] [--batch-max N] [--workers K]``
+[--queue-cap N] [--lru-size N] [--workers K]``
     Run the optimizer-as-a-service query engine behind a stdlib
     HTTP/JSON front: ``POST /query`` answers predict/simulate/optimize
     what-if queries through an LRU, the shared result cache, and a
-    coalescing, micro-batching compute tier (see docs/SERVICE.md).
-    Predict queries that arrive together share one kernel call of at
-    most ``--batch-max`` candidates; none waits on a timer.  Profiling
-    and simulations run in a pool of worker processes, one per
-    available CPU (``--workers`` defaults to 0 here; a one-CPU host
-    runs them in a thread of the server).
+    coalescing compute tier (see docs/SERVICE.md).  A predict miss is
+    scored on arrival, one kernel call per query.  Profiling and
+    simulations run in a pool of worker processes, one per available
+    CPU (``--workers`` defaults to 0 here; a one-CPU host runs them in
+    a thread of the server).
 ``loadgen [--url HOST:PORT] [--workload NAME] [--distinct N]
 [--duplicates K] [--concurrency C] [--json]``
     Fire a deterministic what-if query mix at a running service (or an
@@ -762,6 +761,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.top < 1:
         raise ConfigurationError("--top must be at least 1")
     workload = _workload(args.workload)
+    nodes = args.cluster_workers
+    hdfs_gb, local_gb = CostOptimizer.capacity_requirements(
+        workload, num_workers=nodes
+    )
     if not args.json:
         print(f"profiling {workload.name}...")
     cache = _cache(args)
@@ -769,10 +772,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         SpecSource(workload, profile_nodes=args.profile_nodes),
         ClusterPlatform(),
         cache=cache,
-    )
-    nodes = args.cluster_workers
-    hdfs_gb, local_gb = CostOptimizer.capacity_requirements(
-        workload, num_workers=nodes
     )
     optimizer = CostOptimizer(
         experiment.predictor, num_workers=nodes,
@@ -861,7 +860,6 @@ def _service_engine(args: argparse.Namespace):
         _service_workloads(args),
         cache=_cache(args),
         lru_size=args.lru_size,
-        batch_max=args.batch_max,
         sim_queue_cap=args.queue_cap,
         workers=args.workers,
         profile_nodes=args.profile_nodes,
@@ -935,12 +933,9 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     )
     if engine_stats:
         lru = engine_stats.get("lru", {})
-        batches = engine_stats.get("batches", {})
         print(
             f"engine: {engine_stats.get('coalesced', 0)} coalesced,"
-            f" {lru.get('hits', 0)} LRU hits,"
-            f" {batches.get('flushed', 0)} batch(es)"
-            f" (max width {batches.get('max_size', 0)})"
+            f" {lru.get('hits', 0)} LRU hits"
         )
     return 0
 
@@ -1128,10 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--lru-size", type=int, default=1024, metavar="N",
             help="in-process result-LRU capacity (canonical query"
                  " fingerprints)",
-        )
-        sub.add_argument(
-            "--batch-max", type=int, default=32, metavar="N",
-            help="micro-batch size bound for model-only queries",
         )
         sub.add_argument(
             "--queue-cap", type=int, default=16, metavar="N",

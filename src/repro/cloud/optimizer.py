@@ -383,6 +383,8 @@ class CostOptimizer:
         (already replication-inclusive in the specs); Spark-local must hold
         the largest simultaneous shuffle plus persisted data.
         """
+        if num_workers < 1:
+            raise OptimizationError("worker count must be positive")
         hdfs_bytes = 0.0
         local_bytes = 0.0
         max_read = 0.0

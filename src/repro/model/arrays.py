@@ -12,7 +12,7 @@ max and sums it over the stages.
 
 :class:`Eq1BatchEvaluator` is the one scorer: the optimizer's
 exhaustive grid search, its descent rounds, the core sweeps and the
-service's micro-batches all score the exact model through it.
+service's predict queries all score the exact model through it.
 
 Exactness contract
 ------------------

@@ -266,16 +266,6 @@ class ResultCache:
         """Counter-free presence check for a profiling-report key."""
         return key in self._reports
 
-    @property
-    def num_predictions(self) -> int:
-        """How many predictions are stored.
-
-        The query service checks this before computing a prediction key:
-        against a store with no predictions at all, the (content-hash)
-        key could never hit, so the hot path skips building it.
-        """
-        return len(self._predictions)
-
     # -- worker shards -------------------------------------------------------
 
     def _sections(self):

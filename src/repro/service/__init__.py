@@ -8,12 +8,10 @@ The layers, bottom up:
 
 - :mod:`repro.service.query` — the query schema: validation, canonical
   form, content fingerprints.
-- :mod:`repro.service.batcher` — the micro-batcher that turns
-  model-only queries arriving in one event-loop iteration into one
-  vectorized kernel call.
-- :mod:`repro.service.engine` — the three-tier read path (LRU →
-  persistent :class:`~repro.pipeline.cache.ResultCache` → coalesced,
-  batched, admission-bounded compute).
+- :mod:`repro.service.engine` — the read path: a predict is scored on
+  arrival; a simulate goes LRU → persistent
+  :class:`~repro.pipeline.cache.ResultCache` → coalesced,
+  admission-bounded compute.
 - :mod:`repro.service.http` — the stdlib ``asyncio.start_server``
   front: ``POST /query``, ``GET /stats``, ``GET /healthz``.
 - :mod:`repro.service.loadgen` — the load generator behind
@@ -24,7 +22,6 @@ in ``docs/SERVICE.md``.
 """
 
 from repro.cloud.pricing import config_dict
-from repro.service.batcher import MicroBatcher
 from repro.service.engine import QueryEngine
 from repro.service.http import QueryServer, serve
 from repro.service.query import (
@@ -36,7 +33,6 @@ from repro.service.query import (
 
 __all__ = [
     "DEFAULT_OPTIMIZE_VCPU_GRID",
-    "MicroBatcher",
     "QUERY_KINDS",
     "Query",
     "QueryEngine",

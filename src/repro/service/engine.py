@@ -7,18 +7,17 @@ queries (see :mod:`repro.service.query`) through a three-tier read path:
    fingerprints holding fully composed result payloads.  Hits cost a
    dictionary move-to-end.
 2. **ResultCache** — the pipeline's persistent content-addressed store,
-   opened as a multi-reader: measurements and predictions written by
-   any past ``repro pipeline`` / ``repro optimize`` run (or by this
-   service) are served without recomputation, under exactly the keys
-   the batch pipeline uses.
-3. **Compute** — misses are coalesced and batched:
+   opened as a multi-reader: measurements written by any past
+   ``repro pipeline`` run (or by this service) are served to simulate
+   queries without recomputation, under exactly the key
+   ``Experiment.measure`` uses.  Predict queries skip this tier: one
+   kernel call costs less than building a prediction key.
+3. **Compute** — misses are coalesced:
 
    - identical fingerprints *in flight* share one evaluation
      (single-flight: N concurrent identical queries cost one compute);
-   - distinct model-only (predict) queries are micro-batched into one
-     :class:`~repro.model.arrays.CandidateBatch` kernel call
-     (:class:`~repro.service.batcher.MicroBatcher`), flushed on the
-     event loop's next iteration;
+   - a predict miss is scored where it lands, on the event loop, by
+     one array-kernel call for its one candidate;
    - optimize queries run their grid search directly on the event
      loop, through the workload's shared kernel evaluator;
    - simulation-backed queries run on the supervised execution backend
@@ -35,10 +34,10 @@ matches :meth:`Experiment.measure`, ``optimize`` matches
 ``tests/unit/service/test_engine.py``.
 
 Where the work runs: the event loop owns every shared structure (LRU,
-in-flight table, batcher, the ResultCache, each workload's kernel
-evaluator) and is the only writer of the ResultCache.  Predict batches
-and optimize grid searches run on the loop itself: both are pure Python
-under the GIL, so handing them off would add no parallelism, only a
+in-flight table, the ResultCache, each workload's kernel evaluator) and
+is the only writer of the ResultCache.  Predict scoring and optimize
+grid searches run on the loop itself: both are pure Python under the
+GIL, so handing them off would add no parallelism, only a
 queue behind the simulator.  A grid search holds the loop for
 milliseconds, and :func:`~repro.service.query.parse_query` bounds its
 size (at most seven distinct n1-standard shapes).
@@ -85,11 +84,10 @@ from repro.errors import (
     ServiceError,
 )
 from repro.parallel import ExecutionPolicy, TaskSupervisor, resolve_backend
-from repro.pipeline.cache import ResultCache, prediction_key, run_key
+from repro.pipeline.cache import ResultCache, run_key
 from repro.pipeline.fingerprint import fingerprint as content_fingerprint
-from repro.pipeline.platforms import ClusterPlatform, CloudPlatform
+from repro.pipeline.platforms import ClusterPlatform
 from repro.pipeline.sources import ResolvedWorkload, SpecSource
-from repro.service.batcher import MicroBatcher
 from repro.service.query import Query, parse_query
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.runner import measure_workload
@@ -216,22 +214,13 @@ class _ProfileItem:
 
 
 @dataclass
-class _PredictEntry:
-    """One predict query waiting in the micro-batcher."""
-
-    state: "_WorkloadState"
-    config: CloudConfiguration
-    future: asyncio.Future
-
-
-@dataclass
 class _WorkloadState:
     """Per-workload serving state: spec, profiled report, scorer."""
 
     spec: WorkloadSpec
     resolved: ResolvedWorkload
     # One scorer per workload: `score_candidates` only depends on the
-    # report, so configs with different num_workers share a batch.
+    # report, so configs with any num_workers share it.
     scorer: CostOptimizer
     # Capacity floors per num_workers (feasibility is N-dependent).
     capacity: dict[int, tuple[float, float]] = field(default_factory=dict)
@@ -260,9 +249,6 @@ class QueryEngine:
         new.
     lru_size:
         Capacity of the tier-1 result LRU (canonical-fingerprint keyed).
-    batch_max:
-        Micro-batcher size bound for model-only queries; a smaller batch
-        flushes on the next event-loop iteration.
     sim_queue_cap:
         Maximum simulate queries admitted but not yet completed; beyond
         it, :class:`~repro.errors.AdmissionError` (the structured 429).
@@ -287,7 +273,6 @@ class QueryEngine:
         cache: ResultCache | None = None,
         *,
         lru_size: int = 1024,
-        batch_max: int = 32,
         sim_queue_cap: int = 16,
         workers: int | None = None,
         profile_nodes: int = 3,
@@ -313,7 +298,6 @@ class QueryEngine:
             self._backend,
             execution if execution is not None else ExecutionPolicy(),
         )
-        self._batcher = MicroBatcher(self._flush_predicts, max_batch=batch_max)
         # Hot-path identity is the parsed Query itself: a frozen
         # dataclass in canonical form, so equality/hash ARE canonical
         # equivalence — no content hashing on the LRU path.
@@ -359,7 +343,6 @@ class QueryEngine:
         it is running and its result is dropped.
         """
         self._closed = True
-        self._batcher.close()
         self._supervisor.cancel()
         if self._worker_task is not None:
             self._worker_task.cancel()
@@ -466,60 +449,15 @@ class QueryEngine:
                 f" needs >= {min_hdfs:.0f}GB HDFS and >= {min_local:.0f}GB"
                 f" local per node at N={query.num_workers}"
             )
-        # Tier 2: the pipeline's content-addressed prediction key — the
-        # very key `repro optimize --cache` writes candidate scores
-        # under.  The key is itself a content hash, so against a store
-        # with no predictions it is skipped outright.
-        prediction = None
-        if self.cache.num_predictions:
-            key = prediction_key(
-                state.resolved.report_fingerprint,
-                CloudPlatform(config).fingerprint(),
-                config.num_workers,
-                config.cores_per_node,
-            )
-            prediction = self.cache.get_prediction(key)
-        if prediction is not None:
-            self.counters["tier2_hits"] += 1
-            runtime = prediction.t_app
-            cost = config.cost_for_runtime(runtime)
-        else:
-            entry = _PredictEntry(
-                state=state,
-                config=config,
-                future=asyncio.get_running_loop().create_future(),
-            )
-            self._batcher.add(entry)
-            evaluated = await entry.future
-            runtime = evaluated.runtime_seconds
-            cost = evaluated.cost_dollars
+        evaluated = state.scorer.score_candidates([config])[0]
         return {
             "kind": "predict",
             "workload": query.workload,
             "fingerprint": fp,
             "config": config_dict(config),
-            "runtime_seconds": runtime,
-            "cost_dollars": cost,
+            "runtime_seconds": evaluated.runtime_seconds,
+            "cost_dollars": evaluated.cost_dollars,
         }
-
-    def _flush_predicts(self, entries) -> None:
-        """Micro-batch flush: one kernel call per distinct workload state."""
-        groups: dict[int, list[_PredictEntry]] = {}
-        for entry in entries:
-            groups.setdefault(id(entry.state), []).append(entry)
-        for group in groups.values():
-            configs = [entry.config for entry in group]
-            try:
-                evaluated = group[0].state.scorer.score_candidates(configs)
-            except Exception as exc:  # noqa: BLE001 - fan the failure out
-                for entry in group:
-                    if not entry.future.done():
-                        entry.future.set_exception(exc)
-                        entry.future.exception()
-                continue
-            for entry, record in zip(group, evaluated):
-                if not entry.future.done():
-                    entry.future.set_result(record)
 
     async def _compute_simulate(self, query: Query, fp: str) -> dict:
         spec = self.workloads[query.workload]
@@ -747,7 +685,6 @@ class QueryEngine:
                 "hits": self.counters["lru_hits"],
                 "evictions": self.counters["lru_evictions"],
             },
-            "batches": self._batcher.stats(),
             "sim": {
                 "queued": len(self._sim_pending),
                 "running": self._sim_running,

@@ -21,7 +21,8 @@ lines, a negative ``Content-Length``, a
 body that ends before it, or one that is not JSON or is nested too
 deeply to parse) or a malformed query
 (:class:`QueryError`, :class:`ConfigurationError`,
-:class:`WorkloadError`) is **400**, admission rejection
+:class:`WorkloadError`) is **400**, a request not fully received within
+:data:`READ_TIMEOUT_SECONDS` is **408**, admission rejection
 (:class:`AdmissionError`) is **429** with the queue depth/cap in the
 body, anything else inside the engine is **500**.  Every error body is
 ``{"error": type, "message": str, ...}`` so clients can branch without
@@ -49,6 +50,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -62,6 +64,69 @@ MAX_HEADER_LINES = 100
 
 #: Largest request line plus headers accepted, in bytes; more is a 400.
 MAX_HEAD_BYTES = 64 * 1024
+
+#: Longest wait for a request's line, headers and body; then a 408.
+READ_TIMEOUT_SECONDS = 10.0
+
+
+class _BadRequest(Exception):
+    """A request the front refuses before any route runs."""
+
+    def __init__(
+        self, message: str, status: int = 400, error: str = "BadRequest"
+    ) -> None:
+        super().__init__(message)
+        self.status = status
+        self.error = error
+
+
+async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
+    """Read one request: its method, path and, for ``POST /query``, body."""
+    try:
+        raw = await reader.readline()
+        head_bytes = len(raw)
+        request_line = raw.decode("latin-1").strip()
+        if not request_line:
+            raise _BadRequest("empty request")
+        parts = request_line.split()
+        if len(parts) < 2:
+            raise _BadRequest(f"malformed request line {request_line!r}")
+        method, path = parts[0], parts[1]
+        headers: dict[str, str] = {}
+        lines = 0
+        while True:
+            raw = await reader.readline()
+            head_bytes += len(raw)
+            if head_bytes > MAX_HEAD_BYTES:
+                raise _BadRequest(f"request head exceeds {MAX_HEAD_BYTES} bytes")
+            line = raw.decode("latin-1")
+            if line in ("\r\n", "\n", ""):
+                break
+            lines += 1
+            if lines > MAX_HEADER_LINES:
+                raise _BadRequest(f"more than {MAX_HEADER_LINES} header lines")
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+    except ValueError as exc:  # readline: a line over the reader's limit
+        raise _BadRequest(f"request or header line too long: {exc}") from None
+    if method != "POST" or path != "/query":
+        return method, path, b""
+    try:
+        length = int(headers.get("content-length", "0"))
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _BadRequest("invalid Content-Length")
+    if length > MAX_BODY_BYTES:
+        raise _BadRequest(
+            f"body exceeds {MAX_BODY_BYTES} bytes", 413, "PayloadTooLarge"
+        )
+    try:
+        return method, path, await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise _BadRequest(
+            f"body ended after {len(exc.partial)} of {length} bytes"
+        ) from None
 
 
 class QueryServer:
@@ -134,44 +199,16 @@ class QueryServer:
 
     async def _respond(self, reader: asyncio.StreamReader) -> tuple[int, dict]:
         try:
-            raw = await reader.readline()
-            head_bytes = len(raw)
-            request_line = raw.decode("latin-1").strip()
-            if not request_line:
-                return 400, {"error": "BadRequest", "message": "empty request"}
-            parts = request_line.split()
-            if len(parts) < 2:
-                return 400, {
-                    "error": "BadRequest",
-                    "message": f"malformed request line {request_line!r}",
-                }
-            method, path = parts[0], parts[1]
-            headers: dict[str, str] = {}
-            lines = 0
-            while True:
-                raw = await reader.readline()
-                head_bytes += len(raw)
-                if head_bytes > MAX_HEAD_BYTES:
-                    return 400, {
-                        "error": "BadRequest",
-                        "message": f"request head exceeds {MAX_HEAD_BYTES} bytes",
-                    }
-                line = raw.decode("latin-1")
-                if line in ("\r\n", "\n", ""):
-                    break
-                lines += 1
-                if lines > MAX_HEADER_LINES:
-                    return 400, {
-                        "error": "BadRequest",
-                        "message": f"more than {MAX_HEADER_LINES} header lines",
-                    }
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        except ValueError as exc:  # readline: a line over the reader's limit
-            return 400, {
-                "error": "BadRequest",
-                "message": f"request or header line too long: {exc}",
+            method, path, raw = await asyncio.wait_for(
+                _read_request(reader), READ_TIMEOUT_SECONDS
+            )
+        except asyncio.TimeoutError:
+            return 408, {
+                "error": "RequestTimeout",
+                "message": f"request not received within {READ_TIMEOUT_SECONDS} s",
             }
+        except _BadRequest as exc:
+            return exc.status, {"error": exc.error, "message": str(exc)}
 
         if method == "GET" and path == "/healthz":
             return 200, {"status": "ok"}
@@ -182,30 +219,6 @@ class QueryServer:
                 return 405, {
                     "error": "MethodNotAllowed",
                     "message": "use POST /query",
-                }
-            try:
-                length = int(headers.get("content-length", "0"))
-            except ValueError:
-                length = -1
-            if length < 0:
-                return 400, {
-                    "error": "BadRequest",
-                    "message": "invalid Content-Length",
-                }
-            if length > MAX_BODY_BYTES:
-                return 413, {
-                    "error": "PayloadTooLarge",
-                    "message": f"body exceeds {MAX_BODY_BYTES} bytes",
-                }
-            try:
-                raw = await reader.readexactly(length)
-            except asyncio.IncompleteReadError as exc:
-                return 400, {
-                    "error": "BadRequest",
-                    "message": (
-                        f"body ended after {len(exc.partial)} of"
-                        f" {length} bytes"
-                    ),
                 }
             try:
                 payload = json.loads(raw.decode() or "null")

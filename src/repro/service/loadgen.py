@@ -122,10 +122,9 @@ async def _drive(queries: list[dict], concurrency: int, call) -> dict:
     """Pump the mix through ``call`` with a fixed worker pool.
 
     A pool of ``concurrency`` workers pulling the next index keeps the
-    dispatch overhead per query to one coroutine resumption — a
-    task-per-query gather would charge the engine for 10x the event-loop
-    bookkeeping and distort the comparison against the plain-loop naive
-    baseline.
+    dispatch overhead per query to one coroutine resumption; a
+    task-per-query gather would charge the measured latencies with 10x
+    the event-loop bookkeeping.
     """
     latencies: list[float] = [0.0] * len(queries)
     results: list = [None] * len(queries)

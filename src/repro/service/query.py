@@ -5,8 +5,8 @@ A query is one JSON object a client POSTs to ``/query`` (or hands to
 cover the paper's product surface:
 
 - ``predict`` — a model-only cloud what-if: "what does this workload
-  cost on ``vcpus``/``hdfs``/``local`` machines?"  Answered by the
-  Eq.-1 array kernel, micro-batched with other predict queries.
+  cost on ``vcpus``/``hdfs``/``local`` machines?"  Answered on
+  arrival by one call of the Eq.-1 array kernel.
 - ``simulate`` — a simulation-backed cluster what-if: "what makespan
   does the discrete-event simulator give at ``(slaves, cores)``?"
   Routed to the supervised compute backend under bounded admission.

@@ -189,6 +189,15 @@ class TestCapacityRequirements:
         # Local: the 334 GB shuffle, x1.2 / 10.
         assert local_gb == pytest.approx(334 * 1.2 / 10, rel=0.02)
 
+    @pytest.mark.parametrize("num_workers", [0, -1])
+    def test_nonpositive_worker_count_is_an_optimization_error(
+        self, gatk4_workload, num_workers
+    ):
+        with pytest.raises(OptimizationError, match="must be positive"):
+            CostOptimizer.capacity_requirements(
+                gatk4_workload, num_workers=num_workers
+            )
+
 
 class TestAdjacent:
     def test_interior(self):

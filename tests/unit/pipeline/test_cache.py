@@ -140,12 +140,6 @@ class TestStructuredStats:
         cache.get_prediction("p")
         assert "100% hits" in cache.stats()["summary"]
 
-    def test_num_predictions(self):
-        cache = ResultCache()
-        assert cache.num_predictions == 0
-        cache.put_prediction("p", object())
-        assert cache.num_predictions == 1
-
     def test_stats_is_json_ready(self):
         cache = ResultCache()
         cache.get_mix("nope")

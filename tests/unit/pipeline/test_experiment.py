@@ -4,10 +4,9 @@ import pytest
 
 from repro.cluster import HYBRID_CONFIGS, make_paper_cluster
 from repro.cluster.network import NetworkModel
-from repro.core import Predictor, Profiler
+from repro.core import Predictor
 from repro.errors import ConfigurationError
 from repro.pipeline import (
-    ClusterPlatform,
     Experiment,
     ResolvedSource,
     ResultCache,

@@ -1,4 +1,4 @@
-"""QueryEngine: three-tier reads, single-flight, admission, identity.
+"""QueryEngine: tiered reads, single-flight, admission, identity.
 
 The acceptance contracts from the service PR:
 
@@ -59,6 +59,10 @@ def predict_payload(**overrides):
     return payload
 
 
+def simulate_payload(slaves: int) -> dict:
+    return {"kind": "simulate", "workload": NAME, "slaves": slaves, "cores": 8}
+
+
 def reference_optimizer(cache, num_workers=10):
     resolved = SpecSource(SPEC, profile_nodes=3).resolve(cache)
     min_hdfs, min_local = CostOptimizer.capacity_requirements(
@@ -84,8 +88,25 @@ class TestConstruction:
             QueryEngine({NAME: SPEC}, sim_queue_cap=0)
 
 
+def count_scored(monkeypatch) -> list[int]:
+    """Record the width of every ``CostOptimizer.score_candidates`` call."""
+    widths: list[int] = []
+    score_candidates = CostOptimizer.score_candidates
+
+    def counting(self, configs):
+        widths.append(len(configs))
+        return score_candidates(self, configs)
+
+    monkeypatch.setattr(CostOptimizer, "score_candidates", counting)
+    return widths
+
+
 class TestSingleFlight:
-    def test_identical_concurrent_queries_evaluate_once(self, profiled_shard):
+    def test_identical_concurrent_queries_evaluate_once(
+        self, profiled_shard, monkeypatch
+    ):
+        widths = count_scored(monkeypatch)
+
         async def scenario():
             engine = QueryEngine({NAME: SPEC}, cache=fresh_cache(profiled_shard))
             async with engine:
@@ -94,15 +115,33 @@ class TestSingleFlight:
                     *(engine.submit(payload) for _ in range(16))
                 )
                 stats = engine.stats()
-                # Exactly one candidate crossed the kernel for 16 queries.
-                assert stats["batches"]["entries"] == 1
-                assert stats["coalesced"] == 15
+                # Exactly one candidate crossed the kernel for 16 queries;
+                # the other 15 waited on it or found it in the LRU.
+                assert widths == [1]
+                assert stats["coalesced"] + stats["lru"]["hits"] == 15
                 assert all(answer == answers[0] for answer in answers)
-            return answers[0]
 
         asyncio.run(scenario())
 
-    def test_lru_serves_repeats_after_completion(self, profiled_shard):
+    def test_identical_concurrent_simulations_run_once(self, profiled_shard):
+        async def scenario():
+            engine = QueryEngine({NAME: SPEC}, cache=fresh_cache(profiled_shard))
+            async with engine:
+                answers = await asyncio.gather(
+                    *(engine.submit(simulate_payload(4)) for _ in range(16))
+                )
+                stats = engine.stats()
+                assert stats["sim"]["completed"] == 1
+                assert stats["coalesced"] == 15
+                assert all(answer == answers[0] for answer in answers)
+
+        asyncio.run(scenario())
+
+    def test_lru_serves_repeats_after_completion(
+        self, profiled_shard, monkeypatch
+    ):
+        widths = count_scored(monkeypatch)
+
         async def scenario():
             engine = QueryEngine({NAME: SPEC}, cache=fresh_cache(profiled_shard))
             async with engine:
@@ -110,7 +149,7 @@ class TestSingleFlight:
                 second = await engine.submit(predict_payload())
                 stats = engine.stats()
                 assert stats["lru"]["hits"] == 1
-                assert stats["batches"]["entries"] == 1  # no re-evaluation
+                assert widths == [1]  # no re-evaluation
                 assert first == second
 
         asyncio.run(scenario())
@@ -167,34 +206,6 @@ class TestPredictIdentity:
                     await engine.submit(
                         predict_payload(hdfs_gb=min_hdfs / 2)
                     )
-
-        asyncio.run(scenario())
-
-    def test_tier2_prediction_hit_skips_the_kernel(self, profiled_shard):
-        cache = fresh_cache(profiled_shard)
-        # Populate the persistent tier the way `repro optimize --cache`
-        # does: a cached CostOptimizer scoring the candidate.
-        resolved = SpecSource(SPEC, profile_nodes=3).resolve(cache)
-        optimizer = CostOptimizer(Predictor(resolved.report), cache=cache)
-        payload = predict_payload()
-        config = optimizer.make_config(
-            payload["vcpus"],
-            payload["hdfs_kind"],
-            payload["hdfs_gb"],
-            payload["local_kind"],
-            payload["local_gb"],
-        )
-        expected_runtime = optimizer.predict_runtime(config)
-        assert cache.num_predictions == 1
-
-        async def scenario():
-            engine = QueryEngine({NAME: SPEC}, cache=cache)
-            async with engine:
-                answer = await engine.submit(payload)
-                stats = engine.stats()
-                assert stats["tier2_hits"] == 1
-                assert stats["batches"]["entries"] == 0  # kernel untouched
-                assert answer["runtime_seconds"] == expected_runtime
 
         asyncio.run(scenario())
 
@@ -326,10 +337,6 @@ class TestOptimize:
             assert answer["num_evaluated"] == reference.num_evaluated
 
         asyncio.run(scenario())
-
-
-def simulate_payload(slaves: int) -> dict:
-    return {"kind": "simulate", "workload": NAME, "slaves": slaves, "cores": 8}
 
 
 class TestComputeWorker:

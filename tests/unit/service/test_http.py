@@ -8,6 +8,7 @@ import pytest
 from repro.cli import WORKLOADS
 from repro.pipeline import ResultCache, SpecSource
 from repro.service import QueryEngine, QueryServer
+import repro.service.http as http_module
 from repro.service.http import MAX_BODY_BYTES, MAX_HEAD_BYTES, MAX_HEADER_LINES
 from repro.service.loadgen import _http_get, _http_post, _split_url
 
@@ -230,6 +231,51 @@ class TestRoutes:
                 assert status == 200
             finally:
                 await server.close()
+
+        asyncio.run(scenario())
+
+
+async def stalled_request(host: str, port: int, blob: bytes) -> bytes:
+    """Send part of a request, keep the connection open, read the reply."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(blob)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout=5)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, BrokenPipeError):
+            pass
+
+
+class TestReadDeadline:
+    """A client that stops sending gets a 408, not a connection held open."""
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"POST /query HTTP/1.1\r\nContent-Length: 10\r\n",
+            b"POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"kind\"",
+        ],
+        ids=["half-sent-head", "short-body"],
+    )
+    def test_stalled_request_is_a_408(self, profiled_shard, monkeypatch, blob):
+        monkeypatch.setattr(http_module, "READ_TIMEOUT_SECONDS", 0.2)
+
+        async def scenario():
+            engine = QueryEngine({NAME: SPEC}, cache=server_cache(profiled_shard))
+            server = QueryServer(engine, port=0)
+            await server.start()
+            host, port = server.address
+            try:
+                reply = await stalled_request(host, port, blob)
+            finally:
+                await server.close()
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 408 Request Timeout")
+            assert json.loads(body)["error"] == "RequestTimeout"
 
         asyncio.run(scenario())
 

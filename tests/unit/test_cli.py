@@ -385,6 +385,17 @@ class TestPipelineCommand:
         assert main(argv) == 2
         assert "ConfigurationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodes", ["0", "-1"])
+    def test_optimize_cluster_workers_must_be_positive(self, capsys, nodes):
+        argv = ["optimize", "--workload", "svm", "--cluster-workers", nodes]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert (
+            "error[OptimizationError]: worker count must be positive"
+            in captured.err
+        )
+        assert "profiling" not in captured.out  # refused before profiling
+
 
 class TestServiceCommands:
     def test_serve_parser_defaults(self):
@@ -392,13 +403,17 @@ class TestServiceCommands:
         assert args.host == "127.0.0.1"
         assert args.port == 8642
         assert args.lru_size == 1024
-        assert args.batch_max == 32
         assert args.queue_cap == 16
         assert not args.warm
         # The simulator runs in an auto-sized worker pool; an explicit
         # count still wins.
         assert args.workers == 0
         assert build_parser().parse_args(["serve", "--workers", "1"]).workers == 1
+
+    def test_batch_max_flag_is_gone(self):
+        # A predict miss is scored on arrival: there is no batch to bound.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--batch-max", "8"])
 
     def test_loadgen_parser_defaults(self):
         args = build_parser().parse_args(["loadgen"])
@@ -425,7 +440,6 @@ class TestServiceCommands:
         # 4 distinct configs and 12 queries: 8 were answered without a
         # fresh evaluation, split between coalescing and the LRU.
         assert engine["coalesced"] + engine["lru"]["hits"] == 8
-        assert engine["batches"]["flushed"] >= 1
 
     def test_loadgen_human_summary(self, capsys):
         argv = [
@@ -435,7 +449,7 @@ class TestServiceCommands:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "4 queries in" in out
-        assert "engine:" in out and "batch(es)" in out
+        assert "engine:" in out and "LRU hits" in out
 
     def test_loadgen_rejects_unknown_workload(self, capsys):
         argv = ["loadgen", "--workload", "nope"]
