@@ -16,11 +16,14 @@ capacity feasibility (disks must actually hold the job's data).
 
 Candidates are scored through the array-native Eq.-1 kernel
 (:mod:`repro.model.arrays`): ``grid_search`` builds one
-:class:`~repro.model.arrays.CandidateBatch` for the whole feasible grid,
-scores it in one pass, and materializes ``EvaluatedConfiguration``
-records from the score columns — bitwise identical to the historical
-per-candidate path, hundreds of times faster.  At that speed an
-exhaustive scan outruns any branch-and-bound pruning of the grid (see
+:class:`~repro.model.arrays.CandidateBatch` for the whole feasible grid
+straight from its axes, scores it in one pass, and builds an
+``EvaluatedConfiguration`` for the winner only.  The other records are
+built from the score columns the first time a caller reads
+``OptimizationResult.evaluated`` (``repro optimize --top`` does; the
+query service reads only ``best`` and the count).  Every float is
+bitwise identical to the historical per-candidate path.  At that speed
+an exhaustive scan outruns any branch-and-bound pruning of the grid (see
 ``docs/PERFORMANCE.md``), so every search scores every feasible
 candidate.  The scalar :meth:`CostOptimizer.evaluate` remains for
 single configurations (reference points, descent starts,
@@ -29,15 +32,16 @@ cache-threaded what-ifs).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cloud.disks import SPEC_BY_KIND, make_persistent_disk
-from repro.cloud.instance import machine_for_vcpus
+from repro.cloud.instance import MachineType, machine_for_vcpus
 from repro.cloud.pricing import CloudConfiguration
 from repro.core.predictor import Predictor
 from repro.errors import OptimizationError
-from repro.model.arrays import CandidateBatch
+from repro.model.arrays import BatchScores, CandidateBatch
 from repro.units import GB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,12 +70,71 @@ class EvaluatedConfiguration:
         )
 
 
+class _ScoredGrid(Sequence):
+    """A grid search's evaluated records, built from its columns on first read.
+
+    Candidate ``i`` is vCPU row ``i // len(disks)`` with disk pair
+    ``disks[i % len(disks)]``, the search's nested-loop order.  Its
+    length needs no records.
+    """
+
+    def __init__(
+        self,
+        machines: list[MachineType],
+        disks: list[tuple[tuple[str, float], tuple[str, float]]],
+        num_workers: int,
+        scores: BatchScores,
+    ) -> None:
+        self._machines = machines
+        self._disks = disks
+        self._num_workers = num_workers
+        self._scores = scores
+        self._records: tuple[EvaluatedConfiguration, ...] | None = None
+
+    def __len__(self) -> int:
+        return len(self._scores)
+
+    def __getitem__(self, index):
+        return self._all()[index]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def record(self, index: int) -> EvaluatedConfiguration:
+        """Candidate ``index`` as an evaluated record."""
+        row, column = divmod(index, len(self._disks))
+        (hdfs_kind, hdfs_gb), (local_kind, local_gb) = self._disks[column]
+        return EvaluatedConfiguration(
+            config=CloudConfiguration(
+                machine=self._machines[row],
+                num_workers=self._num_workers,
+                hdfs_disk_kind=hdfs_kind,
+                hdfs_disk_gb=hdfs_gb,
+                local_disk_kind=local_kind,
+                local_disk_gb=local_gb,
+            ),
+            runtime_seconds=self._scores.runtime_seconds[index],
+            cost_dollars=self._scores.cost_dollars[index],
+        )
+
+    def _all(self) -> tuple[EvaluatedConfiguration, ...]:
+        if self._records is None:
+            self._records = tuple(self.record(i) for i in range(len(self)))
+        return self._records
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Search outcome: the winner plus every point evaluated."""
+    """Search outcome: the winner plus every point evaluated.
+
+    ``evaluated`` is a read-only sequence in search order.  A grid
+    search builds its records from the score columns on first read, so
+    a caller that wants only ``best`` and ``num_evaluated`` never pays
+    for them.
+    """
 
     best: EvaluatedConfiguration
-    evaluated: tuple[EvaluatedConfiguration, ...]
+    evaluated: Sequence[EvaluatedConfiguration]
 
     @property
     def num_evaluated(self) -> int:
@@ -246,50 +309,47 @@ class CostOptimizer:
     ) -> OptimizationResult:
         """Score every feasible grid point; ``best`` is the optimum.
 
-        The feasible grid is scored through the array kernel as one
-        batch; ``evaluated`` lists every candidate in canonical grid
-        order and ``best`` is the first one of minimal cost.
+        The kernel scores the feasible grid as one batch whose columns
+        come straight from the axes, in nested-loop order: vCPU rows,
+        then feasible HDFS ``(kind, GB)``, then feasible local
+        ``(kind, GB)``.  ``best`` is the first candidate of minimal
+        cost, and the only record built here; ``evaluated`` lists every
+        candidate in that order.
         """
         for kind in disk_kinds:
             if kind not in SPEC_BY_KIND:
                 raise OptimizationError(f"unknown disk kind {kind!r}")
-        candidates = self._grid_candidates(
-            vcpu_grid, disk_kinds, hdfs_sizes_gb, local_sizes_gb
-        )
-        if not candidates:
+        machines = [machine_for_vcpus(vcpus) for vcpus in vcpu_grid]
+        hdfs_disks = [
+            (kind, gb) for kind in disk_kinds for gb in hdfs_sizes_gb
+            if gb >= self.min_hdfs_gb
+        ]
+        local_disks = [
+            (kind, gb) for kind in disk_kinds for gb in local_sizes_gb
+            if gb >= self.min_local_gb
+        ]
+        disks = [(hdfs, local) for hdfs in hdfs_disks for local in local_disks]
+        if not machines or not disks:
             raise OptimizationError("no feasible configuration on the grid")
-        evaluated = self.score_candidates(candidates)
-        best = min(evaluated, key=lambda e: e.cost_dollars)
-        return OptimizationResult(best=best, evaluated=tuple(evaluated))
-
-    def _grid_candidates(
-        self,
-        vcpu_grid: tuple[int, ...],
-        disk_kinds: tuple[str, ...],
-        hdfs_sizes_gb: tuple[float, ...],
-        local_sizes_gb: tuple[float, ...],
-    ) -> list[CloudConfiguration]:
-        """Feasible grid points in canonical (nested-loop) order."""
-        candidates: list[CloudConfiguration] = []
-        for vcpus in vcpu_grid:
-            machine = machine_for_vcpus(vcpus)
-            for hdfs_kind in disk_kinds:
-                for hdfs_gb in hdfs_sizes_gb:
-                    if hdfs_gb < self.min_hdfs_gb:
-                        continue
-                    for local_kind in disk_kinds:
-                        for local_gb in local_sizes_gb:
-                            if local_gb < self.min_local_gb:
-                                continue
-                            candidates.append(CloudConfiguration(
-                                machine=machine,
-                                num_workers=self.num_workers,
-                                hdfs_disk_kind=hdfs_kind,
-                                hdfs_disk_gb=hdfs_gb,
-                                local_disk_kind=local_kind,
-                                local_disk_gb=local_gb,
-                            ))
-        return candidates
+        # Each disk column is one vCPU row's block, repeated per row.
+        hdfs_kinds, hdfs_gbs, local_kinds, local_gbs = (
+            column * len(machines)
+            for column in zip(*(hdfs + local for hdfs, local in disks))
+        )
+        vcpus = tuple(machine.vcpus for machine in machines for _ in disks)
+        scores = self.predictor.batch_evaluator().score(CandidateBatch(
+            nodes=(self.num_workers,) * len(vcpus),
+            cores=vcpus,
+            hdfs_kinds=hdfs_kinds,
+            hdfs_sizes_gb=hdfs_gbs,
+            local_kinds=local_kinds,
+            local_sizes_gb=local_gbs,
+            vcpus=vcpus,
+        ))
+        costs = scores.cost_dollars
+        records = _ScoredGrid(machines, disks, self.num_workers, scores)
+        best = records.record(min(range(len(costs)), key=costs.__getitem__))
+        return OptimizationResult(best=best, evaluated=records)
 
     def coordinate_descent(
         self,

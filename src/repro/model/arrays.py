@@ -368,9 +368,12 @@ class Eq1BatchEvaluator:
                 total[i] += ts
         cost = None
         if vcpus is not None:
+            # One price per vCPU shape and one per disk spec, summed in
+            # ``CloudConfiguration.hourly_rate``'s order.
+            prices = {v: self._price(v) for v in dict.fromkeys(vcpus)}
+            disk_costs = [self._disk_cost(spec) for spec in spec_list]
             rate_tab = [
-                (self._price(v) + self._disk_cost(spec_list[h])
-                 + self._disk_cost(spec_list[lo])) * node
+                (prices[v] + disk_costs[h] + disk_costs[lo]) * node
                 for v, h, lo, node in rate_list
             ]
             cost = array("d", [

@@ -38,9 +38,10 @@ in-flight table, the ResultCache, each workload's kernel evaluator) and
 is the only writer of the ResultCache.  Predict scoring and optimize
 grid searches run on the loop itself: both are pure Python under the
 GIL, so handing them off would add no parallelism, only a
-queue behind the simulator.  A grid search holds the loop for
-milliseconds, and :func:`~repro.service.query.parse_query` bounds its
-size (at most seven distinct n1-standard shapes).
+queue behind the simulator.  A grid search holds the loop for a few
+milliseconds, most of them in the kernel: it builds a record for its
+answer only.  :func:`~repro.service.query.parse_query` bounds its size
+(at most seven distinct n1-standard shapes).
 
 Every simulator call (a workload's first-touch profiling and each
 simulation batch) runs through one background worker coroutine as a
@@ -385,9 +386,13 @@ class QueryEngine:
         if self._closed:
             raise ServiceError("query engine is closed")
         await self.start()
-        if not isinstance(query, Query):
-            query = parse_query(query, known_workloads=self.workloads)
         self.counters["queries"] += 1
+        if not isinstance(query, Query):
+            try:
+                query = parse_query(query, known_workloads=self.workloads)
+            except QueryError:
+                self.counters["errors"] += 1
+                raise
 
         cached = self._lru.get(query)
         if cached is not None:

@@ -29,6 +29,7 @@ service's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import QueryError
@@ -151,13 +152,23 @@ def _as_int(
 def _as_size(value, field: str, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise QueryError(f"{where}: {field} must be a number, got {value!r}")
-    if value <= 0:
+    # ``json.loads`` accepts NaN, Infinity and integers past the float
+    # range; none of them is a disk size.
+    try:
+        size = float(value)
+    except OverflowError:
+        size = math.inf
+    if not math.isfinite(size):
+        raise QueryError(f"{where}: {field} must be finite, got {size}")
+    if size <= 0:
         raise QueryError(f"{where}: {field} must be positive, got {value}")
-    return float(value)
+    return size
 
 
 def _as_choice(value, field: str, where: str, choices) -> str:
-    if value not in choices:
+    # A list or object value must not reach the membership test: the
+    # disk catalogue is a dict, and an unhashable key would raise.
+    if not isinstance(value, str) or value not in choices:
         raise QueryError(
             f"{where}: {field} must be one of {sorted(choices)}, got {value!r}"
         )

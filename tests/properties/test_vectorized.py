@@ -57,6 +57,21 @@ def _optimizer(report, num_workers):
     )
 
 
+def _nested_loop_grid(optimizer, vcpu_grid, hdfs_sizes, local_sizes):
+    """The feasible grid through ``make_config``, in nested-loop order."""
+    kinds = ("pd-standard", "pd-ssd")
+    return [
+        optimizer.make_config(vcpus, hdfs_kind, hdfs_gb, local_kind, local_gb)
+        for vcpus in vcpu_grid
+        for hdfs_kind in kinds
+        for hdfs_gb in hdfs_sizes
+        if hdfs_gb >= optimizer.min_hdfs_gb
+        for local_kind in kinds
+        for local_gb in local_sizes
+        if local_gb >= optimizer.min_local_gb
+    ]
+
+
 size_grids = st.lists(
     st.sampled_from((60.0, 120.0, 250.0, 500.0, 1000.0, 2000.0)),
     min_size=1, max_size=2, unique=True,
@@ -81,9 +96,7 @@ def test_score_batch_equals_scalar_evaluation(
     """Batch runtime/cost == the scalar model's, bit for bit."""
     report = _profile(spec)
     optimizer = _optimizer(report, num_workers)
-    configs = optimizer._grid_candidates(
-        vcpu_grid, ("pd-standard", "pd-ssd"), hdfs_sizes, local_sizes
-    )
+    configs = _nested_loop_grid(optimizer, vcpu_grid, hdfs_sizes, local_sizes)
     scores = Eq1BatchEvaluator(report).score(
         CandidateBatch.from_configs(configs)
     )
@@ -120,9 +133,7 @@ def test_grid_search_argmin_matches_scalar_reference(
     result = optimizer.grid_search(**search)
 
     reference = None
-    for config in optimizer._grid_candidates(
-        vcpu_grid, ("pd-standard", "pd-ssd"), hdfs_sizes, local_sizes
-    ):
+    for config in _nested_loop_grid(optimizer, vcpu_grid, hdfs_sizes, local_sizes):
         scored = optimizer.evaluate(config)
         if reference is None or scored.cost_dollars < reference.cost_dollars:
             reference = scored

@@ -2,13 +2,29 @@
 
 import pytest
 
+import repro.cloud.optimizer as optimizer_module
 from repro.cloud.optimizer import CostOptimizer, _adjacent
+from repro.cloud.pricing import CloudConfiguration
 from repro.cloud.recommendations import (
     r1_spark_recommendation,
     r2_cloudera_recommendation,
 )
 from repro.errors import OptimizationError
 from repro.model.arrays import CandidateBatch, Eq1BatchEvaluator
+
+
+def nested_loop_grid(optimizer, vcpu_grid, disk_kinds, hdfs_sizes, local_sizes):
+    """The feasible grid through ``make_config``, in nested-loop order."""
+    return [
+        optimizer.make_config(vcpus, hdfs_kind, hdfs_gb, local_kind, local_gb)
+        for vcpus in vcpu_grid
+        for hdfs_kind in disk_kinds
+        for hdfs_gb in hdfs_sizes
+        if hdfs_gb >= optimizer.min_hdfs_gb
+        for local_kind in disk_kinds
+        for local_gb in local_sizes
+        if local_gb >= optimizer.min_local_gb
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -85,17 +101,39 @@ class TestGridSearch:
     def test_grid_candidates_match_make_config(self, optimizer):
         kinds = ("pd-standard", "pd-ssd")
         sizes = (50, 200, 1000)
-        expected = [
-            optimizer.make_config(vcpus, hdfs_kind, hdfs_gb, local_kind, local_gb)
-            for vcpus in (4, 16)
-            for hdfs_kind in kinds
-            for hdfs_gb in sizes
-            if hdfs_gb >= optimizer.min_hdfs_gb
-            for local_kind in kinds
-            for local_gb in sizes
-            if local_gb >= optimizer.min_local_gb
-        ]
-        assert optimizer._grid_candidates((4, 16), kinds, sizes, sizes) == expected
+        expected = nested_loop_grid(optimizer, (4, 16), kinds, sizes, sizes)
+        result = optimizer.grid_search(
+            vcpu_grid=(4, 16), disk_kinds=kinds,
+            hdfs_sizes_gb=sizes, local_sizes_gb=sizes,
+        )
+        assert [e.config for e in result.evaluated] == expected
+
+    def test_records_are_built_only_when_evaluated_is_read(
+        self, optimizer, monkeypatch
+    ):
+        kinds = ("pd-standard", "pd-ssd")
+        sizes = (50, 200, 1000)
+        expected = optimizer.score_candidates(
+            nested_loop_grid(optimizer, (4, 16), kinds, sizes, sizes)
+        )
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(CloudConfiguration(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(optimizer_module, "CloudConfiguration", counting)
+        result = optimizer.grid_search(
+            vcpu_grid=(4, 16), disk_kinds=kinds,
+            hdfs_sizes_gb=sizes, local_sizes_gb=sizes,
+        )
+        assert result.num_evaluated == len(expected)
+        assert built == [result.best.config]
+        built.clear()
+        assert list(result.evaluated) == expected
+        assert result.evaluated[-1] == expected[-1]
+        assert len(built) == len(expected)  # built once, then kept
+        assert result.best == min(expected, key=lambda e: e.cost_dollars)
 
     def test_optimizers_over_one_predictor_share_its_evaluator(
         self, gatk4_predictor
@@ -147,8 +185,8 @@ class TestPaperGrid:
     def test_kernel_equals_the_scalar_model_on_the_whole_grid(
         self, paper_optimizer, gatk4_report
     ):
-        configs = paper_optimizer._grid_candidates(
-            (4, 8, 16, 32), ("pd-standard", "pd-ssd"),
+        configs = nested_loop_grid(
+            paper_optimizer, (4, 8, 16, 32), ("pd-standard", "pd-ssd"),
             self.SIZES_GB, self.SIZES_GB,
         )
         assert len(configs) == 1152

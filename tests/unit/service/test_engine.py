@@ -465,6 +465,19 @@ class TestLifecycleAndErrors:
 
         asyncio.run(scenario())
 
+    def test_refused_queries_are_counted(self, profiled_shard):
+        async def scenario():
+            engine = QueryEngine({NAME: SPEC}, cache=fresh_cache(profiled_shard))
+            async with engine:
+                with pytest.raises(QueryError, match="unknown kind"):
+                    await engine.submit({"kind": "explain"})
+                with pytest.raises(QueryError, match="unknown workload"):
+                    await engine.submit(predict_payload(workload="nope"))
+                stats = engine.stats()
+            assert (stats["queries"], stats["errors"]) == (2, 2)
+
+        asyncio.run(scenario())
+
     def test_closed_engine_refuses_queries(self, profiled_shard):
         async def scenario():
             engine = QueryEngine({NAME: SPEC}, cache=fresh_cache(profiled_shard))

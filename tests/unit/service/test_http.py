@@ -208,6 +208,33 @@ class TestRoutes:
 
         asyncio.run(scenario())
 
+    def test_non_finite_disk_size_is_a_400(self, profiled_shard):
+        # json.loads reads a bare NaN; the query parser must refuse it.
+        body = (
+            b'{"kind": "predict", "workload": "lr-small", "vcpus": 16,'
+            b' "hdfs_kind": "pd-ssd", "hdfs_gb": NaN,'
+            b' "local_kind": "pd-ssd", "local_gb": 1024}'
+        )
+
+        async def scenario():
+            engine = QueryEngine({NAME: SPEC}, cache=server_cache(profiled_shard))
+            server = QueryServer(engine, port=0)
+            await server.start()
+            host, port = server.address
+            try:
+                status, answer = await raw_request(
+                    host, port, post_blob("/query", body)
+                )
+                assert status == 400 and answer["error"] == "QueryError"
+                assert "hdfs_gb must be finite" in answer["message"]
+                stats = await _http_get(host, port, "/stats")
+                assert (stats["queries"], stats["errors"]) == (1, 1)
+                assert stats["lru"]["size"] == 0
+            finally:
+                await server.close()
+
+        asyncio.run(scenario())
+
     def test_request_head_over_the_byte_cap_is_a_400(self, profiled_shard):
         # 40 header lines of 2 KiB each: every line and the line count
         # are within their caps, the 80 KiB head is not.

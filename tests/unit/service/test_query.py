@@ -61,9 +61,25 @@ class TestValidation:
         with pytest.raises(QueryError, match="pd-ssd"):
             parse_query(predict_payload(hdfs_kind="floppy"))
 
+    @pytest.mark.parametrize(
+        "value", [["pd-ssd"], {"kind": "pd-ssd"}], ids=["list", "object"]
+    )
+    def test_unhashable_disk_kind_rejected(self, value):
+        with pytest.raises(QueryError, match="hdfs_kind must be one of"):
+            parse_query(predict_payload(hdfs_kind=value))
+
     def test_non_positive_size_rejected(self):
         with pytest.raises(QueryError, match="positive"):
             parse_query(predict_payload(hdfs_gb=0))
+
+    @pytest.mark.parametrize("field", ["hdfs_gb", "local_gb"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 10**400],
+        ids=["nan", "inf", "-inf", "past-float-range"],
+    )
+    def test_non_finite_size_rejected(self, field, value):
+        with pytest.raises(QueryError, match=f"{field} must be finite"):
+            parse_query(predict_payload(**{field: value}))
 
     def test_bool_is_not_an_integer(self):
         with pytest.raises(QueryError, match="integer"):
