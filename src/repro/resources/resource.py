@@ -97,8 +97,11 @@ class Resource:
     def attach(self, stream: SharedStream, *, rebalance: bool = True) -> None:
         """Add a stream (and by default re-balance rates immediately).
 
-        The simulator defers re-balancing (``rebalance=False``) so that a
-        batch of simultaneous attach/detach operations is balanced once.
+        Deferring it (``rebalance=False``) balances a batch of
+        simultaneous attach/detach operations once.  The simulator's hot
+        path goes one step further: it attaches and detaches through
+        ``_streams`` itself and balances each dirty resource once per
+        settle.
         """
         if stream.stream_id in self._streams:
             raise SimulationError(
@@ -144,7 +147,17 @@ class Resource:
         """Equal shares with surplus redistribution, honouring per-stream caps."""
         if not streams:
             return
-        pending = list(streams)
+        fair_share = capacity / len(streams)
+        for stream in streams:
+            cap = stream.per_stream_cap
+            if cap is not None and cap < fair_share:
+                break
+        else:
+            # No cap is below the equal share: everyone gets it.
+            for stream in streams:
+                stream.rate = fair_share
+            return
+        pending = streams
         remaining = capacity
         # Streams whose cap is below the evolving fair share lock in their
         # cap and free the surplus; iterate until shares stabilize.
@@ -162,7 +175,11 @@ class Resource:
             for stream in capped:
                 stream.rate = stream.per_stream_cap  # type: ignore[assignment]
                 remaining -= stream.per_stream_cap  # type: ignore[operator]
-                pending.remove(stream)
+            pending = [
+                s
+                for s in pending
+                if not (s.per_stream_cap is not None and s.per_stream_cap < fair_share)
+            ]
         # Every stream was cap-limited; nothing left to distribute.
 
     def __repr__(self) -> str:

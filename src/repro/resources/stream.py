@@ -25,8 +25,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _stream_ids = itertools.count()
 
+#: A stream with this many bytes or fewer left is done.
+DONE_BYTES = 1e-9
 
-@dataclass
+
+@dataclass(slots=True)
 class SharedStream:
     """One in-flight transfer on one or more shared resources.
 
@@ -77,7 +80,7 @@ class SharedStream:
     @property
     def done(self) -> bool:
         """True when the transfer has no bytes left."""
-        return self.remaining_bytes <= 1e-9
+        return self.remaining_bytes <= DONE_BYTES
 
     def seconds_to_finish(self) -> float:
         """Time to drain at the current rate (inf when stalled)."""

@@ -222,7 +222,9 @@ class QueryServer:
                 }
             try:
                 payload = json.loads(raw.decode() or "null")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except ValueError as exc:
+                # Bad UTF-8, bad JSON (both ValueErrors) or an integer
+                # literal past Python's digit limit for str -> int.
                 return 400, {
                     "error": "BadRequest",
                     "message": f"body is not valid JSON: {exc}",

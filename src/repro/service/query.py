@@ -16,6 +16,9 @@ cover the paper's product surface:
 - ``optimize`` — the full Section-VI grid search: "what should I buy?"
   Its ``vcpu_grid`` lists distinct n1-standard shapes (1-64 vCPUs).
 
+``num_workers`` on predict and optimize queries has the bound
+``slaves`` has, :data:`MAX_SIMULATE_SLAVES`.
+
 Every query reduces to a **canonical dictionary** (defaults filled,
 floats normalized) whose content fingerprint is the engine's identity
 for the query: the in-process LRU, the single-flight table, and the
@@ -54,7 +57,10 @@ DEFAULT_OPTIMIZE_VCPU_GRID = (4, 8, 16, 32)
 #: largest cluster.  Past it, a query mostly pays for idle nodes (one
 #: with 20,000 slaves held a worker for 14.1 s), and at it the slowest
 #: built-in, gatk4-extended at 100 x 36 on HDDs, simulates in about
-#: 27 s on a 2-vCPU Xeon (docs/SERVICE.md "Sizing").
+#: 27 s on a 2-vCPU Xeon (docs/SERVICE.md "Sizing").  Predict and
+#: optimize queries' ``num_workers`` share the bound: every distinct
+#: value adds an entry to a workload's capacity table, and a count past
+#: the float range overflows the array kernel.
 MAX_SIMULATE_SLAVES = 100
 
 #: Cluster disk kinds the simulator accepts (``ClusterPlatform``).
@@ -225,7 +231,8 @@ def parse_query(payload, known_workloads=None) -> Query:
                 _require(payload, "local_gb", where), "local_gb", where
             ),
             num_workers=_as_int(
-                payload.get("num_workers", 10), "num_workers", where
+                payload.get("num_workers", 10), "num_workers", where,
+                maximum=MAX_SIMULATE_SLAVES,
             ),
         )
     if kind == "simulate":
@@ -276,5 +283,8 @@ def parse_query(payload, known_workloads=None) -> Query:
         kind=kind,
         workload=workload,
         vcpu_grid=vcpu_grid,
-        num_workers=_as_int(payload.get("num_workers", 10), "num_workers", where),
+        num_workers=_as_int(
+            payload.get("num_workers", 10), "num_workers", where,
+            maximum=MAX_SIMULATE_SLAVES,
+        ),
     )

@@ -43,7 +43,8 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkModel
@@ -67,6 +68,7 @@ from repro.resources import (
     SlotPool,
     rebalance_coupled,
 )
+from repro.resources.stream import DONE_BYTES
 from repro.schedule.scheduler import ExecutorBlacklist
 from repro.simulator.task import ComputePhase, IoPhase, SimTask
 from repro.storage.array import DiskArray
@@ -79,6 +81,11 @@ _TIME_EPS = 1e-9
 #: The stuck-loop guard: a run that processes more event batches than
 #: this raises instead of spinning.
 MAX_EVENTS = 50_000_000
+
+#: Positive inter-event gaps the busy-time log holds before every busy
+#: key's seconds are folded and the log restarts (see
+#: :meth:`SimulationEngine._account_busy_time`).
+GAP_LOG_LENGTH = 1024
 
 #: Sort and search key: a task's process-wide id.
 _task_id = attrgetter("task_id")
@@ -98,7 +105,7 @@ _EV_SPEC = 4
 _EV_STALL = 5
 
 
-@dataclass
+@dataclass(slots=True)
 class _Running:
     """Book-keeping for one in-flight task attempt."""
 
@@ -156,6 +163,17 @@ class SimulationEngine:
     task means, and :meth:`_task_label` how an error names a task.
     :class:`~repro.schedule.mix.MixEngine` uses them to run several jobs
     at once.
+
+    An event batch costs what it changes.  :meth:`_loop` retires stream
+    and compute completions itself (:meth:`_process_entry` handles the
+    rarer kinds); a dirty resource that forms a coupling component on its
+    own — every one without a network — is water-filled and has its
+    changed streams materialized, completed or rescheduled in one pass
+    (:meth:`_rebalance_lone`); only coupled groups go through
+    :meth:`_rebalance_component`.  Busy time is not spread over the busy
+    resources at every event: each positive gap is logged once and
+    folded into a busy key's seconds when the number of busy resources
+    holding that key changes (:meth:`_account_busy_time`).
     """
 
     #: What :meth:`_loop` counts down (named in error messages).
@@ -246,9 +264,16 @@ class SimulationEngine:
         self._heap: list[tuple] = []
         self._seq = itertools.count()
         self._dirty_resources: dict[int, Resource] = {}
-        #: The rate resources holding at least one stream (``id`` -> busy
-        #: key): kept current by :meth:`_settle` as it drains dirty ones.
-        self._busy: dict[int, tuple[str, bool]] = {}
+        #: ``id`` of every rate resource holding at least one stream: kept
+        #: current by :meth:`_settle` as it drains dirty ones.
+        self._busy: set[int] = set()
+        #: Busy key -> [busy resources holding it, index into ``_gaps``
+        #: from which that count applies and is not yet folded].
+        self._holders: dict[tuple[str, bool], list[int]] = {
+            key: [0, 0] for key in self._busy_keys.values()
+        }
+        #: Positive inter-event gaps since the log last restarted.
+        self._gaps: list[float] = []
         self._owner: dict[int, _Running] = {}
         self._stalled: dict[int, SharedStream] = {}
         self._freed_nodes: set[str] = set()
@@ -334,9 +359,16 @@ class SimulationEngine:
 
     def _loop(self) -> float:
         """Process event batches from t = 0 until no work is unfinished;
-        returns the time of the last batch."""
+        returns the time of the last batch.
+
+        A batch is every valid heap entry due within ``_TIME_EPS`` of the
+        earliest.  Stream and compute completions are retired here; an
+        entry invalidated by an earlier one of the same batch is skipped.
+        """
         now = 0.0
         self._settle(now)
+        heap = self._heap
+        heappop = heapq.heappop
         events = 0
         while self._unfinished > 0:
             events += 1
@@ -344,7 +376,18 @@ class SimulationEngine:
                 raise SimulationError(
                     f"exceeded {MAX_EVENTS} events; simulation is stuck"
                 )
-            batch = self._pop_batch()
+            batch: list[tuple] = []
+            while heap:
+                entry = heap[0]
+                if entry[3].epoch != entry[4]:
+                    heappop(heap)
+                elif not batch:
+                    batch.append(heappop(heap))
+                    limit = entry[0] + _TIME_EPS
+                elif entry[0] > limit:
+                    break
+                else:
+                    batch.append(heappop(heap))
             if not batch:
                 # With a retry policy, stalled-at-zero attempts become
                 # task failures instead of a dead end: fail them and let
@@ -353,54 +396,36 @@ class SimulationEngine:
                     self._settle(now)
                     continue
                 self._raise_stuck()
-            dt = batch[0][0] - now
-            self._account_busy_time(dt)
-            now = batch[0][0]
+            at = batch[0][0]
+            self._account_busy_time(at - now)
+            now = at
             for entry in batch:
-                self._process_entry(entry, now)
+                _, _, kind, obj, epoch = entry
+                if obj.epoch != epoch:
+                    continue
+                if kind == _EV_STREAM:
+                    obj.remaining_bytes = 0.0
+                    self._complete_stream(obj, now)
+                elif kind == _EV_COMPUTE:
+                    obj.compute_remaining = 0.0
+                    self._transition(obj, now)
+                else:
+                    self._process_entry(entry, now)
             self._settle(now)
+        self._fold_busy()
         return now
 
-    def _pop_batch(self) -> list[tuple]:
-        """Pop all valid entries due within ``_TIME_EPS`` of the earliest."""
-        heap = self._heap
-        batch: list[tuple] = []
-        while heap:
-            entry = heap[0]
-            if not self._entry_valid(entry):
-                heapq.heappop(heap)
-                continue
-            if batch and entry[0] > batch[0][0] + _TIME_EPS:
-                break
-            batch.append(heapq.heappop(heap))
-        return batch
-
-    @staticmethod
-    def _entry_valid(entry: tuple) -> bool:
-        _, _, kind, obj, epoch = entry
-        return obj.epoch == epoch
-
     def _process_entry(self, entry: tuple, now: float) -> None:
-        _, _, kind, obj, epoch = entry
-        if obj.epoch != epoch:
-            # Invalidated by an earlier entry of the same batch.
-            return
+        """Handle a valid heap entry of a kind :meth:`_loop` leaves out."""
+        _, _, kind, obj, _ = entry
         if kind == _EV_FAULT:
             self._process_fault(obj, now)
-        elif kind == _EV_COMPUTE:
-            running = obj
-            running.compute_remaining = 0.0
-            self._transition(running, now)
         elif kind == _EV_RETRY:
             self._process_retry(obj, now)
         elif kind == _EV_SPEC:
             self._process_spec(obj, now)
-        elif kind == _EV_STALL:
+        else:  # _EV_STALL
             self._process_stall(obj, now)
-        else:
-            stream = obj
-            stream.remaining_bytes = 0.0
-            self._complete_stream(stream, now)
 
     def _process_fault(self, action: FaultAction, now: float) -> None:
         """Execute one timed fault action from the heap."""
@@ -477,12 +502,18 @@ class SimulationEngine:
             self._freed_nodes.update(node.name for node in targets)
 
     def _complete_stream(self, stream: SharedStream, now: float) -> None:
+        """Detach a finished stream (balance deferred); the last stream of
+        a phase moves its task on."""
         stream.epoch += 1  # invalidate any scheduled entry
-        self._stalled.pop(stream.stream_id, None)
-        for resource in list(stream.resources):
-            resource.detach(stream, rebalance=False)
-            self._mark_dirty(resource)
-        running = self._owner.pop(stream.stream_id)
+        stream_id = stream.stream_id
+        self._stalled.pop(stream_id, None)
+        dirty = self._dirty_resources
+        for resource in stream.resources:
+            del resource._streams[stream_id]
+            dirty[id(resource)] = resource
+        stream.resources.clear()
+        stream.rate = 0.0
+        running = self._owner.pop(stream_id)
         running.streams.remove(stream)
         running.open_streams -= 1
         if running.open_streams == 0:
@@ -601,9 +632,10 @@ class SimulationEngine:
 
         Every attach and detach marks its resource dirty, so draining the
         dirty set is also where ``_busy`` learns which resources hold a
-        stream.  Without a network every stream is bound to exactly one
-        resource (only :meth:`_open_io`'s remote split binds two), so each
-        dirty resource is its own component and no closure walk is needed.
+        stream (and ``_holders`` how many hold each busy key).  Without a
+        network every stream is bound to exactly one resource (only
+        :meth:`_open_io`'s remote split binds two), so each dirty resource
+        is its own component and no closure walk is needed.
         """
         while True:
             if self._rpolicy is not None and self._stall_failed:
@@ -628,16 +660,22 @@ class SimulationEngine:
             self._dirty_resources = {}
             busy = self._busy
             for ident, resource in dirty.items():
-                if resource.num_active:
-                    busy[ident] = self._busy_keys[ident]
-                else:
-                    busy.pop(ident, None)
+                if resource._streams:
+                    if ident not in busy:
+                        busy.add(ident)
+                        self._count_holders(self._busy_keys[ident], 1)
+                elif ident in busy:
+                    busy.remove(ident)
+                    self._count_holders(self._busy_keys[ident], -1)
             if self.network is None:
                 for resource in dirty.values():
-                    self._rebalance_component([resource], now)
+                    self._rebalance_lone(resource, now)
             else:
                 for component in self._components(dirty):
-                    self._rebalance_component(component, now)
+                    if len(component) == 1:
+                        self._rebalance_lone(component[0], now)
+                    else:
+                        self._rebalance_component(component, now)
 
     def _mark_dirty(self, resource: Resource) -> None:
         self._dirty_resources[id(resource)] = resource
@@ -669,56 +707,77 @@ class SimulationEngine:
             components.append(component)
         return components
 
+    def _rebalance_lone(self, resource: Resource, now: float) -> None:
+        """Water-fill a resource no stream couples to another, then apply
+        every rate that moved.
+
+        A component is closed under stream sharing, so a lone resource's
+        streams are bound to it alone: :meth:`Resource._waterfill` on its
+        capacity is the exact historical arithmetic.
+        """
+        streams = list(resource._streams.values())
+        if streams:
+            old_rates = [stream.rate for stream in streams]
+            resource._waterfill(streams, resource.capacity_for(streams))
+            self._apply_rates(streams, old_rates, now)
+
     def _rebalance_component(self, component: list[Resource], now: float) -> None:
-        before: dict[int, tuple[SharedStream, float]] = {}
-        for resource in component:
-            for stream in resource.streams:
-                before[stream.stream_id] = (stream, stream.rate)
-        if len(component) == 1:
-            # A component is closed under stream sharing, so a lone
-            # resource's streams are bound to it alone: the exact
-            # historical water-filling arithmetic (bit-identical default
-            # path).
-            component[0].rebalance()
-        else:
-            rebalance_coupled(component)
-        for stream, old_rate in before.values():
-            if self._rpolicy is not None and stream.stream_id not in self._owner:
+        """Max-min fill a coupled group, then apply every rate that moved."""
+        streams = list({
+            stream.stream_id: stream
+            for resource in component
+            for stream in resource._streams.values()
+        }.values())
+        old_rates = [stream.rate for stream in streams]
+        rebalance_coupled(component)
+        self._apply_rates(streams, old_rates, now)
+
+    def _apply_rates(
+        self, streams: list[SharedStream], old_rates: list[float], now: float
+    ) -> None:
+        """Move each stream whose rate changed from ``old_rates``.
+
+        Its remaining bytes are materialized at the old rate (clamped to
+        zero under :data:`_BYTE_EPS`); a drained stream completes, any
+        other gets a new finish entry at its new rate, or a stall strike
+        at rate zero.  A stream left at rate zero with work to do takes a
+        strike too.
+        """
+        guarded = self._rpolicy is not None
+        owner = self._owner
+        stalled = self._stalled
+        heap = self._heap
+        seq = self._seq
+        for stream, old_rate in zip(streams, old_rates):
+            if guarded and stream.stream_id not in owner:
                 # Cancelled mid-loop: a first-finisher win earlier in this
-                # iteration tore down its losing twin's streams.
+                # pass tore down its losing twin's streams.
                 continue
-            if stream.rate == old_rate:
-                if stream.rate <= 0.0 and not stream.done:
+            rate = stream.rate
+            if rate == old_rate:
+                if rate <= 0.0 and not stream.done:
                     self._note_stall(stream, now)
                 continue
-            self._materialize(stream, old_rate, now)
-            if stream.done:
+            elapsed = now - stream.last_update
+            if elapsed > 0.0 and old_rate > 0.0:
+                stream.remaining_bytes -= old_rate * elapsed
+                if stream.remaining_bytes < _BYTE_EPS:
+                    stream.remaining_bytes = 0.0
+            stream.last_update = now
+            if stream.remaining_bytes <= DONE_BYTES:
                 self._complete_stream(stream, now)
+                continue
+            stream.epoch += 1
+            if rate > 0.0:
+                stream.stalled = False
+                stalled.pop(stream.stream_id, None)
+                heapq.heappush(
+                    heap,
+                    (now + stream.remaining_bytes / rate, next(seq),
+                     _EV_STREAM, stream, stream.epoch),
+                )
             else:
-                self._reschedule(stream, now)
-
-    @staticmethod
-    def _materialize(stream: SharedStream, old_rate: float, now: float) -> None:
-        """Apply the progress accrued at the stream's previous rate."""
-        elapsed = now - stream.last_update
-        if elapsed > 0.0 and old_rate > 0.0:
-            stream.remaining_bytes -= old_rate * elapsed
-            if stream.remaining_bytes < _BYTE_EPS:
-                stream.remaining_bytes = 0.0
-        stream.last_update = now
-
-    def _reschedule(self, stream: SharedStream, now: float) -> None:
-        stream.epoch += 1
-        if stream.rate > 0.0:
-            stream.stalled = False
-            self._stalled.pop(stream.stream_id, None)
-            finish = now + stream.remaining_bytes / stream.rate
-            heapq.heappush(
-                self._heap,
-                (finish, next(self._seq), _EV_STREAM, stream, stream.epoch),
-            )
-            return
-        self._note_stall(stream, now)
+                self._note_stall(stream, now)
 
     def _note_stall(self, stream: SharedStream, now: float) -> None:
         """Zero rate with work remaining: one strike, then a hard error.
@@ -1094,12 +1153,54 @@ class SimulationEngine:
         return self.device_busy_seconds.get((device_name, is_write), 0.0) / makespan
 
     def _account_busy_time(self, dt: float) -> None:
+        """Charge the gap ``dt`` before an event batch to the busy time.
+
+        Core-seconds grow by ``dt`` per running task at once.  Device
+        busy time is deferred: a positive gap is appended to ``_gaps``,
+        and a busy key's seconds take the gaps it spanned when the number
+        of busy resources holding it changes (:meth:`_count_holders`),
+        when the log reaches :data:`GAP_LOG_LENGTH` and when :meth:`_loop`
+        ends (:meth:`_fold_busy`).  Each gap is added once per busy
+        resource holding the key, gap after gap in event order, so every
+        sum equals adding ``dt`` to every busy resource at every event,
+        bit for bit; a key that never spans a positive gap gets no entry.
+        """
         if dt <= 0.0:
             return
         self.core_busy_seconds += self._num_running * dt
+        gaps = self._gaps
+        gaps.append(dt)
+        if len(gaps) == GAP_LOG_LENGTH:
+            self._fold_busy()
+
+    def _count_holders(self, key: tuple[str, bool], delta: int) -> None:
+        """One busy resource more (``delta`` 1) or fewer (-1) holds ``key``;
+        the gaps spanned at the old count are folded first."""
+        holders = self._holders[key]
+        if holders[0]:
+            self._fold(key, holders[0], holders[1])
+        holders[0] += delta
+        holders[1] = len(self._gaps)
+
+    def _fold(self, key: tuple[str, bool], count: int, since: int) -> None:
+        """Add each gap logged from ``since`` on to ``key``'s busy seconds,
+        ``count`` times in a row, as a left fold (not ``sum``, which may
+        compensate)."""
+        gaps = self._gaps[since:]
+        if not gaps:
+            return
+        if count > 1:
+            gaps = itertools.chain.from_iterable(zip(*[gaps] * count))
         busy_seconds = self.device_busy_seconds
-        for key in self._busy.values():
-            busy_seconds[key] = busy_seconds.get(key, 0.0) + dt
+        busy_seconds[key] = reduce(add, gaps, busy_seconds.get(key, 0.0))
+
+    def _fold_busy(self) -> None:
+        """Fold every busy key's logged gaps and restart the log."""
+        for key, holders in self._holders.items():
+            if holders[0]:
+                self._fold(key, holders[0], holders[1])
+            holders[1] = 0
+        self._gaps.clear()
 
     # -- phase entry -------------------------------------------------------
 
@@ -1183,6 +1284,7 @@ class SimulationEngine:
                     "remote",
                 )
             )
+        dirty = self._dirty_resources
         for total_bytes, stream_cap, resources, tag in splits:
             if total_bytes <= _BYTE_EPS:
                 continue
@@ -1191,11 +1293,12 @@ class SimulationEngine:
                 request_size=phase.request_size,
                 per_stream_cap=stream_cap,
                 label=f"{tag} {phase.role} {'write' if phase.is_write else 'read'}",
+                resources=resources,
                 last_update=now,
             )
             for resource in resources:
-                resource.attach(stream, rebalance=False)
-                self._mark_dirty(resource)
+                resource._streams[stream.stream_id] = stream
+                dirty[id(resource)] = resource
             self._owner[stream.stream_id] = running
             running.streams.append(stream)
             running.open_streams += 1

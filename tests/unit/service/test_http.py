@@ -235,6 +235,32 @@ class TestRoutes:
 
         asyncio.run(scenario())
 
+    def test_over_long_integer_literal_is_a_400(self, profiled_shard):
+        # Past Python's 4,300-digit limit json.loads raises a plain
+        # ValueError, neither a JSONDecodeError nor a RecursionError.
+        body = (
+            b'{"kind": "predict", "workload": "lr-small", "vcpus": 16,'
+            b' "hdfs_kind": "pd-ssd", "hdfs_gb": ' + b"9" * 5000 + b','
+            b' "local_kind": "pd-ssd", "local_gb": 1024}'
+        )
+        assert len(body) <= MAX_BODY_BYTES
+
+        async def scenario():
+            engine = QueryEngine({NAME: SPEC}, cache=server_cache(profiled_shard))
+            server = QueryServer(engine, port=0)
+            await server.start()
+            host, port = server.address
+            try:
+                status, answer = await raw_request(
+                    host, port, post_blob("/query", body)
+                )
+                assert status == 400 and answer["error"] == "BadRequest"
+                assert "not valid JSON" in answer["message"]
+            finally:
+                await server.close()
+
+        asyncio.run(scenario())
+
     def test_request_head_over_the_byte_cap_is_a_400(self, profiled_shard):
         # 40 header lines of 2 KiB each: every line and the line count
         # are within their caps, the 80 KiB head is not.

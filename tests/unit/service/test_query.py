@@ -115,6 +115,24 @@ class TestValidation:
         )
         assert (query.slaves, query.cores) == (100, 36)
 
+    @pytest.mark.parametrize("kind", ["predict", "optimize"])
+    @pytest.mark.parametrize(
+        "workers", [MAX_SIMULATE_SLAVES + 1, 10**18, 10**400],
+        ids=["101", "1e18", "1e400"],
+    )
+    def test_num_workers_above_the_cap_rejected(self, kind, workers):
+        # Unbounded, 10**18 was a 200 for an absurd cluster and 10**400
+        # overflowed the array kernel into a 500.
+        def payload(num_workers):
+            if kind == "predict":
+                return predict_payload(num_workers=num_workers)
+            return {"kind": "optimize", "workload": "svm",
+                    "num_workers": num_workers}
+
+        with pytest.raises(QueryError, match="num_workers must be <= 100"):
+            parse_query(payload(workers))
+        assert parse_query(payload(MAX_SIMULATE_SLAVES)).num_workers == 100
+
     def test_optimize_grid_default_matches_cli(self):
         query = parse_query({"kind": "optimize", "workload": "svm"})
         assert query.vcpu_grid == DEFAULT_OPTIMIZE_VCPU_GRID

@@ -1,18 +1,24 @@
 """The event loop against its full-scan reference, and work conservation.
 
 Per event, :class:`SimulationEngine` pays only for what changed: busy
-time goes to the rate resources that hold a stream, each dirty resource
-is rebalanced on its own when no network can couple two of them, and
-queued tasks launch on the nodes that were freed.  ``ReferenceEngine``
-keeps the straightforward loop those shortcuts must equal: it reads every
-rate resource at every event, groups dirty resources by walking coupling
-closures, and relaunches across the whole cluster.  Every scenario must
-come out bit for bit the same on both, and after every settle no live
-node may hold a free core next to a queued task.
+time is logged as one gap and folded into a busy key's seconds only when
+the number of busy resources holding the key changes, each dirty
+resource is rebalanced on its own in one fused pass when no network can
+couple two of them, and queued tasks launch on the nodes that were
+freed.  ``ReferenceEngine`` keeps the straightforward loop those
+shortcuts must equal, in code they do not share: it adds every event's
+gap to every busy rate resource's key, groups dirty resources by walking
+coupling closures, rebalances a lone resource with
+:meth:`~repro.resources.Resource.rebalance` and then materializes and
+reschedules stream by stream, and relaunches across the whole cluster.
+Every scenario must come out bit for bit the same on both, and after
+every settle no live node may hold a free core next to a queued task.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -29,12 +35,26 @@ from repro.resilience import (
 )
 from repro.resources import DeviceResource, LinkResource
 from repro.schedule.mix import MixEngine, MixJob
-from repro.simulator.engine import SimulationEngine
+from repro.simulator.engine import (
+    _BYTE_EPS,
+    _EV_STREAM,
+    GAP_LOG_LENGTH,
+    SimulationEngine,
+)
 from repro.storage.array import make_disk_array
 from repro.storage.device import make_ssd
 from repro.units import GB, MB
 from repro.workloads import make_gatk4_workload
 from repro.workloads.base import ChannelSpec, StageSpec, TaskGroupSpec, WorkloadSpec
+
+
+def _busy_key(resource) -> tuple[str, bool] | None:
+    """The busy-time key a rate resource charges (``None`` for others)."""
+    if isinstance(resource, DeviceResource):
+        return (resource.device.name, resource.is_write)
+    if isinstance(resource, LinkResource):
+        return (resource.name, False)
+    return None
 
 
 class ReferenceEngine(SimulationEngine):
@@ -48,11 +68,8 @@ class ReferenceEngine(SimulationEngine):
             return
         self.core_busy_seconds += self._num_running * dt
         for resource in self.registry.values():
-            if isinstance(resource, DeviceResource):
-                key = (resource.device.name, resource.is_write)
-            elif isinstance(resource, LinkResource):
-                key = (resource.name, False)
-            else:
+            key = _busy_key(resource)
+            if key is None:
                 continue
             if resource.num_active:
                 self.device_busy_seconds[key] = (
@@ -99,7 +116,48 @@ class ReferenceEngine(SimulationEngine):
             # Without a network the engine skips this closure walk and
             # rebalances each dirty resource alone; the walk must agree.
             assert len(component) == 1
-        super()._rebalance_component(component, now)
+        if len(component) > 1:
+            super()._rebalance_component(component, now)
+            return
+        # A lone resource: water-fill it, then move each stream whose rate
+        # changed on its own.
+        before = [(stream, stream.rate) for stream in component[0].streams]
+        component[0].rebalance()
+        for stream, old_rate in before:
+            if self._rpolicy is not None and stream.stream_id not in self._owner:
+                continue
+            if stream.rate == old_rate:
+                if stream.rate <= 0.0 and not stream.done:
+                    self._note_stall(stream, now)
+                continue
+            self._materialize(stream, old_rate, now)
+            if stream.done:
+                self._complete_stream(stream, now)
+            else:
+                self._reschedule(stream, now)
+
+    @staticmethod
+    def _materialize(stream, old_rate: float, now: float) -> None:
+        """Apply the progress accrued at the stream's previous rate."""
+        elapsed = now - stream.last_update
+        if elapsed > 0.0 and old_rate > 0.0:
+            stream.remaining_bytes -= old_rate * elapsed
+            if stream.remaining_bytes < _BYTE_EPS:
+                stream.remaining_bytes = 0.0
+        stream.last_update = now
+
+    def _reschedule(self, stream, now: float) -> None:
+        stream.epoch += 1
+        if stream.rate > 0.0:
+            stream.stalled = False
+            self._stalled.pop(stream.stream_id, None)
+            finish = now + stream.remaining_bytes / stream.rate
+            heapq.heappush(
+                self._heap,
+                (finish, next(self._seq), _EV_STREAM, stream, stream.epoch),
+            )
+            return
+        self._note_stall(stream, now)
 
 
 class RecordingMixEngine(MixEngine):
@@ -146,6 +204,26 @@ class ConservingMixEngine(RecordingMixEngine, ConservingEngine):
         return any(self._queues[name].values())
 
 
+class GapWatchingEngine(ConservingEngine):
+    """The engine under test, counting the positive gaps it spans and the
+    most busy rate resources one busy key had across one of them."""
+
+    positive_gaps = 0
+    most_holders = 0
+
+    def _account_busy_time(self, dt: float) -> None:
+        if dt > 0.0:
+            self.positive_gaps += 1
+            holders = Counter(
+                _busy_key(resource) for resource in self.registry.values()
+                if _busy_key(resource) is not None and resource.num_active
+            )
+            self.most_holders = max(
+                self.most_holders, max(holders.values(), default=0)
+            )
+        super()._account_busy_time(dt)
+
+
 @dataclass(frozen=True)
 class Loop:
     solo: type[SimulationEngine]
@@ -154,6 +232,7 @@ class Loop:
 
 ENGINE = Loop(ConservingEngine, ConservingMixEngine)
 REFERENCE = Loop(ReferenceEngine, ReferenceMixEngine)
+WATCHED = Loop(GapWatchingEngine, ConservingMixEngine)
 
 
 @dataclass
@@ -329,6 +408,11 @@ def test_scenarios_reach_the_paths_they_name():
     ]
     assert len(m0) == 6  # three nodes x two directions, two busy keys
     assert ("m0", True) in dict(per_member.device_busy)
+    # One busy key on several resources at once: the fold adds a gap
+    # once per holder.
+    assert per_member_array(WATCHED).engine.most_holders > 1
+    # More positive gaps than the log holds: folds mid-run are compared.
+    assert gatk4_md(WATCHED).engine.positive_gaps > GAP_LOG_LENGTH
     assert throttle_and_kill(ENGINE).engine._dead_nodes == {"slave-2"}
     summary = mitigated(ENGINE).engine.resilience_summary()
     assert summary.speculative_launched > 0
