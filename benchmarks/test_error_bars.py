@@ -13,7 +13,7 @@ from conftest import run_once
 
 from repro.analysis.report import render_table
 from repro.cluster import HYBRID_CONFIGS, make_paper_cluster
-from repro.workloads.runner import measure_workload_repeated
+from repro.workloads.runner import measure_workload
 
 RUNS = 5
 
@@ -21,7 +21,10 @@ RUNS = 5
 def test_error_bars_five_runs(benchmark, emit, gatk4_workload, gatk4_predictor):
     def measure():
         cluster = make_paper_cluster(10, HYBRID_CONFIGS[0])
-        runs = measure_workload_repeated(cluster, 24, gatk4_workload, runs=RUNS)
+        runs = [
+            measure_workload(cluster, 24, gatk4_workload, run_index=index)
+            for index in range(RUNS)
+        ]
         prediction = gatk4_predictor.predict(cluster, 24)
         return runs, prediction
 

@@ -1,4 +1,4 @@
-"""Analysis utilities: error metrics, sweeps, and table/figure rendering."""
+"""Analysis utilities: error metrics and table/figure rendering."""
 
 from repro.analysis.errors import (
     relative_error,
@@ -7,7 +7,6 @@ from repro.analysis.errors import (
     ExpVsModel,
     error_summary,
 )
-from repro.analysis.sweep import sweep_cores, sweep_local_disk_sizes, SweepPoint
 from repro.analysis.report import render_table, render_series, format_row
 from repro.analysis.figures import (
     render_bars,
@@ -21,9 +20,6 @@ __all__ = [
     "max_error",
     "ExpVsModel",
     "error_summary",
-    "sweep_cores",
-    "sweep_local_disk_sizes",
-    "SweepPoint",
     "render_table",
     "render_series",
     "format_row",

@@ -8,9 +8,9 @@
 - :mod:`repro.cloud.pricing` — Table V disk prices, the cost function
   ``Cost = f(P, DiskTypes, DiskSize_HDFS, DiskSize_local, Time)``, and
   ``config_dict``, a configuration's JSON shape.
-- :mod:`repro.cloud.optimizer` — exhaustive grid search (one array-kernel
-  pass over the whole grid) plus coordinate descent over the
-  configuration space, using the Doppio model for ``Time``.
+- :mod:`repro.cloud.optimizer` — exhaustive grid search over the
+  configuration space (one array-kernel pass over the whole grid), using
+  the Doppio model for ``Time``.
 - :mod:`repro.cloud.recommendations` — the R1 (Apache Spark) and R2
   (Cloudera) reference provisioning rules the paper compares against.
 """

@@ -6,13 +6,13 @@ The optimizer composes three pieces:
    profiling sample runs) supplies ``Time`` for any candidate
    configuration;
 2. :mod:`repro.cloud.pricing` supplies ``Cost = f(config, Time)``;
-3. a search strategy walks the discrete space
-   ``(vCPUs, DiskTypes, DiskSize_HDFS, DiskSize_local)``.
+3. ``grid_search`` walks the discrete space
+   ``(vCPUs, DiskTypes, DiskSize_HDFS, DiskSize_local)`` exhaustively.
 
-Two strategies are provided: exhaustive ``grid_search`` (the space is only
-a few thousand points) and ``coordinate_descent``, the discrete analogue
-of the gradient-descent procedure the paper describes; both honour
-capacity feasibility (disks must actually hold the job's data).
+The space is only a few thousand points, so the exhaustive scan finds
+the exact minimum that the paper's gradient-descent procedure
+approaches.  It honours capacity feasibility (disks must actually hold
+the job's data).
 
 Candidates are scored through the array-native Eq.-1 kernel
 (:mod:`repro.model.arrays`): ``grid_search`` builds one
@@ -26,8 +26,8 @@ bitwise identical to the historical per-candidate path.  At that speed
 an exhaustive scan outruns any branch-and-bound pruning of the grid (see
 ``docs/PERFORMANCE.md``), so every search scores every feasible
 candidate.  The scalar :meth:`CostOptimizer.evaluate` remains for
-single configurations (reference points, descent starts,
-cache-threaded what-ifs).
+single configurations (reference points such as R1/R2, cache-threaded
+what-ifs).
 """
 
 from __future__ import annotations
@@ -162,12 +162,11 @@ class CostOptimizer:
         these are infeasible.
     cache:
         Optional pipeline :class:`~repro.pipeline.cache.ResultCache`.
-        :meth:`evaluate` (and so each descent's start point) then
-        memoizes single-configuration predictions under the same
-        content-addressed keys the experiment pipeline uses.  Batch
-        scoring never touches it: :meth:`grid_search` and the neighbour
-        batches of :meth:`coordinate_descent` score every candidate
-        through the array kernel, whether or not it was scored before.
+        :meth:`evaluate` then memoizes single-configuration predictions
+        under the same content-addressed keys the experiment pipeline
+        uses.  Batch scoring never touches it: :meth:`grid_search` and
+        :meth:`score_candidates` score every candidate through the array
+        kernel, whether or not it was scored before.
     """
 
     def __init__(
@@ -298,7 +297,7 @@ class CostOptimizer:
             local_disk_gb=local_gb,
         )
 
-    # -- search strategies -------------------------------------------------------
+    # -- search -----------------------------------------------------------------
 
     def grid_search(
         self,
@@ -351,86 +350,6 @@ class CostOptimizer:
         best = records.record(min(range(len(costs)), key=costs.__getitem__))
         return OptimizationResult(best=best, evaluated=records)
 
-    def coordinate_descent(
-        self,
-        start: CloudConfiguration,
-        vcpu_grid: tuple[int, ...] = DEFAULT_VCPU_GRID,
-        size_grid_gb: tuple[float, ...] = DEFAULT_SIZE_GRID_GB,
-        max_rounds: int = 20,
-    ) -> OptimizationResult:
-        """Discrete descent: improve one coordinate at a time to a fixpoint.
-
-        This is the paper's "gradient descent" on the discrete multivariate
-        cost function; disk *types* stay fixed to the start point's (run it
-        once per type combination, as the paper does for HDD and SSD).
-
-        Each round's feasible neighbours are scored as one kernel batch;
-        the within-round incumbent updates then replay the historical
-        sequential comparisons over the batch columns, so the descent
-        path (and every evaluated record) is unchanged.
-        """
-        if not self.is_feasible(start):
-            raise OptimizationError(f"start configuration {start.label()} infeasible")
-        current = self.evaluate(start)
-        evaluated = [current]
-        for _ in range(max_rounds):
-            improved = False
-            neighbors = [
-                candidate
-                for candidate in self._neighbors(
-                    current.config, vcpu_grid, size_grid_gb
-                )
-                if self.is_feasible(candidate)
-            ]
-            for scored in self.score_candidates(neighbors):
-                evaluated.append(scored)
-                if scored.cost_dollars < current.cost_dollars - 1e-9:
-                    current = scored
-                    improved = True
-            if not improved:
-                break
-        return OptimizationResult(best=current, evaluated=tuple(evaluated))
-
-    def _neighbors(
-        self,
-        config: CloudConfiguration,
-        vcpu_grid: tuple[int, ...],
-        size_grid_gb: tuple[float, ...],
-    ) -> list[CloudConfiguration]:
-        """Grid neighbours along each coordinate axis."""
-        neighbors: list[CloudConfiguration] = []
-        for vcpus in _adjacent(sorted(vcpu_grid), config.machine.vcpus):
-            neighbors.append(
-                self.make_config(
-                    vcpus,
-                    config.hdfs_disk_kind,
-                    config.hdfs_disk_gb,
-                    config.local_disk_kind,
-                    config.local_disk_gb,
-                )
-            )
-        for hdfs_gb in _adjacent(sorted(size_grid_gb), config.hdfs_disk_gb):
-            neighbors.append(
-                self.make_config(
-                    config.machine.vcpus,
-                    config.hdfs_disk_kind,
-                    hdfs_gb,
-                    config.local_disk_kind,
-                    config.local_disk_gb,
-                )
-            )
-        for local_gb in _adjacent(sorted(size_grid_gb), config.local_disk_gb):
-            neighbors.append(
-                self.make_config(
-                    config.machine.vcpus,
-                    config.hdfs_disk_kind,
-                    config.hdfs_disk_gb,
-                    config.local_disk_kind,
-                    local_gb,
-                )
-            )
-        return neighbors
-
     # -- capacity helper --------------------------------------------------------
 
     @staticmethod
@@ -461,15 +380,3 @@ class CostOptimizer:
         per_node_hdfs = hdfs_bytes * headroom / num_workers / GB
         per_node_local = local_bytes * headroom / num_workers / GB
         return (per_node_hdfs, per_node_local)
-
-
-def _adjacent(grid: list, value) -> list:
-    """Grid values immediately below and above ``value`` (plus snapping)."""
-    below = [g for g in grid if g < value]
-    above = [g for g in grid if g > value]
-    candidates = []
-    if below:
-        candidates.append(below[-1])
-    if above:
-        candidates.append(above[0])
-    return candidates

@@ -2,14 +2,16 @@
 
 The paper models each stage independently with Equation 1 and sums them for
 the application runtime.  :class:`ApplicationModel` also exposes per-stage
-breakdowns, bottleneck attribution, and what-if evaluation across
-``(N, P)`` sweeps — the raw material for Figs. 7-12.
+breakdowns and bottleneck attribution at any ``(N, P)`` point — the raw
+material for Figs. 7-12.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
 
 from repro.core.stage_model import StageModel, StagePrediction
 from repro.errors import ModelError
@@ -26,8 +28,13 @@ class ApplicationPrediction:
 
     @property
     def t_app(self) -> float:
-        """Total predicted runtime: the sum of all stage runtimes."""
-        return sum(stage.t_stage for stage in self.stages)
+        """Total predicted runtime: the sum of all stage runtimes.
+
+        A left fold in stage order, like the array kernel's: from Python
+        3.12 on, ``sum()`` of floats is compensated and would move the
+        last digits with the interpreter version.
+        """
+        return reduce(operator.add, (stage.t_stage for stage in self.stages), 0)
 
     def stage(self, name: str) -> StagePrediction:
         """Look up one stage's prediction by name."""
@@ -73,12 +80,6 @@ class ApplicationModel:
     def runtime(self, nodes: int, cores_per_node: int) -> float:
         """Total predicted application runtime in seconds."""
         return self.predict(nodes, cores_per_node).t_app
-
-    def sweep_cores(
-        self, nodes: int, core_counts: Sequence[int]
-    ) -> list[ApplicationPrediction]:
-        """Predictions across a list of per-node core counts (Fig. 3 style)."""
-        return [self.predict(nodes, cores) for cores in core_counts]
 
     def __repr__(self) -> str:
         names = ", ".join(stage.name for stage in self.stages)

@@ -20,7 +20,6 @@ cross-check of request sizes) is the paper's procedure verbatim.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -40,8 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # storage layer imports repro.core at module load, so eager imports here
 # would create a cycle.
 
-#: Factory signature: (hdfs_kind, local_kind) -> Cluster.
-ClusterFactory = Callable[[str, str], "Cluster"]
+#: ``P`` for sample runs 1-2, the pair that solves ``t_avg`` and
+#: ``delta_scale``.
+CALIBRATION_CORES: tuple[int, int] = (1, 2)
+#: ``P`` for the stress runs 3-4 (predictability threshold from HCloud [33]).
+STRESS_CORES = 16
 
 
 @dataclass(frozen=True)
@@ -110,16 +112,6 @@ class ProfilingReport:
         raise ProfilingError(f"{self.workload_name}: no profiled stage {name!r}")
 
 
-def _default_cluster_factory(nodes: int) -> ClusterFactory:
-    from repro.cluster.cluster import HybridDiskConfig, make_paper_cluster
-
-    def factory(hdfs_kind: str, local_kind: str) -> Cluster:
-        config = HybridDiskConfig(0, hdfs_kind=hdfs_kind, local_kind=local_kind)
-        return make_paper_cluster(num_slaves=nodes, config=config)
-
-    return factory
-
-
 def _channel_kinds() -> dict[str, str]:
     from repro.workloads.base import CHANNEL_KINDS
 
@@ -134,36 +126,21 @@ class Profiler:
     workload:
         The application to profile.
     nodes:
-        ``N`` for the sample runs (the paper suggests a small 3).
-    cluster_factory:
-        Builds a fresh profiling cluster per run given the
-        ``(hdfs_kind, local_kind)`` device kinds.  Defaults to
-        Table-I-style nodes.
-    calibration_cores:
-        The ``(P, P)`` pair for runs 1-2; the paper uses ``(1, 2)``.
-    stress_cores:
-        ``P`` for runs 3-4; the paper uses 16 (predictability threshold
-        from HCloud [33]).
+        ``N`` for the sample runs (the paper suggests a small 3).  Each
+        run gets a fresh cluster of ``N`` Table-I-style nodes at
+        :data:`CALIBRATION_CORES` or :data:`STRESS_CORES` cores each.
     """
 
     def __init__(
         self,
         workload: WorkloadSpec,
         nodes: int = 3,
-        cluster_factory: ClusterFactory | None = None,
-        calibration_cores: tuple[int, int] = (1, 2),
-        stress_cores: int = 16,
         fit_gc: bool = False,
     ) -> None:
         if nodes <= 0:
             raise ProfilingError("profiling node count must be positive")
-        if calibration_cores[0] == calibration_cores[1]:
-            raise ProfilingError("calibration runs need two distinct core counts")
         self.workload = workload
         self.nodes = nodes
-        self.cluster_factory = cluster_factory or _default_cluster_factory(nodes)
-        self.calibration_cores = calibration_cores
-        self.stress_cores = stress_cores
         #: With ``fit_gc=True`` the profiler reads per-task GC time from
         #: the sample runs' task metrics (as real Spark exposes it),
         #: removes the GC contribution from the scale-term calibration,
@@ -174,14 +151,13 @@ class Profiler:
 
     def profile(self) -> ProfilingReport:
         """Execute all four sample runs and fit the per-stage constants."""
-        run1 = self._run("sample-1 (P=%d, 2xSSD)" % self.calibration_cores[0],
-                         self.calibration_cores[0], "ssd", "ssd")
-        run2 = self._run("sample-2 (P=%d, 2xSSD)" % self.calibration_cores[1],
-                         self.calibration_cores[1], "ssd", "ssd")
-        run3 = self._run(f"sample-3 (P={self.stress_cores}, local=HDD)",
-                         self.stress_cores, "ssd", "hdd")
-        run4 = self._run(f"sample-4 (P={self.stress_cores}, HDFS=HDD)",
-                         self.stress_cores, "hdd", "ssd")
+        low, high = CALIBRATION_CORES
+        run1 = self._run(f"sample-1 (P={low}, 2xSSD)", low, "ssd", "ssd")
+        run2 = self._run(f"sample-2 (P={high}, 2xSSD)", high, "ssd", "ssd")
+        run3 = self._run(f"sample-3 (P={STRESS_CORES}, local=HDD)",
+                         STRESS_CORES, "ssd", "hdd")
+        run4 = self._run(f"sample-4 (P={STRESS_CORES}, HDFS=HDD)",
+                         STRESS_CORES, "hdd", "ssd")
 
         stages = []
         for spec in self.workload.stages:
@@ -195,10 +171,17 @@ class Profiler:
 
     # -- sample-run machinery ------------------------------------------------
 
+    def _cluster(self, hdfs_kind: str, local_kind: str) -> Cluster:
+        """A fresh profiling cluster with the given device kinds."""
+        from repro.cluster.cluster import HybridDiskConfig, make_paper_cluster
+
+        config = HybridDiskConfig(0, hdfs_kind=hdfs_kind, local_kind=local_kind)
+        return make_paper_cluster(num_slaves=self.nodes, config=config)
+
     def _run(self, label: str, cores: int, hdfs_kind: str, local_kind: str) -> SampleRun:
         from repro.workloads.runner import measure_workload
 
-        cluster = self.cluster_factory(hdfs_kind, local_kind)
+        cluster = self._cluster(hdfs_kind, local_kind)
         measurement = measure_workload(cluster, cores, self.workload)
         self._cross_check_request_sizes(cluster, measurement)
         return SampleRun(
@@ -251,7 +234,7 @@ class Profiler:
         gc_coeff = 0.0
         if self.fit_gc:
             # The task metric reports gc_coeff * P per task; read it from
-            # run 1 (P = calibration_cores[0]) and correct the measured
+            # run 1 (P = CALIBRATION_CORES[0]) and correct the measured
             # stage times by the P-independent GC term M * gc / N before
             # fitting t_avg and delta_scale.
             metric = run1.measurement.stage(spec.name).avg_gc_seconds
@@ -297,7 +280,7 @@ class Profiler:
         )
 
     def _sanity_check(self, spec: StageSpec, run: SampleRun, measured: float) -> None:
-        cluster = self.cluster_factory(run.hdfs_kind, run.local_kind)
+        cluster = self._cluster(run.hdfs_kind, run.local_kind)
         for kind, (total, request_size) in spec.channel_summary().items():
             role = _channel_kinds()[kind]
             is_write = kind.endswith("_write")
@@ -333,7 +316,7 @@ class Profiler:
             + spec.num_tasks * gc_coeff / self.nodes
             + delta_scale
         )
-        cluster = self.cluster_factory(run.hdfs_kind, run.local_kind)
+        cluster = self._cluster(run.hdfs_kind, run.local_kind)
         device = cluster.slaves[0].device_for(role)
 
         floors = {False: 0.0, True: 0.0}

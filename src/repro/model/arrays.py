@@ -11,8 +11,8 @@ point of the batch, then gathers the terms per candidate, takes their
 max and sums it over the stages.
 
 :class:`Eq1BatchEvaluator` is the one scorer: the optimizer's
-exhaustive grid search, its descent rounds, the core sweeps and the
-service's predict queries all score the exact model through it.
+exhaustive grid search, the Fig. 14 disk-size series and the service's
+predict queries all score the exact model through it.
 
 Exactness contract
 ------------------

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.core.profiler import Profiler, ProfilingReport, StageProfileData
+from repro.core.profiler import (
+    CALIBRATION_CORES,
+    STRESS_CORES,
+    Profiler,
+    ProfilingReport,
+    StageProfileData,
+)
 from repro.core.serialization import load_report, report_to_dict
 from repro.errors import WorkloadError
 from repro.pipeline.fingerprint import fingerprint
@@ -63,16 +69,6 @@ class WorkloadSource(Protocol):
         ...
 
 
-def _report_key(
-    spec_fp: str, nodes: int, fit_gc: bool, calibration: tuple[int, int],
-    stress: int,
-) -> str:
-    return (
-        f"{spec_fp}/profile-N{nodes}-gc{int(fit_gc)}"
-        f"-cal{calibration[0]}-{calibration[1]}-stress{stress}"
-    )
-
-
 class SpecSource:
     """A hand-written workload spec; the profile is fitted on demand.
 
@@ -84,8 +80,6 @@ class SpecSource:
         ``N`` for the four-sample-run profiling procedure (paper: 3).
     fit_gc:
         Also fit the JVM GC coefficient (see :class:`Profiler`).
-    calibration_cores / stress_cores:
-        Forwarded to :class:`Profiler`.
     """
 
     def __init__(
@@ -93,14 +87,10 @@ class SpecSource:
         spec: WorkloadSpec,
         profile_nodes: int = 3,
         fit_gc: bool = False,
-        calibration_cores: tuple[int, int] = (1, 2),
-        stress_cores: int = 16,
     ) -> None:
         self.spec = spec
         self.profile_nodes = profile_nodes
         self.fit_gc = fit_gc
-        self.calibration_cores = calibration_cores
-        self.stress_cores = stress_cores
         self._spec_fp = fingerprint(spec)
         self._resolved: ResolvedWorkload | None = None
 
@@ -113,10 +103,15 @@ class SpecSource:
 
     @property
     def report_key(self) -> str:
-        """The :class:`ResultCache` key its profiling report is stored under."""
-        return _report_key(
-            self._spec_fp, self.profile_nodes, self.fit_gc,
-            self.calibration_cores, self.stress_cores,
+        """The :class:`ResultCache` key its profiling report is stored under.
+
+        Its ``-cal1-2-stress16`` tail is constant; it stays so that
+        existing cache files keep hitting.
+        """
+        low, high = CALIBRATION_CORES
+        return (
+            f"{self._spec_fp}/profile-N{self.profile_nodes}-gc{int(self.fit_gc)}"
+            f"-cal{low}-{high}-stress{STRESS_CORES}"
         )
 
     def resolve(self, cache: ResultCache | None = None) -> ResolvedWorkload:
@@ -126,11 +121,7 @@ class SpecSource:
         report = cache.get_report(key) if cache is not None else None
         if report is None:
             report = Profiler(
-                self.spec,
-                nodes=self.profile_nodes,
-                calibration_cores=self.calibration_cores,
-                stress_cores=self.stress_cores,
-                fit_gc=self.fit_gc,
+                self.spec, nodes=self.profile_nodes, fit_gc=self.fit_gc
             ).profile()
             if cache is not None:
                 cache.put_report(key, report)

@@ -99,6 +99,11 @@ class MixJob:
     name: str | None = None
 
     def __post_init__(self) -> None:
+        if self.name is not None and not isinstance(self.name, str):
+            raise SchedulingError(
+                f"job {self.spec.name}: name must be a string,"
+                f" got {self.name!r}"
+            )
         if not math.isfinite(self.arrival) or self.arrival < 0:
             raise SchedulingError(
                 f"job {self.display_name}: arrival must be finite and >= 0,"

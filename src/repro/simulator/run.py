@@ -10,9 +10,11 @@ applications.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import NetworkModel
@@ -104,8 +106,13 @@ class ApplicationMeasurement:
 
     @property
     def total_seconds(self) -> float:
-        """Sum of stage makespans — the application runtime."""
-        return sum(stage.makespan for stage in self.stages)
+        """Sum of stage makespans — the application runtime.
+
+        A left fold in stage order, as in
+        :attr:`~repro.core.app_model.ApplicationPrediction.t_app`, so the
+        total does not depend on the Python version's ``sum()``.
+        """
+        return reduce(operator.add, (stage.makespan for stage in self.stages), 0)
 
     def stage(self, name: str) -> StageMeasurement:
         """Look up one stage measurement by name."""

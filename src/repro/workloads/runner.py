@@ -83,28 +83,3 @@ def measure_workload(
     )
     return ApplicationMeasurement(name=workload.name, stages=measurements)
 
-
-def measure_workload_repeated(
-    cluster: Cluster,
-    cores_per_node: int,
-    workload: WorkloadSpec,
-    runs: int = 5,
-    network: NetworkModel | None = None,
-    faults: FaultPlan | None = None,
-    resilience: ResiliencePolicy | None = None,
-) -> list[ApplicationMeasurement]:
-    """The paper's protocol: average of five runs with error bars.
-
-    Each run uses a distinct (deterministic) task-skew realization; callers
-    report mean/min/max per stage across the returned measurements.
-    """
-    if runs <= 0:
-        raise ValueError("need at least one run")
-    return [
-        measure_workload(
-            cluster, cores_per_node, workload,
-            run_index=index, network=network, faults=faults,
-            resilience=resilience,
-        )
-        for index in range(runs)
-    ]

@@ -8,7 +8,7 @@ from repro.cloud import (
     r1_spark_recommendation,
     r2_cloudera_recommendation,
 )
-from repro.analysis.sweep import sweep_local_disk_sizes
+from repro.model.arrays import CandidateBatch
 
 
 @pytest.fixture(scope="module")
@@ -68,15 +68,27 @@ class TestCostSavings:
 
 class TestFig14RuntimeVsDiskSize:
     def test_runtime_monotone_then_flat(self, gatk4_predictor):
-        series = sweep_local_disk_sizes(
-            gatk4_predictor,
-            sizes_gb=[200, 500, 1000, 2000, 4000, 6000],
-            num_workers=10,
-            cores_per_node=16,
-        )
-        runtimes = [seconds for _, seconds in series]
+        # Fig. 14's shape: growing the HDD local disk keeps buying IOPS
+        # until the per-disk IOPS cap / compute bound is reached, after
+        # which the curve is flat.  (The paper's testbed flattens at 2 TB;
+        # our disk spec's 3000-IOPS cap binds at 4 TB.)  The swept (N, P)
+        # need not be a purchasable shape, so the batch is model-only.
+        sizes_gb = (200, 500, 1000, 2000, 4000, 6000, 8000)
+        count = len(sizes_gb)
+        runtimes = gatk4_predictor.batch_evaluator().score(CandidateBatch(
+            nodes=(10,) * count,
+            cores=(16,) * count,
+            hdfs_kinds=("pd-standard",) * count,
+            hdfs_sizes_gb=(1000.0,) * count,
+            local_kinds=("pd-standard",) * count,
+            local_sizes_gb=sizes_gb,
+        )).runtime_seconds
+        # Monotone non-increasing...
         assert all(a >= b - 1e-6 for a, b in zip(runtimes, runtimes[1:]))
-        assert runtimes[-1] == pytest.approx(runtimes[-2], rel=0.02)
+        # ...with a clear drop early and a flat tail through 8 TB.
+        assert runtimes[0] > 1.5 * runtimes[2]
+        for size_gb, seconds in zip(sizes_gb[4:], runtimes[4:]):
+            assert seconds == pytest.approx(runtimes[-1], rel=0.02), size_gb
 
     def test_model_matches_simulated_cloud_runs(
         self, gatk4_predictor, gatk4_workload
@@ -113,11 +125,3 @@ class TestFig14RuntimeVsDiskSize:
             errors.append(abs(predicted - measured) / measured)
         assert sum(errors) / len(errors) < 0.10
 
-
-class TestCoordinateDescentAgreesWithGrid:
-    def test_hdd_descent_near_grid_optimum(self, optimizer):
-        start = optimizer.make_config(16, "pd-standard", 4000, "pd-standard", 4000)
-        descent = optimizer.coordinate_descent(start)
-        grid = optimizer.grid_search(vcpu_grid=(4, 8, 16, 32),
-                                     disk_kinds=("pd-standard",))
-        assert descent.best.cost_dollars <= grid.best.cost_dollars * 1.3

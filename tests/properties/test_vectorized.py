@@ -1,7 +1,7 @@
 """PR-6 equivalence properties: the array kernel changes nothing.
 
-The refactor moved every Eq.-1 evaluation — optimizer grid, descent
-neighborhoods, disk-size sweeps — onto :mod:`repro.model.arrays`.  Its
+The refactor moved every batch Eq.-1 evaluation — the optimizer grid
+and the disk-size series — onto :mod:`repro.model.arrays`.  Its
 contract is *exact* equality with the scalar stack, not approximate:
 the kernel calls the scalar model's own Eq.-1 term functions and does
 the rest of its float operations in the scalar order, so every

@@ -1,27 +1,8 @@
-"""Unit tests for sweep helpers."""
+"""Unit tests for the model's predicted runtime over a local-disk-size sweep."""
 
 import pytest
 
-from repro.analysis.sweep import sweep_cores, sweep_local_disk_sizes
-from repro.cluster import HYBRID_CONFIGS, make_paper_cluster
-
-
-class TestSweepCores:
-    def test_points_shape(self, gatk4_workload, gatk4_predictor):
-        cluster = make_paper_cluster(3, HYBRID_CONFIGS[0])
-        points = sweep_cores(gatk4_workload, gatk4_predictor, cluster, [6, 12])
-        assert [p.x for p in points] == [6.0, 12.0]
-        for point in points:
-            assert {sp.label.split("@")[0] for sp in point.stage_points} == {
-                "MD", "BR", "SF",
-            }
-            assert point.total.measured > 0
-            assert point.total.predicted > 0
-
-    def test_errors_reasonable(self, gatk4_workload, gatk4_predictor):
-        cluster = make_paper_cluster(3, HYBRID_CONFIGS[0])
-        points = sweep_cores(gatk4_workload, gatk4_predictor, cluster, [12])
-        assert points[0].total.error < 0.15
+from repro.model.arrays import CandidateBatch
 
 
 class TestSweepDiskSizes:
@@ -29,22 +10,20 @@ class TestSweepDiskSizes:
         # Fig. 14's shape: growing the HDD local disk keeps buying IOPS
         # until the per-disk IOPS cap / compute bound is reached, after
         # which the curve is flat.  (The paper's testbed flattens at 2 TB;
-        # our disk spec's 3000-IOPS cap binds at 4 TB.)
-        results = sweep_local_disk_sizes(
-            gatk4_predictor,
-            sizes_gb=[200, 500, 1000, 2000, 4000, 6000, 8000],
-            num_workers=10,
-            cores_per_node=16,
-        )
-        runtimes = [seconds for _, seconds in results]
+        # our disk spec's 3000-IOPS cap binds at 4 TB.)  The swept (N, P)
+        # need not be a purchasable shape, so the batch is model-only.
+        sizes_gb = (200, 500, 1000, 2000, 4000, 6000, 8000)
+        count = len(sizes_gb)
+        runtimes = gatk4_predictor.batch_evaluator().score(CandidateBatch(
+            nodes=(10,) * count,
+            cores=(16,) * count,
+            hdfs_kinds=("pd-standard",) * count,
+            hdfs_sizes_gb=(1000.0,) * count,
+            local_kinds=("pd-standard",) * count,
+            local_sizes_gb=sizes_gb,
+        )).runtime_seconds
         # Monotone non-increasing...
         assert all(a >= b - 1e-6 for a, b in zip(runtimes, runtimes[1:]))
         # ...with a clear drop early and a flat tail.
         assert runtimes[0] > 1.5 * runtimes[2]
         assert runtimes[-2] == pytest.approx(runtimes[-1], rel=0.02)
-
-    def test_sizes_echoed(self, gatk4_predictor):
-        results = sweep_local_disk_sizes(
-            gatk4_predictor, sizes_gb=[500], num_workers=10, cores_per_node=16
-        )
-        assert results[0][0] == 500

@@ -3,7 +3,7 @@
 import pytest
 
 import repro.cloud.optimizer as optimizer_module
-from repro.cloud.optimizer import CostOptimizer, _adjacent
+from repro.cloud.optimizer import CostOptimizer
 from repro.cloud.pricing import CloudConfiguration
 from repro.cloud.recommendations import (
     r1_spark_recommendation,
@@ -201,22 +201,6 @@ class TestPaperGrid:
         ]
 
 
-class TestCoordinateDescent:
-    def test_descends_to_local_optimum(self, optimizer):
-        start = optimizer.make_config(32, "pd-standard", 4000, "pd-standard", 4000)
-        result = optimizer.coordinate_descent(start)
-        assert result.best.cost_dollars <= optimizer.evaluate(start).cost_dollars
-        # The winner's cost should be close to the grid optimum for the
-        # same (HDD, HDD) disk types.
-        grid = optimizer.grid_search(disk_kinds=("pd-standard",))
-        assert result.best.cost_dollars <= grid.best.cost_dollars * 1.25
-
-    def test_start_must_be_feasible(self, optimizer):
-        bad = optimizer.make_config(16, "pd-standard", 10, "pd-standard", 10)
-        with pytest.raises(OptimizationError):
-            optimizer.coordinate_descent(bad)
-
-
 class TestCapacityRequirements:
     def test_gatk4_requirements(self, gatk4_workload):
         hdfs_gb, local_gb = CostOptimizer.capacity_requirements(
@@ -236,14 +220,3 @@ class TestCapacityRequirements:
                 gatk4_workload, num_workers=num_workers
             )
 
-
-class TestAdjacent:
-    def test_interior(self):
-        assert _adjacent([1, 2, 4, 8], 4) == [2, 8]
-
-    def test_edges(self):
-        assert _adjacent([1, 2, 4], 1) == [2]
-        assert _adjacent([1, 2, 4], 4) == [2]
-
-    def test_off_grid_value(self):
-        assert _adjacent([1, 2, 4], 3) == [2, 4]

@@ -58,9 +58,3 @@ class TestPrediction:
     def test_bottleneck_stage(self, app):
         prediction = app.predict(2, 4)
         assert prediction.bottleneck_stage.stage_name == "b"
-
-    def test_sweep_cores(self, app):
-        points = app.sweep_cores(2, [1, 2, 4])
-        assert [p.cores_per_node for p in points] == [1, 2, 4]
-        times = [p.t_app for p in points]
-        assert times == sorted(times, reverse=True)

@@ -16,10 +16,6 @@ class TestProfilerConstruction:
         with pytest.raises(ProfilingError):
             Profiler(gatk4_workload, nodes=0)
 
-    def test_rejects_equal_calibration_cores(self, gatk4_workload):
-        with pytest.raises(ProfilingError):
-            Profiler(gatk4_workload, calibration_cores=(2, 2))
-
 
 class TestReportStructure:
     def test_one_profile_per_stage(self, gatk4_report, gatk4_workload):

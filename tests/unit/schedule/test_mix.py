@@ -77,6 +77,11 @@ class TestMixJob:
         with pytest.raises(SchedulingError, match="volume_scale"):
             MixJob(spec=_spec("a"), volume_scale=scale)
 
+    @pytest.mark.parametrize("name", [5, ["x"]])
+    def test_bad_name_rejected(self, name):
+        with pytest.raises(SchedulingError, match="name must be a string"):
+            MixJob(spec=_spec("a"), name=name)
+
 
 class TestCanonicalJobs:
     def test_orders_by_arrival_then_name(self):

@@ -124,6 +124,23 @@ class TestCommands:
             assert "nested too deeply" in captured.err
             assert "Traceback" not in captured.err
 
+    def test_mix_plan_job_names_must_be_strings(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        for bad_name in (5, ["x"]):
+            plan.write_text(json.dumps({"jobs": [
+                {"workload": "svm", "name": bad_name},
+                {"workload": "lr-small", "name": "b"},
+            ]}))
+            assert main(
+                ["simulate", "--mix", str(plan), "--slaves", "2",
+                 "--cores", "2", "--json"]
+            ) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error[ConfigurationError]:")
+            assert "name must be a string" in captured.err
+            assert "\n" not in captured.err.strip()  # one structured line
+            assert "Traceback" not in captured.err
+
     def test_bad_resilience_knob_maps_to_config_exit_code(self, capsys):
         assert main(["simulate", "svm", "--max-task-attempts", "0"]) == 2
         assert capsys.readouterr().err.startswith("error[ConfigurationError]:")

@@ -1,16 +1,24 @@
-"""Unit tests for the five-run error-bar protocol."""
+"""Unit tests for the five-run error-bar protocol.
+
+Run ``i`` of the paper's five is ``measure_workload(..., run_index=i)``:
+a distinct but statistically identical task-skew realization.
+"""
 
 import pytest
 
 from repro.cluster import HYBRID_CONFIGS, make_paper_cluster
 from repro.workloads import make_svm_workload
-from repro.workloads.runner import measure_workload, measure_workload_repeated
+from repro.workloads.runner import measure_workload
 
 
 @pytest.fixture(scope="module")
 def runs():
     cluster = make_paper_cluster(3, HYBRID_CONFIGS[0])
-    return measure_workload_repeated(cluster, 12, make_svm_workload(), runs=5)
+    workload = make_svm_workload()
+    return [
+        measure_workload(cluster, 12, workload, run_index=index)
+        for index in range(5)
+    ]
 
 
 class TestRepeatedRuns:
@@ -34,39 +42,17 @@ class TestRepeatedRuns:
         reads = {round(run.stage("subtract_read").read_bytes) for run in runs}
         assert len(reads) == 1  # skew is mean-preserving per group
 
-    def test_invalid_run_count(self):
-        cluster = make_paper_cluster(1, HYBRID_CONFIGS[0])
-        with pytest.raises(ValueError):
-            measure_workload_repeated(cluster, 2, make_svm_workload(), runs=0)
-
 
 class TestRepeatedRunsNetwork:
-    """Regression: the ``network`` argument used to be silently dropped."""
-
-    def test_network_is_forwarded_to_every_run(self):
+    def test_throttled_network_changes_the_makespan(self):
         from repro.cluster.network import NetworkModel
 
         cluster = make_paper_cluster(3, HYBRID_CONFIGS[0])
         workload = make_svm_workload()
         network = NetworkModel.from_gbps(0.25)
-        repeated = measure_workload_repeated(
-            cluster, 12, workload, runs=2, network=network
-        )
-        for index, run in enumerate(repeated):
-            direct = measure_workload(
+        for index in range(2):
+            fast = measure_workload(cluster, 12, workload, run_index=index)
+            slow = measure_workload(
                 cluster, 12, workload, run_index=index, network=network
             )
-            assert run.total_seconds == direct.total_seconds
-
-    def test_throttled_network_changes_the_makespan(self):
-        cluster = make_paper_cluster(3, HYBRID_CONFIGS[0])
-        workload = make_svm_workload()
-        from repro.cluster.network import NetworkModel
-
-        infinite = measure_workload_repeated(cluster, 12, workload, runs=2)
-        throttled = measure_workload_repeated(
-            cluster, 12, workload, runs=2,
-            network=NetworkModel.from_gbps(0.25),
-        )
-        for fast, slow in zip(infinite, throttled):
             assert slow.total_seconds > fast.total_seconds
