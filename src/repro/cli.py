@@ -288,8 +288,8 @@ def _load_mix_plan(path: str) -> tuple[str, list[MixJob]]:
     """Parse a mix-plan JSON file into (policy, jobs).
 
     Any shape problem — unreadable file, bad or too deeply nested JSON,
-    unknown workload or policy, negative arrival — is a
-    :class:`ConfigurationError` (exit 2),
+    unknown or non-string workload, unknown policy, negative arrival — is
+    a :class:`ConfigurationError` (exit 2),
     matching how every other malformed CLI input is reported.
     """
     try:
@@ -298,7 +298,7 @@ def _load_mix_plan(path: str) -> tuple[str, list[MixJob]]:
         raise ConfigurationError(
             f"cannot read mix plan {path}: {error}"
         ) from error
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # JSONDecodeError, or an int past the digit limit
         raise ConfigurationError(
             f"mix plan {path} is not valid JSON: {error}"
         ) from error
@@ -328,6 +328,11 @@ def _load_mix_plan(path: str) -> tuple[str, list[MixJob]]:
             raise ConfigurationError(
                 f"{where} has unknown field(s) {sorted(unknown)}"
             )
+        if not isinstance(entry["workload"], str):
+            raise ConfigurationError(
+                f"{where}: workload must be a string,"
+                f" got {entry['workload']!r}"
+            )
         spec = _workload(entry["workload"])
         try:
             jobs.append(MixJob(
@@ -336,7 +341,7 @@ def _load_mix_plan(path: str) -> tuple[str, list[MixJob]]:
                 volume_scale=float(entry.get("volume_scale", 1.0)),
                 name=entry.get("name"),
             ))
-        except (TypeError, ValueError, SchedulingError) as error:
+        except (TypeError, ValueError, OverflowError, SchedulingError) as error:
             raise ConfigurationError(f"{where}: {error}") from error
     if not jobs:
         raise ConfigurationError(f"mix plan {path} has no jobs")

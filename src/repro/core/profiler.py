@@ -16,6 +16,17 @@ profiling runs on a *small* cluster (N = 3 by default):
 Against the simulator the "runs" are simulated executions of the workload
 spec; everything else (the fitting, the sanity checks, the iostat
 cross-check of request sizes) is the paper's procedure verbatim.
+
+Runs 1-2 simulate every stage.  Runs 3-4 are demand-driven: a stress
+run exists only to extract a delta where I/O clearly dominates, so for
+each stage the fit first evaluates the guards that need no measurement —
+the stage moves bytes on that role in its dominant direction, and the
+role's I/O floor clears 1.3x the scale term fitted from runs 1-2 — and
+simulates the stage at :data:`STRESS_CORES` (and cross-checks its request
+sizes) only when both hold.  A stress stage whose makespan could not set
+a delta is never simulated, so it cannot fail the profile either.  The
+fitted constants are the same as simulating whole stress runs: each stage
+runs on its own engine on a cluster no stage mutates.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from repro.errors import ProfilingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
-    from repro.simulator.run import ApplicationMeasurement
+    from repro.simulator.run import ApplicationMeasurement, StageMeasurement
     from repro.workloads.base import StageSpec, WorkloadSpec
 
 # NOTE: cluster/simulator/workload imports happen lazily inside methods; the
@@ -86,7 +97,12 @@ class StageProfileData:
 
 @dataclass(frozen=True)
 class SampleRun:
-    """One profiling execution and its measurements."""
+    """One profiling execution and its measurements.
+
+    The ``measurement`` of runs 1-2 holds every stage; that of the stress
+    runs 3-4 holds only the stages whose makespan could set a delta, in
+    stage order (possibly none).
+    """
 
     label: str
     cores_per_node: int
@@ -102,6 +118,8 @@ class ProfilingReport:
     workload_name: str
     nodes: int
     stages: tuple[StageProfileData, ...]
+    #: The four runs with the procedure's labels, cores and disk kinds;
+    #: runs 3-4 measured only the stages the delta fit read.
     sample_runs: tuple[SampleRun, ...] = field(default=())
 
     def stage(self, name: str) -> StageProfileData:
@@ -150,14 +168,19 @@ class Profiler:
     # -- public API ---------------------------------------------------------
 
     def profile(self) -> ProfilingReport:
-        """Execute all four sample runs and fit the per-stage constants."""
+        """Execute the four sample runs and fit the per-stage constants.
+
+        Runs 1-2 simulate every stage; the stress runs 3-4 simulate a
+        stage only when its makespan can set a delta (see the module
+        docstring), so a stress stage the fit never reads cannot raise.
+        """
         low, high = CALIBRATION_CORES
         run1 = self._run(f"sample-1 (P={low}, 2xSSD)", low, "ssd", "ssd")
         run2 = self._run(f"sample-2 (P={high}, 2xSSD)", high, "ssd", "ssd")
-        run3 = self._run(f"sample-3 (P={STRESS_CORES}, local=HDD)",
-                         STRESS_CORES, "ssd", "hdd")
-        run4 = self._run(f"sample-4 (P={STRESS_CORES}, HDFS=HDD)",
-                         STRESS_CORES, "hdd", "ssd")
+        run3 = _StressRun(f"sample-3 (P={STRESS_CORES}, local=HDD)",
+                          self._cluster("ssd", "hdd"), "ssd", "hdd")
+        run4 = _StressRun(f"sample-4 (P={STRESS_CORES}, HDFS=HDD)",
+                          self._cluster("hdd", "ssd"), "hdd", "ssd")
 
         stages = []
         for spec in self.workload.stages:
@@ -166,7 +189,11 @@ class Profiler:
             workload_name=self.workload.name,
             nodes=self.nodes,
             stages=tuple(stages),
-            sample_runs=(run1, run2, run3, run4),
+            sample_runs=(
+                run1, run2,
+                run3.sample_run(self.workload.name),
+                run4.sample_run(self.workload.name),
+            ),
         )
 
     # -- sample-run machinery ------------------------------------------------
@@ -183,7 +210,10 @@ class Profiler:
 
         cluster = self._cluster(hdfs_kind, local_kind)
         measurement = measure_workload(cluster, cores, self.workload)
-        self._cross_check_request_sizes(cluster, measurement)
+        for spec in self.workload.stages:
+            self._cross_check_request_sizes(
+                cluster, spec, measurement.stage(spec.name)
+            )
         return SampleRun(
             label=label,
             cores_per_node=cores,
@@ -193,29 +223,26 @@ class Profiler:
         )
 
     def _cross_check_request_sizes(
-        self, cluster: Cluster, measurement: ApplicationMeasurement
+        self, cluster: Cluster, spec: StageSpec, measured: StageMeasurement
     ) -> None:
-        """Verify iostat-observed request sizes agree with the spec's.
+        """Verify one stage's iostat-observed request sizes agree with the spec's.
 
         On a real deployment the spec's request sizes would *come from*
         iostat; here both exist, so the profiler checks they agree within
         20 % (byte-weighted, per stage/kind) and refuses to fit otherwise.
         """
         role_of_device = _device_roles(cluster)
-        for spec in self.workload.stages:
-            measured = measurement.stage(spec.name)
-            summary = spec.channel_summary()
-            for kind, (_, spec_rs) in summary.items():
-                role = _channel_kinds()[kind]
-                is_write = kind.endswith("_write")
-                observed = _observed_request_size(measured, role_of_device, role, is_write)
-                if observed is None:
-                    continue
-                if not 0.8 <= observed / spec_rs <= 1.25:
-                    raise ProfilingError(
-                        f"stage {spec.name} channel {kind}: iostat request size"
-                        f" {observed:.0f}B disagrees with the spec's {spec_rs:.0f}B"
-                    )
+        for kind, (_, spec_rs) in spec.channel_summary().items():
+            role = _channel_kinds()[kind]
+            is_write = kind.endswith("_write")
+            observed = _observed_request_size(measured, role_of_device, role, is_write)
+            if observed is None:
+                continue
+            if not 0.8 <= observed / spec_rs <= 1.25:
+                raise ProfilingError(
+                    f"stage {spec.name} channel {kind}: iostat request size"
+                    f" {observed:.0f}B disagrees with the spec's {spec_rs:.0f}B"
+                )
 
     # -- fitting -------------------------------------------------------------
 
@@ -224,8 +251,8 @@ class Profiler:
         spec: StageSpec,
         run1: SampleRun,
         run2: SampleRun,
-        run3: SampleRun,
-        run4: SampleRun,
+        run3: _StressRun,
+        run4: _StressRun,
     ) -> StageProfileData:
         time1 = run1.measurement.stage(spec.name).makespan
         time2 = run2.measurement.stage(spec.name).makespan
@@ -297,7 +324,7 @@ class Profiler:
     def _fit_deltas(
         self,
         spec: StageSpec,
-        run: SampleRun,
+        run: _StressRun,
         role: str,
         t_avg: float,
         delta_scale: float,
@@ -308,16 +335,16 @@ class Profiler:
         """delta_read/delta_write from a stress run, for one device role.
 
         Returns ``(0, 0)`` when the stage was not I/O-bound on that role in
-        the stress run (the scale term explains the measurement).
+        the stress run (the scale term explains the measurement).  The
+        guards that need no measurement come first; the stage is simulated
+        on the stress run only when they pass.
         """
-        measured = run.measurement.stage(spec.name).makespan
         predicted_scale = (
-            spec.num_tasks / (self.nodes * run.cores_per_node) * t_avg
+            spec.num_tasks / (self.nodes * STRESS_CORES) * t_avg
             + spec.num_tasks * gc_coeff / self.nodes
             + delta_scale
         )
-        cluster = self._cluster(run.hdfs_kind, run.local_kind)
-        device = cluster.slaves[0].device_for(role)
+        device = run.cluster.slaves[0].device_for(role)
 
         floors = {False: 0.0, True: 0.0}
         totals = {False: 0.0, True: 0.0}
@@ -338,7 +365,10 @@ class Profiler:
         # term in the stress run: near the crossover the measurement mixes
         # both effects and the residual is not the paper's "linear part"
         # constant — applying it to fast-disk predictions would mislead.
-        if floor <= predicted_scale * 1.3 or measured <= predicted_scale * 1.05:
+        if floor <= predicted_scale * 1.3:
+            return (0.0, 0.0)
+        measured = self._stress_makespan(run, spec)
+        if measured <= predicted_scale * 1.05:
             return (0.0, 0.0)
         total = totals[dominant_is_write]
         delta = fit_io_delta(
@@ -350,6 +380,40 @@ class Profiler:
         if dominant_is_write:
             return (0.0, delta)
         return (delta, 0.0)
+
+    def _stress_makespan(self, run: _StressRun, spec: StageSpec) -> float:
+        """Simulate one stage on a stress run, cross-check it, record it."""
+        from repro.workloads.runner import measure_stage
+
+        measured = measure_stage(run.cluster, STRESS_CORES, spec)
+        self._cross_check_request_sizes(run.cluster, spec, measured)
+        run.stages.append(measured)
+        return measured.makespan
+
+
+@dataclass
+class _StressRun:
+    """Sample run 3 or 4 while the fit fills it in, one stage at a time."""
+
+    label: str
+    cluster: Cluster
+    hdfs_kind: str
+    local_kind: str
+    stages: list[StageMeasurement] = field(default_factory=list)
+
+    def sample_run(self, workload_name: str) -> SampleRun:
+        """The finished run: the stages the fit simulated, in stage order."""
+        from repro.simulator.run import ApplicationMeasurement
+
+        return SampleRun(
+            label=self.label,
+            cores_per_node=STRESS_CORES,
+            hdfs_kind=self.hdfs_kind,
+            local_kind=self.local_kind,
+            measurement=ApplicationMeasurement(
+                name=workload_name, stages=tuple(self.stages)
+            ),
+        )
 
 
 def _device_roles(cluster: Cluster) -> dict[str, str]:

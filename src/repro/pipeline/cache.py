@@ -2,7 +2,8 @@
 
 Simulated runs are the expensive half of the paper's loop (a Fig-3 sweep
 simulates every stage at every core count; the optimizer's profiling step
-simulates four whole sample runs).  The cache memoizes three product
+simulates two whole sample runs and the stress-run stages that can set a
+delta).  The cache memoizes three product
 kinds, each addressed purely by content fingerprints so identical work is
 never repeated — across sweep points, across searches, and (with a cache
 file) across processes:

@@ -12,8 +12,9 @@ serialized :class:`~repro.core.profiler.ProfilingReport` JSON files.  A
 - a **report** — the fitted Equation-1 constants (the "model" side),
 
 plus content fingerprints for the result cache.  Resolution is the only
-potentially expensive step (profiling a spec simulates four sample runs);
-it consults the cache when one is given.
+potentially expensive step (profiling a spec simulates two whole sample
+runs and the stress-run stages that can set a delta); it consults the
+cache when one is given.
 """
 
 from __future__ import annotations

@@ -384,33 +384,42 @@ def scale_workload_volume(spec: WorkloadSpec, factor: float) -> WorkloadSpec:
     Data Volume Affects Spark Based Data Analytics".  Request sizes and
     the software-path caps ``T`` are properties of the code path, not the
     volume, and stay put.  ``factor == 1.0`` returns ``spec`` itself so
-    fingerprints are preserved exactly.
+    fingerprints are preserved exactly.  A finite factor that overflows a
+    scaled value to infinity raises :class:`WorkloadError` naming the
+    stage and group.
     """
     if not (factor > 0.0) or not math.isfinite(factor):
         raise WorkloadError(f"volume scale factor must be finite and > 0, got {factor}")
     if factor == 1.0:
         return spec
 
-    def scale_channel(channel: ChannelSpec) -> ChannelSpec:
-        return replace(channel, bytes_per_task=channel.bytes_per_task * factor)
+    def scale_group(stage: StageSpec, group: TaskGroupSpec) -> TaskGroupSpec:
+        def scaled(value: float, what: str) -> float:
+            result = value * factor
+            if not math.isfinite(result):
+                raise WorkloadError(
+                    f"workload {spec.name}: volume scale {factor} overflows"
+                    f" {what} of stage {stage.name} group {group.name}"
+                )
+            return result
+
+        def scale_channel(channel: ChannelSpec) -> ChannelSpec:
+            return replace(channel, bytes_per_task=scaled(
+                channel.bytes_per_task, f"{channel.kind} bytes_per_task"
+            ))
+
+        return replace(
+            group,
+            read_channels=tuple(scale_channel(ch) for ch in group.read_channels),
+            compute_seconds=scaled(group.compute_seconds, "compute_seconds"),
+            write_channels=tuple(scale_channel(ch) for ch in group.write_channels),
+            gc_coeff=scaled(group.gc_coeff, "gc_coeff"),
+        )
 
     stages = tuple(
         replace(
             stage,
-            groups=tuple(
-                replace(
-                    group,
-                    read_channels=tuple(
-                        scale_channel(ch) for ch in group.read_channels
-                    ),
-                    compute_seconds=group.compute_seconds * factor,
-                    write_channels=tuple(
-                        scale_channel(ch) for ch in group.write_channels
-                    ),
-                    gc_coeff=group.gc_coeff * factor,
-                )
-                for group in stage.groups
-            ),
+            groups=tuple(scale_group(stage, group) for group in stage.groups),
         )
         for stage in spec.stages
     )

@@ -247,3 +247,8 @@ class TestVolumeScaling:
     def test_bad_factor_rejected(self, factor):
         with pytest.raises(WorkloadError):
             scale_workload_volume(_spec("a"), factor)
+
+    def test_finite_factor_that_overflows_rejected(self):
+        # 8 MB x 1e303 overflows bytes_per_task to inf; compute stays finite.
+        with pytest.raises(WorkloadError, match="stage s0 group g"):
+            scale_workload_volume(_spec("a", read_mb=8.0), 1e303)

@@ -141,6 +141,54 @@ class TestCommands:
             assert "\n" not in captured.err.strip()  # one structured line
             assert "Traceback" not in captured.err
 
+    def test_mix_plan_workloads_must_be_strings(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        for bad_workload in (["svm"], {"name": "svm"}):
+            plan.write_text(json.dumps({"jobs": [{"workload": bad_workload}]}))
+            assert main(
+                ["simulate", "--mix", str(plan), "--slaves", "2",
+                 "--cores", "2", "--json"]
+            ) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error[ConfigurationError]:")
+            assert "jobs[0]: workload must be a string" in captured.err
+            assert "\n" not in captured.err.strip()  # one structured line
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
+
+    def test_mix_plan_integer_past_the_digit_limit_is_refused(
+        self, capsys, tmp_path
+    ):
+        # json.loads raises a bare ValueError for an integer literal of
+        # more than 4,300 digits, not a JSONDecodeError.
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            '{"jobs": [{"workload": "svm", "arrival": %s}]}' % ("9" * 5000)
+        )
+        assert main(["simulate", "--mix", str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[ConfigurationError]:")
+        assert "not valid JSON" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_mix_plan_volume_scale_that_overflows_is_refused(
+        self, capsys, tmp_path
+    ):
+        # Finite, but it overflows one SVM channel's bytes_per_task to inf.
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"jobs": [{"workload": "svm", "volume_scale": 1e300}]}
+        ))
+        assert main(
+            ["simulate", "--mix", str(plan), "--slaves", "2", "--cores", "2",
+             "--json"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[WorkloadError]:")
+        assert "overflows" in captured.err
+        assert "\n" not in captured.err.strip()  # one structured line
+        assert captured.out == ""
+
     def test_bad_resilience_knob_maps_to_config_exit_code(self, capsys):
         assert main(["simulate", "svm", "--max-task-attempts", "0"]) == 2
         assert capsys.readouterr().err.startswith("error[ConfigurationError]:")
