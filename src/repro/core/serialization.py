@@ -102,9 +102,19 @@ def save_report(report: ProfilingReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> ProfilingReport:
-    """Read a report from a JSON file."""
+    """Read a report from a JSON file.
+
+    An unreadable file, bad JSON (an integer past Python's digit limit
+    included) or JSON nested too deeply to parse is a :class:`ModelError`.
+    """
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise ModelError(f"cannot read profiling report {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        raise ModelError(f"profiling report {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelError(
+            f"profiling report {path} is nested too deeply to parse"
+        ) from None
     return report_from_dict(data)

@@ -208,7 +208,7 @@ def load_fault_plan(path: str | Path) -> FaultPlan:
         data = json.loads(source.read_text())
     except OSError as exc:
         raise FaultError(f"cannot read fault plan {source}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise FaultError(f"fault plan {source} is not valid JSON: {exc}") from None
     except RecursionError:
         raise FaultError(

@@ -449,12 +449,13 @@ class ResultCache:
         A truncated or hand-damaged file must never abort a sweep — the
         cache is an accelerator, so the worst acceptable outcome of
         corruption is recomputing: unreadable JSON (nesting too deep to
-        parse included) drops the whole file, a malformed individual
-        entry drops just that entry.
+        parse, or an integer past Python's digit limit, included) drops
+        the whole file, a malformed individual entry drops just that
+        entry.
         """
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             warnings.warn(
                 f"result cache {path} is unreadable ({exc}); starting empty",
                 stacklevel=2,

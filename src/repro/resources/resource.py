@@ -61,6 +61,10 @@ class Resource:
         self.name = name
         self._capacity = capacity
         self._streams: dict[int, SharedStream] = {}
+        #: Attached streams per request size.  Every attach and detach
+        #: keeps it current: :meth:`attach` and :meth:`detach`, and the
+        #: simulator's own writes to ``_streams``.
+        self._sizes: dict[float, int] = {}
         #: Multiplier applied to every capacity evaluation — the hook the
         #: fault injector uses for disk degradation and NIC jitter.  Exactly
         #: 1.0 outside fault windows, and the multiply is skipped then, so
@@ -84,6 +88,10 @@ class Resource:
             capacity = capacity * self.capacity_scale
         return capacity
 
+    def attached_capacity(self) -> float:
+        """:meth:`capacity_for` the attached streams."""
+        return self.capacity_for(list(self._streams.values()))
+
     def bandwidth_at(self, request_size: float) -> float:
         """``BW``: capacity offered to a single stream at ``request_size``.
 
@@ -100,14 +108,16 @@ class Resource:
         Deferring it (``rebalance=False``) balances a batch of
         simultaneous attach/detach operations once.  The simulator's hot
         path goes one step further: it attaches and detaches through
-        ``_streams`` itself and balances each dirty resource once per
-        settle.
+        ``_streams`` and ``_sizes`` itself and balances each dirty
+        resource once per settle.
         """
         if stream.stream_id in self._streams:
             raise SimulationError(
                 f"stream {stream.stream_id} already attached to {self.name}"
             )
         self._streams[stream.stream_id] = stream
+        sizes = self._sizes
+        sizes[stream.request_size] = sizes.get(stream.request_size, 0) + 1
         stream.resources.append(self)
         if rebalance:
             self.rebalance()
@@ -119,6 +129,11 @@ class Resource:
                 f"stream {stream.stream_id} is not attached to {self.name}"
             )
         del self._streams[stream.stream_id]
+        sizes = self._sizes
+        if sizes[stream.request_size] == 1:
+            del sizes[stream.request_size]
+        else:
+            sizes[stream.request_size] -= 1
         stream.resources.remove(self)
         if not stream.resources:
             stream.rate = 0.0
@@ -211,10 +226,23 @@ class DeviceResource(Resource):
         direction = "write" if is_write else "read"
         super().__init__(name or f"{device.name}:{direction}", self._profile_capacity)
 
+    def attached_capacity(self) -> float:
+        """:meth:`capacity_for` the attached streams, taken at the smallest
+        request size the per-size counts hold instead of by a scan over
+        every stream."""
+        if not self._sizes:
+            return 0.0
+        capacity = self._bandwidth_at_smallest(min(self._sizes))
+        if self.capacity_scale != 1.0:
+            capacity = capacity * self.capacity_scale
+        return capacity
+
     def _profile_capacity(self, streams: list[SharedStream]) -> float:
         if not streams:
             return 0.0
-        smallest_request = min(s.request_size for s in streams)
+        return self._bandwidth_at_smallest(min(s.request_size for s in streams))
+
+    def _bandwidth_at_smallest(self, smallest_request: float) -> float:
         if smallest_request != self._memo_request:
             self._memo_request = smallest_request
             self._memo_bandwidth = self.device.bandwidth(

@@ -42,6 +42,7 @@ import itertools
 import math
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, attrgetter
@@ -87,6 +88,14 @@ MAX_EVENTS = 50_000_000
 #: :meth:`SimulationEngine._account_busy_time`).
 GAP_LOG_LENGTH = 1024
 
+#: A stream's label, by (local/remote split, device role, is_write).
+_STREAM_LABELS = {
+    (tag, role, is_write): f"{tag} {role} {'write' if is_write else 'read'}"
+    for tag in ("local", "remote")
+    for role in ("hdfs", "local")
+    for is_write in (False, True)
+}
+
 #: Sort and search key: a task's process-wide id.
 _task_id = attrgetter("task_id")
 
@@ -107,10 +116,19 @@ _EV_STALL = 5
 
 @dataclass(slots=True)
 class _Running:
-    """Book-keeping for one in-flight task attempt."""
+    """Book-keeping for one in-flight task attempt.
+
+    The launch scan builds one per attempt as ``_Running(task, node,
+    attempt_start, record)``.
+    """
 
     task: SimTask
     node: Node
+    #: When this attempt started (== ``task.start_time`` without a policy;
+    #: retries and speculative duplicates start later than the task).
+    attempt_start: float = 0.0
+    #: The task's resilience record (``None`` without a policy).
+    record: _TaskRecord | None = None
     phase_index: int = 0
     #: I/O streams of the current phase still moving bytes (a phase may
     #: hold several when a shuffle read splits into local + remote).
@@ -119,12 +137,8 @@ class _Running:
     #: Bumped at every phase transition; stale heap entries are dropped.
     epoch: int = 0
     streams: list[SharedStream] = field(default_factory=list)
-    # -- resilience-only fields (inert without a policy) -------------------
-    #: When this attempt started (== ``task.start_time`` without a policy;
-    #: retries and speculative duplicates start later than the task).
-    attempt_start: float = 0.0
+    #: A speculative duplicate (resilience only).
     speculative: bool = False
-    record: _TaskRecord | None = None
 
 
 @dataclass
@@ -203,28 +217,41 @@ class SimulationEngine:
         self.network = network
         self.registry = ResourceRegistry()
         self._cores: dict[str, SlotPool] = {}
-        #: Round-robin cursors for striping streams across array members,
-        #: keyed like the device resources.
-        self._stripe: dict[tuple, int] = {}
+        #: (node name, role, is_write) -> (device name, the resources a
+        #: stream opened there lands on, taken round-robin): one resource
+        #: for a plain device, one per member for a per-member array.
+        #: HDFS and local on one device share the entry's cycle, so the
+        #: two roles stripe across an array's members with one cursor.
+        self._disks: dict[tuple[str, str, bool], tuple[str, Iterator[Resource]]] = {}
+        stripes: dict[tuple, Iterator[Resource]] = {}
         for node in cluster.slaves:
             self._cores[node.name] = self.registry.register(
                 ("cores", node.name), SlotPool(f"{node.name}:cores", cores_per_node)
             )  # type: ignore[assignment]
             # One resource per *physical* device direction (HDFS and local
             # may share a device); per-member arrays get one per member.
-            for device in (node.hdfs_device, node.local_device):
+            for role in ("hdfs", "local"):
+                device = node.device_for(role)
                 for is_write in (False, True):
                     key = ("device", id(device), is_write)
-                    if key in self.registry:
-                        continue
-                    if isinstance(device, DiskArray) and device.per_member:
-                        for index, member in enumerate(device.members):
-                            self.registry.register(
-                                key + (index,), DeviceResource(member, is_write)
-                            )
-                        self._stripe[key] = 0
-                    else:
-                        self.registry.register(key, DeviceResource(device, is_write))
+                    if key not in stripes:
+                        if isinstance(device, DiskArray) and device.per_member:
+                            members = [
+                                self.registry.register(
+                                    key + (index,), DeviceResource(member, is_write)
+                                )
+                                for index, member in enumerate(device.members)
+                            ]
+                        else:
+                            members = [
+                                self.registry.register(
+                                    key, DeviceResource(device, is_write)
+                                )
+                            ]
+                        stripes[key] = itertools.cycle(members)
+                    self._disks[node.name, role, is_write] = (
+                        device.name, stripes[key]
+                    )
             if network is not None:
                 self.registry.register(
                     ("nic", node.name),
@@ -314,19 +341,6 @@ class SimulationEngine:
                 heapq.heappush(
                     self._heap, (at_seconds, next(self._seq), _EV_FAULT, action, 0)
                 )
-
-    # -- resource resolution ----------------------------------------------
-
-    def _resource_for(self, node: Node, role: str, is_write: bool) -> Resource:
-        """Resolve a phase's device resource, striping across array members."""
-        device = node.device_for(role)
-        key = ("device", id(device), is_write)
-        if key in self._stripe:
-            members = len(device.members)  # type: ignore[attr-defined]
-            cursor = self._stripe[key]
-            self._stripe[key] = (cursor + 1) % members
-            return self.registry.get(key + (cursor,))
-        return self.registry.get(key)
 
     # -- the event loop ----------------------------------------------------
 
@@ -508,8 +522,14 @@ class SimulationEngine:
         stream_id = stream.stream_id
         self._stalled.pop(stream_id, None)
         dirty = self._dirty_resources
+        request_size = stream.request_size
         for resource in stream.resources:
             del resource._streams[stream_id]
+            sizes = resource._sizes
+            if sizes[request_size] == 1:
+                del sizes[request_size]
+            else:
+                sizes[request_size] -= 1
             dirty[id(resource)] = resource
         stream.resources.clear()
         stream.rate = 0.0
@@ -561,9 +581,7 @@ class SimulationEngine:
                 record = (
                     self._records[task.task_id] if self._rpolicy is not None else None
                 )
-                running = _Running(
-                    task=task, node=node, attempt_start=now, record=record
-                )
+                running = _Running(task, node, now, record)
                 if record is not None:
                     record.running.append(running)
                     self._res_attempts += 1
@@ -718,7 +736,7 @@ class SimulationEngine:
         streams = list(resource._streams.values())
         if streams:
             old_rates = [stream.rate for stream in streams]
-            resource._waterfill(streams, resource.capacity_for(streams))
+            resource._waterfill(streams, resource.attached_capacity())
             self._apply_rates(streams, old_rates, now)
 
     def _rebalance_component(self, component: list[Resource], now: float) -> None:
@@ -817,13 +835,6 @@ class SimulationEngine:
         owner = self._owner.get(stream.stream_id)
         if owner is not None and id(owner) in self._active:
             self._fail_attempt(owner, now, "stream stalled at zero rate")
-
-    def _schedule_compute(self, running: _Running, now: float) -> None:
-        finish = now + running.compute_remaining
-        heapq.heappush(
-            self._heap,
-            (finish, next(self._seq), _EV_COMPUTE, running, running.epoch),
-        )
 
     def _describe_stream(self, stream: SharedStream) -> str:
         """A stream for an error message, led by its task's label."""
@@ -1211,48 +1222,56 @@ class SimulationEngine:
         its ``finish_time`` is stamped).
         """
         task = running.task
-        while running.phase_index < len(task.phases):
-            phase = task.phases[running.phase_index]
+        phases = task.phases
+        index = running.phase_index
+        while index < len(phases):
+            phase = phases[index]
             if isinstance(phase, ComputePhase):
-                if phase.seconds > _TIME_EPS:
-                    seconds = phase.seconds
+                seconds = phase.seconds
+                if seconds > _TIME_EPS:
+                    running.phase_index = index
                     if self._slowdowns:
                         factor = self._slowdowns.get(running.node.name)
                         if factor is not None:
                             seconds = seconds * factor
                     running.compute_remaining = seconds
-                    self._schedule_compute(running, now)
+                    heapq.heappush(
+                        self._heap,
+                        (now + seconds, next(self._seq), _EV_COMPUTE, running,
+                         running.epoch),
+                    )
                     return True
             elif isinstance(phase, IoPhase):
                 if phase.total_bytes > _BYTE_EPS:
+                    running.phase_index = index
                     self._open_io(running, phase, now)
                     return True
             else:  # pragma: no cover - phase union is closed
                 raise SimulationError(f"unknown phase type: {phase!r}")
-            running.phase_index += 1
+            index += 1
+        running.phase_index = index
         task.finish_time = now
         return False
 
     def _open_io(self, running: _Running, phase: IoPhase, now: float) -> None:
-        """Create the phase's stream(s) and attach them (balance deferred)."""
+        """Create the phase's stream(s) and attach them (balance deferred).
+
+        One lookup in the engine's device table gives the device name the
+        iostat sample is charged to and the resource the stream lands on
+        (the next array member, for a per-member array); the stream's
+        label comes from :data:`_STREAM_LABELS`.  With a network, a
+        shuffle read splits into a local stream and a remote one that
+        also crosses the node's NIC.
+        """
         node = running.node
+        role = phase.role
+        is_write = phase.is_write
+        device_name, stripe = self._disks[node.name, role, is_write]
         if self.iostat is not None:
-            device = node.device_for(phase.role)
             self.iostat.record(
-                device_name=device.name,
-                total_bytes=phase.total_bytes,
-                request_size=phase.request_size,
-                is_write=phase.is_write,
+                device_name, phase.total_bytes, phase.request_size, is_write
             )
-        remote_fraction = 0.0
-        if (
-            phase.via_network
-            and not phase.is_write
-            and self.network is not None
-            and self.cluster.num_slaves > 1
-        ):
-            remote_fraction = self.network.remote_fraction(self.cluster.num_slaves)
-        disk = self._resource_for(node, phase.role, phase.is_write)
+        disk = next(stripe)
         cap = phase.per_stream_cap
         if self._slowdowns and cap is not None:
             # A straggler's software path (decompression, deserialization)
@@ -1260,44 +1279,54 @@ class SimulationEngine:
             factor = self._slowdowns.get(node.name)
             if factor is not None:
                 cap = cap / factor
-        splits: list[tuple[float, float | None, list[Resource], str]] = []
+        remote_fraction = 0.0
+        if (
+            phase.via_network
+            and not is_write
+            and self.network is not None
+            and self.cluster.num_slaves > 1
+        ):
+            remote_fraction = self.network.remote_fraction(self.cluster.num_slaves)
         if remote_fraction <= 0.0:
-            splits.append((phase.total_bytes, cap, [disk], "local"))
+            splits: tuple[tuple[float, float | None, list[Resource], str], ...] = (
+                (phase.total_bytes, cap, [disk], "local"),
+            )
         else:
             # Split the phase in the remote proportion; the software-path
             # cap T splits with it so the pair still totals at most T.
             local_share = 1.0 - remote_fraction
-            splits.append(
+            nic = self.registry.get(("nic", node.name))
+            splits = (
                 (
                     phase.total_bytes * local_share,
                     cap * local_share if cap is not None else None,
                     [disk],
                     "local",
-                )
-            )
-            nic = self.registry.get(("nic", node.name))
-            splits.append(
+                ),
                 (
                     phase.total_bytes * remote_fraction,
                     cap * remote_fraction if cap is not None else None,
                     [disk, nic],
                     "remote",
-                )
+                ),
             )
         dirty = self._dirty_resources
+        request_size = phase.request_size
         for total_bytes, stream_cap, resources, tag in splits:
             if total_bytes <= _BYTE_EPS:
                 continue
             stream = SharedStream(
-                remaining_bytes=total_bytes,
-                request_size=phase.request_size,
-                per_stream_cap=stream_cap,
-                label=f"{tag} {phase.role} {'write' if phase.is_write else 'read'}",
+                total_bytes,
+                request_size,
+                stream_cap,
+                label=_STREAM_LABELS[tag, role, is_write],
                 resources=resources,
                 last_update=now,
             )
             for resource in resources:
                 resource._streams[stream.stream_id] = stream
+                sizes = resource._sizes
+                sizes[request_size] = sizes.get(request_size, 0) + 1
                 dirty[id(resource)] = resource
             self._owner[stream.stream_id] = running
             running.streams.append(stream)

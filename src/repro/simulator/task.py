@@ -10,6 +10,9 @@ only hold the core).  A typical shuffle-stage task is::
 Phases reference a device *role* (``"hdfs"`` or ``"local"``); the engine
 resolves the role to the concrete device of whichever node the task lands
 on.
+
+All three are slotted records, with no ``__dict__``: a paper-scale stage
+build makes tens of thousands of them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.errors import SimulationError
 _task_ids = itertools.count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IoPhase:
     """An I/O phase: move ``total_bytes`` at ``request_size`` blocks.
 
@@ -66,7 +69,7 @@ class IoPhase:
             raise SimulationError("per-stream cap must be positive when set")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComputePhase:
     """A pure-CPU phase of fixed duration (the core is already held)."""
 
@@ -80,20 +83,22 @@ class ComputePhase:
 TaskPhase = IoPhase | ComputePhase
 
 
-@dataclass
+@dataclass(slots=True)
 class SimTask:
     """One schedulable task: an ordered list of phases.
 
     ``group`` labels the task kind within a stage (e.g. ``"shuffle"`` vs.
-    ``"hdfs_scan"`` in GATK4's BR stage) for per-group statistics.
+    ``"hdfs_scan"`` in GATK4's BR stage) for per-group statistics.  The
+    stage builder passes ``(phases, group, gc_seconds)`` positionally;
+    ``task_id`` is drawn from the process-wide counter at construction.
     """
 
     phases: tuple[TaskPhase, ...]
     group: str = "default"
-    task_id: int = field(default_factory=lambda: next(_task_ids))
     #: JVM GC stall seconds folded into this task's compute phases — the
     #: "task metric" real Spark exposes, used by the GC-aware profiler.
     gc_seconds: float = 0.0
+    task_id: int = field(default_factory=lambda: next(_task_ids))
     # Filled by the engine:
     start_time: float = field(default=-1.0)
     finish_time: float = field(default=-1.0)

@@ -160,20 +160,10 @@ class TaskGroupSpec:
         ``stream_chunks > 1`` the read/compute/write cycle repeats that
         many times over 1/K of each volume.  ``gc_extra_seconds`` is the
         per-task GC stall (``gc_coeff * P``), folded into the compute
-        phase.
+        phase.  Renders through the same :class:`_PhasePlan` as
+        :meth:`StageSpec.build_tasks`, so both give the same floats.
         """
-        chunks = self.stream_chunks
-        phases: list[TaskPhase] = []
-        compute_per_chunk = (
-            (self.compute_seconds + gc_extra_seconds) * compute_scale / chunks
-        )
-        for _ in range(chunks):
-            for channel in self.read_channels:
-                phases.append(_chunk_phase(channel, chunks, compute_scale))
-            phases.append(ComputePhase(compute_per_chunk))
-            for channel in self.write_channels:
-                phases.append(_chunk_phase(channel, chunks, compute_scale))
-        return tuple(phases)
+        return _PhasePlan(self, gc_extra_seconds).render(compute_scale)
 
     def uncontended_task_seconds(self) -> float:
         """Task duration with zero device contention (capped channels only)."""
@@ -184,21 +174,66 @@ class TaskGroupSpec:
         )
 
 
-def _chunk_phase(channel: ChannelSpec, chunks: int, scale: float = 1.0) -> IoPhase:
-    """One streamed sub-transfer: ``scale``/``chunks`` of the channel.
+class _PhasePlan:
+    """A task group's channels and compute, resolved once per build.
 
-    The request size is preserved (skew and streaming change the schedule,
-    not the block size the device sees).
+    Holds, per channel in phase order, its role, direction, bytes per
+    task, request size, cap ``T`` and ``shuffle_read`` network flag, with
+    ``None`` marking the compute phase, plus ``compute_seconds +
+    gc_extra_seconds`` and ``K = stream_chunks``.  :meth:`render` turns
+    a task's scale into its phases without touching the specs again.
     """
-    scaled_bytes = channel.bytes_per_task * scale / chunks
-    return IoPhase(
-        role=channel.role,
-        total_bytes=scaled_bytes,
-        request_size=min(channel.request_size, max(scaled_bytes, 1.0)),
-        is_write=channel.is_write,
-        per_stream_cap=channel.per_core_throughput,
-        via_network=channel.kind == "shuffle_read",
-    )
+
+    __slots__ = ("steps", "compute", "chunks")
+
+    def __init__(self, group: TaskGroupSpec, gc_extra_seconds: float) -> None:
+        def step(channel: ChannelSpec) -> tuple:
+            return (
+                channel.role,
+                channel.is_write,
+                channel.bytes_per_task,
+                channel.request_size,
+                channel.per_core_throughput,
+                channel.kind == "shuffle_read",
+            )
+
+        self.steps = (
+            [step(channel) for channel in group.read_channels]
+            + [None]
+            + [step(channel) for channel in group.write_channels]
+        )
+        self.compute = group.compute_seconds + gc_extra_seconds
+        self.chunks = group.stream_chunks
+
+    def render(self, scale: float) -> tuple[TaskPhase, ...]:
+        """One task's phases at ``scale``: each of the K streamed chunks
+        moves ``scale``/K of every channel and computes ``scale``/K of
+        the compute seconds.
+
+        The K chunks are equal by construction, so one chunk's phases are
+        rendered and repeated.  The request size is preserved (skew and
+        streaming change the schedule, not the block size the device
+        sees) unless a chunk is smaller than one request.
+        """
+        chunks = self.chunks
+        phases: list[TaskPhase] = []
+        for step in self.steps:
+            if step is None:
+                phases.append(ComputePhase(self.compute * scale / chunks))
+                continue
+            role, is_write, bytes_per_task, request_size, cap, via_network = step
+            scaled_bytes = bytes_per_task * scale / chunks
+            phases.append(
+                IoPhase(
+                    role,
+                    scaled_bytes,
+                    min(request_size, max(scaled_bytes, 1.0)),
+                    is_write,
+                    cap,
+                    via_network,
+                )
+            )
+        return tuple(phases) * chunks
 
 
 @dataclass(frozen=True)
@@ -310,41 +345,49 @@ class StageSpec:
         different offsets are statistically identical "runs" of the same
         stage, which is how the library reproduces the paper's
         average-of-five-runs error bars.
+
+        Each group's channels are resolved once per call into a
+        :class:`_PhasePlan`, together with its normalizer and its GC
+        stall ``gc_coeff * P``; every task is then rendered from its
+        group's plan, drawing one task id in build order.
         """
         total = self.tasks_per_execution
-        entries: list[tuple[float, int, TaskGroupSpec]] = []
+        order: list[tuple[float, int]] = []
         for group_index, group in enumerate(self.groups):
             stride = total / group.count
-            for i in range(group.count):
-                entries.append((i * stride, group_index, group))
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
+            order.extend((i * stride, group_index) for i in range(group.count))
+        order.sort()
         golden = 0.618033988749895
+        jitter = self.task_jitter
         # Low-discrepancy spread in [1 - jitter, 1 + jitter], deterministic
         # per task index, then normalized per group so each group's total
         # work (bytes and compute) is *exactly* preserved.
         raw_scales = [
-            1.0
-            + self.task_jitter
-            * (2.0 * ((index * golden + jitter_offset) % 1.0) - 1.0)
-            for index in range(len(entries))
+            1.0 + jitter * (2.0 * ((index * golden + jitter_offset) % 1.0) - 1.0)
+            for index in range(total)
         ]
-        scale_sum: dict[str, float] = {}
-        group_size: dict[str, int] = {}
-        for (_, _, group), scale in zip(entries, raw_scales):
-            scale_sum[group.name] = scale_sum.get(group.name, 0.0) + scale
-            group_size[group.name] = group_size.get(group.name, 0) + 1
-        tasks = []
-        for (_, _, group), scale in zip(entries, raw_scales):
-            normalizer = group_size[group.name] / scale_sum[group.name]
+        scale_sums = [0.0] * len(self.groups)
+        for (_, group_index), raw_scale in zip(order, raw_scales):
+            scale_sums[group_index] += raw_scale
+        plans = []
+        for group, scale_sum in zip(self.groups, scale_sums):
             gc_extra = group.gc_coeff * (cores_per_node or 0)
+            plans.append(
+                (
+                    _PhasePlan(group, gc_extra).render,
+                    group.name,
+                    group.count / scale_sum,
+                    gc_extra,
+                )
+            )
+        tasks = []
+        for (_, group_index), raw_scale in zip(order, raw_scales):
+            render, name, normalizer, gc_extra = plans[group_index]
             tasks.append(
                 SimTask(
-                    phases=group.task_phases(
-                        compute_scale=scale * normalizer,
-                        gc_extra_seconds=gc_extra,
-                    ),
-                    group=group.name,
-                    gc_seconds=gc_extra * scale * normalizer,
+                    render(raw_scale * normalizer),
+                    name,
+                    gc_extra * raw_scale * normalizer,
                 )
             )
         return tasks

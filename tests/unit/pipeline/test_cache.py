@@ -448,6 +448,17 @@ class TestShardRecovery:
             resumed = ResultCache(checkpoint)
         assert len(resumed) == 0
 
+    def test_integer_past_the_digit_limit_takes_the_corrupt_file_path(
+        self, tmp_path
+    ):
+        # json.loads raises a bare ValueError (not a JSONDecodeError) for
+        # an integer literal of more than 4,300 digits.
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text('{"x": %s}' % ("1" * 5000))
+        with pytest.warns(UserWarning, match="unreadable"):
+            resumed = ResultCache(checkpoint)
+        assert len(resumed) == 0
+
     def test_wrong_schema_shard_entries_skipped_on_reload(
         self, populated, tmp_path
     ):

@@ -124,6 +124,34 @@ class TestDeviceResource:
             assert resource.capacity_for([stream]) == device.bandwidth(size, True)
         assert resource.capacity_for([]) == 0.0
 
+    def test_attached_capacity_reads_the_per_size_counts(self):
+        # attach and detach keep a count per request size; the capacity
+        # taken from it equals the scan over the attached streams, bit for
+        # bit, as streams of repeated and new sizes come and go.
+        device = make_hdd()
+        resource = DeviceResource(device, is_write=False)
+        assert resource.attached_capacity() == 0.0
+        streams = [
+            SharedStream(remaining_bytes=1 * MB, request_size=size)
+            for size in (1 * MB, 30 * KB, 1 * MB, 30 * KB, 4 * KB)
+        ]
+        for stream in streams:
+            resource.attach(stream, rebalance=False)
+            assert resource.attached_capacity() == resource.capacity_for(
+                resource.streams
+            )
+        assert resource._sizes == {1 * MB: 2, 30 * KB: 2, 4 * KB: 1}
+        resource.capacity_scale = 0.5
+        for stream in (streams[4], streams[1], streams[0], streams[3]):
+            resource.detach(stream, rebalance=False)
+            assert resource.attached_capacity() == resource.capacity_for(
+                resource.streams
+            )
+        assert resource._sizes == {1 * MB: 1}
+        resource.detach(streams[2], rebalance=False)
+        assert resource._sizes == {}
+        assert resource.attached_capacity() == 0.0
+
     def test_directions_are_independent(self):
         device = make_ssd()
         read = DeviceResource(device, is_write=False)

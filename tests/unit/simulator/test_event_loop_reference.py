@@ -178,9 +178,16 @@ class ReferenceMixEngine(RecordingMixEngine, ReferenceEngine):
 
 class ConservingEngine(SimulationEngine):
     """The engine under test, checking work conservation after every
-    settle."""
+    settle, and before every lone rebalance that the resource's per-size
+    counts, which its capacity is read from, match its streams."""
 
     settles = 0
+
+    def _rebalance_lone(self, resource, now: float) -> None:
+        assert resource._sizes == Counter(
+            stream.request_size for stream in resource._streams.values()
+        ), f"t={now}: {resource.name} counts sizes its streams do not hold"
+        super()._rebalance_lone(resource, now)
 
     def _queued(self, name: str) -> bool:
         return bool(self._pending[name])

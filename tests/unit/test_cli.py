@@ -111,12 +111,15 @@ class TestCommands:
 
     def test_deeply_nested_plans_are_structured_errors(self, capsys, tmp_path):
         # Nesting under any size limit can still exhaust the JSON
-        # parser's recursion: a fault plan exits 4, a mix plan 2.
+        # parser's recursion: a fault plan exits 4, a mix plan 2, a
+        # profiling report 3.
         nested = tmp_path / "nested.json"
         nested.write_text("[" * 30000 + "]" * 30000)
         for argv, code, error in (
             (["simulate", "svm", "--fault-plan", str(nested)], 4, "FaultError"),
             (["simulate", "--mix", str(nested)], 2, "ConfigurationError"),
+            (["predict", "--workload", "svm", "--report", str(nested)], 3,
+             "ModelError"),
         ):
             assert main(argv) == code
             captured = capsys.readouterr()
@@ -170,6 +173,31 @@ class TestCommands:
         assert captured.err.startswith("error[ConfigurationError]:")
         assert "not valid JSON" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_fault_plan_and_report_integers_past_the_digit_limit_are_refused(
+        self, capsys, tmp_path
+    ):
+        # As for mix plans: the bare ValueError json.loads raises for an
+        # integer literal of more than 4,300 digits is bad JSON.
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            '{"name": "x", "faults": [{"type": "disk", "factor": %s}]}'
+            % ("1" * 5000)
+        )
+        report = tmp_path / "report.json"
+        report.write_text('{"workload": %s}' % ("1" * 5000))
+        for argv, code, error in (
+            (["simulate", "svm", "--slaves", "2", "--cores", "2",
+              "--fault-plan", str(plan)], 4, "FaultError"),
+            (["predict", "--workload", "svm", "--report", str(report)], 3,
+             "ModelError"),
+        ):
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error[{error}]:")
+            assert "not valid JSON" in captured.err
+            assert "\n" not in captured.err.strip()  # one structured line
+            assert "Traceback" not in captured.err
 
     def test_mix_plan_volume_scale_that_overflows_is_refused(
         self, capsys, tmp_path
