@@ -1,12 +1,12 @@
 """Predictor facade: profile once, predict any configuration.
 
 Binds a device-independent :class:`~repro.core.profiler.ProfilingReport`
-to a *target* cluster: each profiled channel's effective bandwidth is
-read from a :class:`~repro.resources.ResourceRegistry` built over the
-target devices — the *same* resource abstraction the simulator allocates
-from, so Equation 1 and the simulation can never disagree on ``BW`` —
-and the resulting :class:`~repro.core.app_model.ApplicationModel`
-evaluates Equation 1 at any ``(N, P)``.
+to a *target* cluster: each profiled channel's ``BW`` is the target
+device's ``StorageDevice.bandwidth`` at the channel's request size — the
+curve the simulator's disk queues take their capacity from and the one
+the array kernel reads — and the resulting
+:class:`~repro.core.app_model.ApplicationModel` evaluates Equation 1 at
+any ``(N, P)``.
 
 This is the workflow of Sections V and VI: four sample runs on a small
 cluster, then predictions across core counts, disk types, disk sizes, and
@@ -23,7 +23,6 @@ from repro.core.profiler import ChannelProfile, ProfilingReport, StageProfileDat
 from repro.core.stage_model import StageModel
 from repro.core.variables import IoChannel, StageModelVariables
 from repro.errors import ModelError
-from repro.resources import ResourceRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
@@ -102,12 +101,9 @@ class Predictor:
             raise ModelError("network bandwidth must be positive when given")
         if not 0.0 <= remote_fraction <= 1.0:
             raise ModelError("remote fraction must be within [0, 1]")
-        registry = ResourceRegistry.for_devices(
-            devices_by_role, network_bandwidth=network_bandwidth
-        )
         stage_models = [
             StageModel(self._stage_variables(
-                stage, registry, devices_by_role, remote_fraction
+                stage, devices_by_role, network_bandwidth, remote_fraction
             ))
             for stage in self.report.stages
         ]
@@ -158,26 +154,25 @@ class Predictor:
     def _stage_variables(
         self,
         stage: StageProfileData,
-        registry: ResourceRegistry,
-        roles: Container[str],
-        remote_fraction: float = 1.0,
+        devices_by_role: dict[str, StorageDevice],
+        network_bandwidth: float | None,
+        remote_fraction: float,
     ) -> StageModelVariables:
         channels = []
-        for profile in target_channels(stage, roles):
-            bandwidth = registry.bandwidth(
-                ("role", profile.role, profile.is_write), profile.request_size
-            )
+        for profile in target_channels(stage, devices_by_role):
             channels.append(
                 IoChannel(
                     kind=profile.kind,
                     total_bytes=profile.total_bytes,
                     request_size=profile.request_size,
-                    bandwidth=bandwidth,
+                    bandwidth=devices_by_role[profile.role].bandwidth(
+                        profile.request_size, profile.is_write
+                    ),
                     is_write=profile.is_write,
                     device=profile.role,
                 )
             )
-            if ("network",) in registry and profile.kind == "shuffle_read":
+            if network_bandwidth is not None and profile.kind == "shuffle_read":
                 # Reducer-side remote bytes also cross the network; a
                 # separate per-device group means the slower of disk and
                 # wire sets the read floor.
@@ -188,9 +183,7 @@ class Predictor:
                             kind=profile.kind,
                             total_bytes=network_bytes,
                             request_size=profile.request_size,
-                            bandwidth=registry.bandwidth(
-                                ("network",), profile.request_size
-                            ),
+                            bandwidth=network_bandwidth,
                             is_write=False,
                             device="network",
                         )

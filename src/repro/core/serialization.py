@@ -14,6 +14,7 @@ constants do not.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from repro.core.profiler import ChannelProfile, ProfilingReport, StageProfileData
@@ -55,8 +56,38 @@ def report_to_dict(report: ProfilingReport) -> dict:
     }
 
 
+def _number(record: dict, key: str) -> float:
+    """``record[key]`` as a finite float (NaN, ±inf and integers past the
+    float range are refused)."""
+    value = float(record[key])
+    if not math.isfinite(value):
+        raise ModelError(f"profiling-report field {key} must be finite: {value}")
+    return value
+
+
+def _integer(record: dict, key: str) -> int:
+    """``record[key]`` as an int, refused as :func:`_number` refuses."""
+    _number(record, key)
+    return int(record[key])
+
+
+def _text(record: dict, key: str) -> str:
+    """``record[key]``, which must be a string."""
+    value = record[key]
+    if not isinstance(value, str):
+        raise ModelError(
+            f"profiling-report field {key} must be a string:"
+            f" {type(value).__name__}"
+        )
+    return value
+
+
 def report_from_dict(data: dict) -> ProfilingReport:
-    """Rebuild a report from :func:`report_to_dict` output."""
+    """Rebuild a report from :func:`report_to_dict` output.
+
+    Every float field must be finite, and the workload, stage and channel
+    names must be strings; anything else is a :class:`ModelError`.
+    """
     try:
         version = data["format_version"]
         if version != FORMAT_VERSION:
@@ -66,20 +97,20 @@ def report_from_dict(data: dict) -> ProfilingReport:
             )
         stages = tuple(
             StageProfileData(
-                name=stage["name"],
-                num_tasks=int(stage["num_tasks"]),
-                t_avg=float(stage["t_avg"]),
-                delta_scale=float(stage["delta_scale"]),
-                delta_read=float(stage["delta_read"]),
-                delta_write=float(stage["delta_write"]),
-                fill_seconds=float(stage["fill_seconds"]),
-                gc_coeff=float(stage.get("gc_coeff", 0.0)),
+                name=_text(stage, "name"),
+                num_tasks=_integer(stage, "num_tasks"),
+                t_avg=_number(stage, "t_avg"),
+                delta_scale=_number(stage, "delta_scale"),
+                delta_read=_number(stage, "delta_read"),
+                delta_write=_number(stage, "delta_write"),
+                fill_seconds=_number(stage, "fill_seconds"),
+                gc_coeff=_number(stage, "gc_coeff") if "gc_coeff" in stage else 0.0,
                 channels=tuple(
                     ChannelProfile(
-                        kind=channel["kind"],
-                        role=channel["role"],
-                        total_bytes=float(channel["total_bytes"]),
-                        request_size=float(channel["request_size"]),
+                        kind=_text(channel, "kind"),
+                        role=_text(channel, "role"),
+                        total_bytes=_number(channel, "total_bytes"),
+                        request_size=_number(channel, "request_size"),
                         is_write=bool(channel["is_write"]),
                     )
                     for channel in stage["channels"]
@@ -88,11 +119,11 @@ def report_from_dict(data: dict) -> ProfilingReport:
             for stage in data["stages"]
         )
         return ProfilingReport(
-            workload_name=data["workload_name"],
-            nodes=int(data["nodes"]),
+            workload_name=_text(data, "workload_name"),
+            nodes=_integer(data, "nodes"),
             stages=stages,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed profiling-report data: {exc}") from exc
 
 

@@ -7,9 +7,9 @@ into them without touching any default path:
 
 - :mod:`repro.faults.plan` — declarative, JSON-serializable
   :class:`FaultPlan` s (what misbehaves, where, when);
-- :mod:`repro.faults.injector` — compiles a plan onto one engine's
-  :class:`~repro.resources.ResourceRegistry` and emits the timed actions
-  the event loop executes.
+- :mod:`repro.faults.injector` — compiles a plan onto one engine's disk
+  and NIC resources and emits the timed actions the event loop
+  executes.
 
 Pass a plan as ``faults=`` to :class:`~repro.pipeline.Experiment` (it is
 folded into cache keys), to the workload runner, or via

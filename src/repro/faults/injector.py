@@ -1,9 +1,10 @@
 """Compiles a :class:`~repro.faults.plan.FaultPlan` onto one deployment.
 
 The injector is the bridge between declarative fault plans and the
-engine's concrete resources: at engine construction it resolves each
-fault against the :class:`~repro.resources.ResourceRegistry` (per-member
-array directions included) and produces
+engine's concrete resources: at engine construction it looks each fault's
+targets up in the engine's own tables — the disk resources per (node,
+role, direction), per-member array directions included, and the NIC per
+node — and produces
 
 - ``slowdowns`` — node name → compute-stretch factor, read by the engine
   at every phase entry on straggler nodes;
@@ -21,10 +22,10 @@ invariant depends on that.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.network import NetworkModel
 from repro.errors import FaultError
 from repro.faults.plan import (
     DiskFault,
@@ -33,7 +34,7 @@ from repro.faults.plan import (
     NodeFailureFault,
     StragglerFault,
 )
-from repro.resources import Resource, ResourceRegistry
+from repro.resources import Resource
 
 
 @dataclass(frozen=True)
@@ -83,14 +84,19 @@ FaultAction = ScaleToggle | JitterToggle | NodeKill
 
 
 class FaultInjector:
-    """Plan compiled against one engine's cluster and registry."""
+    """Plan compiled against one engine's cluster and resource tables.
+
+    ``disks`` maps ``(node name, role, is_write)`` to that direction's
+    resources in member order; ``nics`` maps a node name to its NIC and
+    is empty without a network.
+    """
 
     def __init__(
         self,
         plan: FaultPlan,
         cluster: Cluster,
-        registry: ResourceRegistry,
-        network: NetworkModel | None = None,
+        disks: Mapping[tuple[str, str, bool], tuple[Resource, ...]],
+        nics: Mapping[str, Resource],
     ) -> None:
         self.plan = plan
         names = [node.name for node in cluster.slaves]
@@ -114,7 +120,7 @@ class FaultInjector:
                         (fault.at_seconds, NodeKill(names[fault.node]))
                     )
             elif isinstance(fault, DiskFault):
-                resources = self._disk_resources(fault, cluster, registry)
+                resources = self._disk_resources(fault, cluster, disks)
                 if not resources:
                     continue
                 self._initial.append(
@@ -125,7 +131,7 @@ class FaultInjector:
                         (fault.end, ScaleToggle(resources, fault.factor, False))
                     )
             elif isinstance(fault, NicJitterFault):
-                resources = self._nic_resources(fault, cluster, registry)
+                resources = self._nic_resources(fault, cluster, nics)
                 if not resources:
                     continue
                 self._initial.append(
@@ -145,9 +151,13 @@ class FaultInjector:
 
     @staticmethod
     def _disk_resources(
-        fault: DiskFault, cluster: Cluster, registry: ResourceRegistry
+        fault: DiskFault,
+        cluster: Cluster,
+        disks: Mapping[tuple[str, str, bool], tuple[Resource, ...]],
     ) -> tuple[Resource, ...]:
-        """Device-direction resources the fault covers (array members too)."""
+        """Device-direction resources the fault covers (array members too),
+        by node, role, direction and member; a device both roles share
+        counts once."""
         roles = (fault.role,) if fault.role is not None else ("hdfs", "local")
         directions = (
             (fault.direction == "write",)
@@ -159,29 +169,20 @@ class FaultInjector:
             if fault.node is not None and fault.node != index:
                 continue
             for role in roles:
-                device = node.device_for(role)
                 for is_write in directions:
-                    for key, resource in registry.items():
-                        if (
-                            key[0] == "device"
-                            and key[1] == id(device)
-                            and key[2] == is_write
-                        ):
-                            collected[id(resource)] = resource
+                    for resource in disks[node.name, role, is_write]:
+                        collected[id(resource)] = resource
         return tuple(collected.values())
 
     @staticmethod
     def _nic_resources(
-        fault: NicJitterFault, cluster: Cluster, registry: ResourceRegistry
+        fault: NicJitterFault, cluster: Cluster, nics: Mapping[str, Resource]
     ) -> tuple[Resource, ...]:
-        collected: list[Resource] = []
-        for index, node in enumerate(cluster.slaves):
-            if fault.node is not None and fault.node != index:
-                continue
-            key = ("nic", node.name)
-            if key in registry:
-                collected.append(registry.get(key))
-        return tuple(collected)
+        return tuple(
+            nics[node.name]
+            for index, node in enumerate(cluster.slaves)
+            if (fault.node is None or fault.node == index) and node.name in nics
+        )
 
     def initial_actions(self) -> list[tuple[float, FaultAction]]:
         """The actions to schedule at the start of every run."""

@@ -35,6 +35,15 @@ def _check(condition: bool, message: str) -> None:
         raise FaultError(message)
 
 
+def _check_node(node: object, optional: bool = False) -> None:
+    """A node index is an ``int`` >= 0 (never a bool); ``None`` too when
+    ``optional``."""
+    _check(
+        (optional and node is None) or (type(node) is int and node >= 0),
+        f"node index must be an integer >= 0: {node!r}",
+    )
+
+
 @dataclass(frozen=True)
 class DiskFault:
     """Scale a disk direction's effective bandwidth by ``factor``.
@@ -65,7 +74,7 @@ class DiskFault:
             self.end is None or self.end > self.start,
             f"disk fault window must be non-empty: [{self.start}, {self.end})",
         )
-        _check(self.node is None or self.node >= 0, f"node index must be >= 0: {self.node}")
+        _check_node(self.node, optional=True)
         _check(self.role is None or self.role in _ROLES, f"role must be one of {_ROLES}: {self.role!r}")
         _check(
             self.direction is None or self.direction in _DIRECTIONS,
@@ -82,7 +91,7 @@ class StragglerFault:
     slowdown: float
 
     def __post_init__(self) -> None:
-        _check(self.node >= 0, f"node index must be >= 0: {self.node}")
+        _check_node(self.node)
         _check(self.slowdown >= 1.0, f"straggler slowdown must be >= 1: {self.slowdown}")
 
 
@@ -95,7 +104,7 @@ class NodeFailureFault:
     at_seconds: float
 
     def __post_init__(self) -> None:
-        _check(self.node >= 0, f"node index must be >= 0: {self.node}")
+        _check_node(self.node)
         _check(self.at_seconds >= 0.0, f"failure time must be >= 0: {self.at_seconds}")
 
 
@@ -117,7 +126,7 @@ class NicJitterFault:
         _check(self.period > 0.0, f"jitter period must be positive: {self.period}")
         _check(0.0 < self.duty < 1.0, f"jitter duty cycle must be in (0, 1): {self.duty}")
         _check(self.phase >= 0.0, f"jitter phase must be >= 0: {self.phase}")
-        _check(self.node is None or self.node >= 0, f"node index must be >= 0: {self.node}")
+        _check_node(self.node, optional=True)
 
 
 Fault = DiskFault | StragglerFault | NodeFailureFault | NicJitterFault
@@ -182,7 +191,7 @@ class FaultPlan:
             if not isinstance(entry, dict) or "type" not in entry:
                 raise FaultError(f"each fault needs a 'type' tag: {entry!r}")
             tag = entry["type"]
-            fault_cls = _FAULT_TYPES.get(tag)
+            fault_cls = _FAULT_TYPES.get(tag) if isinstance(tag, str) else None
             if fault_cls is None:
                 raise FaultError(
                     f"unknown fault type {tag!r}; known: {sorted(_FAULT_TYPES)}"

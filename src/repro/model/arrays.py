@@ -1,9 +1,8 @@
 """Array-native Equation-1 kernel: score whole candidate grids at once.
 
-The scalar model stack builds, per candidate, two bandwidth tables, a
-resource registry, one :class:`~repro.core.stage_model.StageModel` per
-stage, and a prediction object — fine for a single what-if, ruinous for
-the optimizer's grids.  This module scores a **struct-of-arrays batch**
+The scalar model stack builds, per candidate, two bandwidth tables, one
+:class:`~repro.core.stage_model.StageModel` per stage, and a prediction
+object — fine for a single what-if, ruinous for the optimizer's grids.  This module scores a **struct-of-arrays batch**
 instead: it calls the stage model's own term functions
 (:func:`~repro.core.stage_model.scale_term` and
 :func:`~repro.core.stage_model.limit_term`) once per *unique* operating

@@ -30,7 +30,6 @@ from repro.parallel.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    auto_worker_count,
     available_cpus,
     resolve_backend,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "SupervisionReport",
     "TaskFailure",
     "TaskSupervisor",
-    "auto_worker_count",
     "available_cpus",
     "backoff_seconds",
     "resolve_backend",

@@ -63,17 +63,6 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def auto_worker_count() -> int:
-    """The worker count ``workers=AUTO_WORKERS`` resolves to.
-
-    The single source of truth for affinity-aware auto-sizing: both
-    :func:`resolve_backend` and the query service's compute tier size
-    through this function, so "0 means the CPUs this process may use"
-    cannot drift between the batch pipeline and the serving path.
-    """
-    return available_cpus()
-
-
 @runtime_checkable
 class ExecutionBackend(Protocol):
     """The execution seam: one future per independent item.
@@ -265,7 +254,7 @@ def resolve_backend(
     if workers == 1:
         return SerialBackend(initializer, initargs)
     if workers == AUTO_WORKERS:
-        count = auto_worker_count()
+        count = available_cpus()
         if count == 1:
             return SerialBackend(initializer, initargs)
         return ProcessPoolBackend(count, initializer, initargs, mp_context)

@@ -19,6 +19,7 @@ cache when one is given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
@@ -279,7 +280,13 @@ def _group_from_profile(stage: StageProfileData) -> TaskGroupSpec:
         (writes if spec_channel.is_write else reads).append(spec_channel)
     stream_chunks = 1
     if stage.fill_seconds > 0 and stage.t_avg > 0:
-        stream_chunks = max(1, round(stage.t_avg / stage.fill_seconds))
+        chunks = stage.t_avg / stage.fill_seconds
+        if not math.isfinite(chunks):
+            raise WorkloadError(
+                f"stage {stage.name}: fill time {stage.fill_seconds} is too"
+                f" small a share of t_avg {stage.t_avg}"
+            )
+        stream_chunks = max(1, round(chunks))
     return TaskGroupSpec(
         name="tasks",
         count=stage.num_tasks,

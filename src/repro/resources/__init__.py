@@ -13,16 +13,13 @@ bandwidth, network links, executor cores — is one of two shapes:
 A :class:`SharedStream` may be bound to *several* rate resources at once
 (a remote shuffle read crosses both the network link and a disk); the
 coupled allocation is solved by :func:`rebalance_coupled` (progressive
-filling).  A :class:`ResourceRegistry` names the resources of one
-deployment so that the simulator and the analytic model read the same
-``BW`` from the same object and can never disagree.
+filling).
 
 The layer deliberately knows nothing about clusters or storage devices:
 :class:`DeviceResource` consumes any object with a
 ``bandwidth(request_size, is_write)`` method.
 """
 
-from repro.resources.registry import ResourceRegistry
 from repro.resources.resource import (
     DeviceResource,
     LinkResource,
@@ -36,7 +33,6 @@ __all__ = [
     "DeviceResource",
     "LinkResource",
     "Resource",
-    "ResourceRegistry",
     "SharedStream",
     "SlotPool",
     "rebalance_coupled",

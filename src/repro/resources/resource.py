@@ -92,16 +92,6 @@ class Resource:
         """:meth:`capacity_for` the attached streams."""
         return self.capacity_for(list(self._streams.values()))
 
-    def bandwidth_at(self, request_size: float) -> float:
-        """``BW``: capacity offered to a single stream at ``request_size``.
-
-        This is the quantity Equation 1 calls ``BW`` — reading it from
-        the same object the simulator allocates from guarantees the model
-        and the simulation can never disagree on a bandwidth.
-        """
-        probe = SharedStream(remaining_bytes=1.0, request_size=request_size)
-        return self.capacity_for([probe])
-
     def attach(self, stream: SharedStream, *, rebalance: bool = True) -> None:
         """Add a stream (and by default re-balance rates immediately).
 
@@ -232,7 +222,7 @@ class DeviceResource(Resource):
         every stream."""
         if not self._sizes:
             return 0.0
-        capacity = self._bandwidth_at_smallest(min(self._sizes))
+        capacity = self._bandwidth_for_smallest(min(self._sizes))
         if self.capacity_scale != 1.0:
             capacity = capacity * self.capacity_scale
         return capacity
@@ -240,9 +230,9 @@ class DeviceResource(Resource):
     def _profile_capacity(self, streams: list[SharedStream]) -> float:
         if not streams:
             return 0.0
-        return self._bandwidth_at_smallest(min(s.request_size for s in streams))
+        return self._bandwidth_for_smallest(min(s.request_size for s in streams))
 
-    def _bandwidth_at_smallest(self, smallest_request: float) -> float:
+    def _bandwidth_for_smallest(self, smallest_request: float) -> float:
         if smallest_request != self._memo_request:
             self._memo_request = smallest_request
             self._memo_bandwidth = self.device.bandwidth(

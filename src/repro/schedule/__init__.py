@@ -10,7 +10,7 @@ Two layers live here:
 - :mod:`repro.schedule.mix` — full multi-tenant simulation: K workloads
   with arrival times share the executors, HDFS disks, and NIC of one
   cluster, contending through the :mod:`repro.resources` max-min
-  registry under a FIFO or fair scheduler (see docs/MULTITENANT.md).
+  allocation under a FIFO or fair scheduler (see docs/MULTITENANT.md).
 
 The mix layer is loaded lazily: the simulator engine imports
 ``repro.schedule.scheduler`` (for :class:`ExecutorBlacklist`), and

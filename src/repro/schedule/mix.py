@@ -4,7 +4,7 @@ Everything else in the library runs one job alone on the cluster; this
 module runs a *mix*.  Jobs arrive at given times, their stages submit
 tasks onto the shared executor :class:`~repro.resources.SlotPool`s, and
 their I/O streams land on the very same HDFS-disk, local-disk, and NIC
-resources — so co-located stages contend under the registry's max-min
+resources — so co-located stages contend under the engine's max-min
 filling and genuinely slow each other down.  Nothing about contention is
 re-modeled here: :class:`MixEngine` runs the single-job
 :class:`~repro.simulator.engine.SimulationEngine`'s event loop, launch
@@ -240,7 +240,7 @@ class _Job:
 
 class MixEngine(SimulationEngine):
     """The single-job event loop, extended with admission and a per-node
-    multi-queue.  All contention flows through the inherited registry.
+    multi-queue.  All contention flows through the inherited resources.
 
     :meth:`run_mix` runs the jobs and :meth:`measurement` reports the
     run; each :meth:`run_mix` starts the jobs afresh.

@@ -30,19 +30,8 @@ _VCPU_CYCLE = (4, 8, 16, 32)
 _DISK_CYCLE = ("pd-standard", "pd-ssd")
 
 
-#: Optimize-query grid variants the mix cycles through.
-_GRID_CYCLE = ((4, 8, 16, 32), (8, 16, 32), (4, 16, 32), (4, 8, 32))
-
-
 def build_queries(
-    workload: str,
-    distinct: int = 40,
-    duplicates: int = 5,
-    num_workers: int = 10,
-    hdfs_gb: float = 512.0,
-    local_gb: float = 1024.0,
-    optimize_distinct: int = 0,
-    optimize_duplicates: int | None = None,
+    workload: str, distinct: int = 40, duplicates: int = 5
 ) -> list[dict]:
     """A deterministic interleaved what-if query mix.
 
@@ -51,11 +40,6 @@ def build_queries(
     of a query arrives separated from its twin by the full distinct set.
     Under concurrency that exercises both the single-flight table (twins
     in flight together) and the LRU (twins arriving after completion).
-
-    ``optimize_distinct`` > 0 weaves repeated ``optimize`` queries (grid
-    searches — the expensive, hot, dashboard-style questions) evenly
-    through the predict stream, each unique one appearing
-    ``optimize_duplicates`` times (default: ``duplicates``).
     """
     uniques = []
     for index in range(distinct):
@@ -65,36 +49,13 @@ def build_queries(
                 "workload": workload,
                 "vcpus": _VCPU_CYCLE[index % len(_VCPU_CYCLE)],
                 "hdfs_kind": _DISK_CYCLE[index % len(_DISK_CYCLE)],
-                "hdfs_gb": hdfs_gb + 16.0 * (index // len(_VCPU_CYCLE)),
+                "hdfs_gb": 512.0 + 16.0 * (index // len(_VCPU_CYCLE)),
                 "local_kind": _DISK_CYCLE[(index + 1) % len(_DISK_CYCLE)],
-                "local_gb": local_gb + 16.0 * (index // len(_VCPU_CYCLE)),
-                "num_workers": num_workers,
+                "local_gb": 1024.0 + 16.0 * (index // len(_VCPU_CYCLE)),
+                "num_workers": 10,
             }
         )
-    mix = [query for _ in range(duplicates) for query in uniques]
-    if optimize_distinct <= 0:
-        return mix
-    opt_uniques = [
-        {
-            "kind": "optimize",
-            "workload": workload,
-            "vcpu_grid": list(_GRID_CYCLE[index % len(_GRID_CYCLE)]),
-            "num_workers": num_workers,
-        }
-        for index in range(optimize_distinct)
-    ]
-    repeats = optimize_duplicates if optimize_duplicates is not None else duplicates
-    opt_mix = [query for _ in range(repeats) for query in opt_uniques]
-    combined: list[dict] = []
-    stride = max(1, len(mix) // max(1, len(opt_mix)))
-    cursor = 0
-    for index, query in enumerate(mix):
-        combined.append(query)
-        if index % stride == stride - 1 and cursor < len(opt_mix):
-            combined.append(opt_mix[cursor])
-            cursor += 1
-    combined.extend(opt_mix[cursor:])
-    return combined
+    return [query for _ in range(duplicates) for query in uniques]
 
 
 def percentile(sorted_values: list[float], q: float) -> float:

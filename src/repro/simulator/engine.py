@@ -64,7 +64,6 @@ from repro.resources import (
     DeviceResource,
     LinkResource,
     Resource,
-    ResourceRegistry,
     SharedStream,
     SlotPool,
     rebalance_coupled,
@@ -215,63 +214,60 @@ class SimulationEngine:
         self.cores_per_node = cores_per_node
         self.iostat = iostat
         self.network = network
-        self.registry = ResourceRegistry()
+        #: Every rate resource, in creation order.
+        self.resources: list[Resource] = []
+        #: Busy-accounting key of every rate resource, by ``id(resource)``.
+        self._busy_keys: dict[int, tuple[str, bool]] = {}
         self._cores: dict[str, SlotPool] = {}
+        #: Node name -> its NIC (only with a network).
+        self._nics: dict[str, LinkResource] = {}
         #: (node name, role, is_write) -> (device name, the resources a
         #: stream opened there lands on, taken round-robin): one resource
         #: for a plain device, one per member for a per-member array.
         #: HDFS and local on one device share the entry's cycle, so the
         #: two roles stripe across an array's members with one cursor.
         self._disks: dict[tuple[str, str, bool], tuple[str, Iterator[Resource]]] = {}
-        stripes: dict[tuple, Iterator[Resource]] = {}
+        #: The same keys -> every resource of that cycle, in member order.
+        self._disk_members: dict[tuple[str, str, bool], tuple[Resource, ...]] = {}
+        made: dict[tuple[int, bool], tuple[tuple[Resource, ...], Iterator[Resource]]] = {}
         for node in cluster.slaves:
-            self._cores[node.name] = self.registry.register(
-                ("cores", node.name), SlotPool(f"{node.name}:cores", cores_per_node)
-            )  # type: ignore[assignment]
+            self._cores[node.name] = SlotPool(f"{node.name}:cores", cores_per_node)
             # One resource per *physical* device direction (HDFS and local
             # may share a device); per-member arrays get one per member.
             for role in ("hdfs", "local"):
                 device = node.device_for(role)
                 for is_write in (False, True):
-                    key = ("device", id(device), is_write)
-                    if key not in stripes:
+                    key = (id(device), is_write)
+                    if key not in made:
                         if isinstance(device, DiskArray) and device.per_member:
-                            members = [
-                                self.registry.register(
-                                    key + (index,), DeviceResource(member, is_write)
-                                )
-                                for index, member in enumerate(device.members)
-                            ]
+                            targets = device.members
                         else:
-                            members = [
-                                self.registry.register(
-                                    key, DeviceResource(device, is_write)
-                                )
-                            ]
-                        stripes[key] = itertools.cycle(members)
-                    self._disks[node.name, role, is_write] = (
-                        device.name, stripes[key]
-                    )
+                            targets = [device]
+                        members = tuple(
+                            DeviceResource(target, is_write) for target in targets
+                        )
+                        for member in members:
+                            self.resources.append(member)
+                            self._busy_keys[id(member)] = (
+                                member.device.name, is_write
+                            )
+                        made[key] = members, itertools.cycle(members)
+                    members, stripe = made[key]
+                    self._disks[node.name, role, is_write] = (device.name, stripe)
+                    self._disk_members[node.name, role, is_write] = members
             if network is not None:
-                self.registry.register(
-                    ("nic", node.name),
-                    LinkResource(f"{node.name}:nic", network.link_bandwidth),
-                )
-        #: Busy-accounting key of every rate resource, by ``id(resource)``.
-        self._busy_keys: dict[int, tuple[str, bool]] = {}
-        for resource in self.registry.values():
-            if isinstance(resource, DeviceResource):
-                self._busy_keys[id(resource)] = (
-                    resource.device.name, resource.is_write
-                )
-            elif isinstance(resource, LinkResource):
-                self._busy_keys[id(resource)] = (resource.name, False)
+                nic = LinkResource(f"{node.name}:nic", network.link_bandwidth)
+                self._nics[node.name] = nic
+                self.resources.append(nic)
+                self._busy_keys[id(nic)] = (nic.name, False)
         # -- fault injection ------------------------------------------------
         self.faults = faults
         self._injector: FaultInjector | None = None
         self._slowdowns: dict[str, float] = {}
         if faults is not None and faults.faults:
-            self._injector = FaultInjector(faults, cluster, self.registry, network)
+            self._injector = FaultInjector(
+                faults, cluster, self._disk_members, self._nics
+            )
             self._slowdowns = self._injector.slowdowns
         # -- resilience -----------------------------------------------------
         #: ``None`` keeps every code path bit-identical to the
@@ -1295,7 +1291,7 @@ class SimulationEngine:
             # Split the phase in the remote proportion; the software-path
             # cap T splits with it so the pair still totals at most T.
             local_share = 1.0 - remote_fraction
-            nic = self.registry.get(("nic", node.name))
+            nic = self._nics[node.name]
             splits = (
                 (
                     phase.total_bytes * local_share,

@@ -237,3 +237,20 @@ def uniform_fault_plans(draw) -> FaultPlan:
     """
     faults = draw(st.lists(disk_faults(node_uniform=True), max_size=2))
     return FaultPlan(name="hypo-uniform", faults=tuple(faults))
+
+
+#: Arbitrary JSON values of up to eight leaves — what the file-loader
+#: fuzzers (mix plans, fault plans, profiling reports) feed a field or a
+#: whole document.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: (
+        st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=6), children, max_size=3)
+    ),
+    max_leaves=8,
+)

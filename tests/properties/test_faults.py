@@ -18,6 +18,7 @@ from repro.errors import FaultError, SimulationError
 from repro.faults import (
     DiskFault,
     FaultPlan,
+    NicJitterFault,
     NodeFailureFault,
     StragglerFault,
     load_fault_plan,
@@ -75,9 +76,21 @@ class TestPlanValidation:
         with pytest.raises(FaultError):
             StragglerFault(node=0, slowdown=0.9)
 
+    @pytest.mark.parametrize("node", [1.5, 0.5, True, "1", [1]])
+    def test_node_index_must_be_an_integer(self, node):
+        for build in (
+            lambda: DiskFault(factor=0.5, node=node),
+            lambda: StragglerFault(node=node, slowdown=2.0),
+            lambda: NodeFailureFault(node=node, at_seconds=1.0),
+            lambda: NicJitterFault(factor=0.5, period=1.0, node=node),
+        ):
+            with pytest.raises(FaultError, match="must be an integer"):
+                build()
+
     def test_unknown_type_tag_rejected(self):
-        with pytest.raises(FaultError):
-            FaultPlan.from_dict({"name": "x", "faults": [{"type": "meteor"}]})
+        for tag in ("meteor", ["disk"]):
+            with pytest.raises(FaultError, match="unknown fault type"):
+                FaultPlan.from_dict({"name": "x", "faults": [{"type": tag}]})
 
     @given(plan=fault_plans())
     @settings(max_examples=25, **PROPERTY_SETTINGS)

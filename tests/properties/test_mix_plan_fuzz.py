@@ -28,15 +28,8 @@ from repro.errors import ConfigurationError, WorkloadError
 from repro.schedule.mix import MIX_POLICIES
 from repro.workloads.base import WorkloadSpec, scale_workload_volume
 
-from tests.properties.strategies import PROPERTY_SETTINGS
+from tests.properties.strategies import PROPERTY_SETTINGS, json_values
 
-_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats()
-    | st.text(max_size=8)
-)
 #: Volume scales: huge floats, integers past the float range, and a few
 #: ordinary and tiny ones.
 _SCALES = (
@@ -46,14 +39,6 @@ _SCALES = (
 )
 _NAMES = st.sampled_from(sorted(WORKLOADS)) | st.sampled_from(MIX_POLICIES)
 
-json_values = st.recursive(
-    _SCALARS,
-    lambda children: (
-        st.lists(children, max_size=3)
-        | st.dictionaries(st.text(max_size=6), children, max_size=3)
-    ),
-    max_leaves=8,
-)
 field_values = _NAMES | _SCALES | json_values
 
 

@@ -7,7 +7,7 @@ from repro.cluster.node import Node
 from repro.cluster.cluster import Cluster
 from repro.errors import ModelError
 from repro.storage import make_hdd, make_ssd
-from repro.units import GB
+from repro.units import GB, MB
 
 
 class TestModelConstruction:
@@ -16,6 +16,24 @@ class TestModelConstruction:
             {"hdfs": make_ssd(), "local": make_ssd()}
         )
         assert [s.name for s in model.stages] == ["MD", "BR", "SF"]
+
+    def test_channel_bandwidths_read_the_device_curve(self, gatk4_predictor):
+        devices = {"hdfs": make_ssd(), "local": make_hdd()}
+        link = 125 * MB
+        model = gatk4_predictor.model_for_devices(
+            devices, network_bandwidth=link
+        )
+        bound = set()
+        for stage in model.stages:
+            for channel in stage.variables.channels:
+                bound.add((channel.device, channel.is_write))
+                if channel.device == "network":
+                    assert channel.bandwidth == link
+                else:
+                    assert channel.bandwidth == devices[channel.device].bandwidth(
+                        channel.request_size, channel.is_write
+                    )
+        assert {("hdfs", False), ("local", True), ("network", False)} <= bound
 
     def test_missing_role_rejected(self, gatk4_predictor):
         with pytest.raises(ModelError):

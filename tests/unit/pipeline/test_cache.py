@@ -601,6 +601,17 @@ class TestCorruption:
         assert cache.get_prediction("p") is not None
         assert cache.get_report("r") is not None
 
+    def test_report_with_a_non_finite_float_is_skipped(self, populated, tmp_path):
+        _, path = populated
+        data = json.loads(path.read_text())
+        data["reports"]["r"]["stages"][0]["t_avg"] = float("nan")
+        damaged = tmp_path / "nan-report.json"
+        damaged.write_text(json.dumps(data))
+        with pytest.warns(UserWarning, match="skipping corrupt reports"):
+            cache = ResultCache(damaged)
+        assert cache.get_report("r") is None
+        assert cache.get_measurement("m") is not None
+
     def test_malformed_section_is_skipped(self, populated, tmp_path):
         _, path = populated
         data = json.loads(path.read_text())

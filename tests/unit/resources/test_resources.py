@@ -7,7 +7,6 @@ from repro.resources import (
     DeviceResource,
     LinkResource,
     Resource,
-    ResourceRegistry,
     SharedStream,
     SlotPool,
     rebalance_coupled,
@@ -90,13 +89,6 @@ class TestResource:
             resource.attach(stream)
         # capacity 40 over 4 streams -> 10 each
         assert all(s.rate == pytest.approx(10.0) for s in streams)
-
-    def test_bandwidth_at_probes_single_stream(self):
-        device = make_ssd()
-        resource = DeviceResource(device, is_write=False)
-        assert resource.bandwidth_at(30 * KB) == pytest.approx(
-            device.bandwidth(30 * KB, False)
-        )
 
 
 class TestDeviceResource:
@@ -248,42 +240,3 @@ class TestRebalanceCoupled:
         rebalance_coupled([disk, link])
         assert a.rate == pytest.approx(50.0)
         assert b.rate == pytest.approx(50.0)
-
-
-class TestResourceRegistry:
-    def test_register_get_find(self):
-        registry = ResourceRegistry()
-        resource = Resource("r", 1.0)
-        registry.register(("a", 1), resource)
-        assert registry.get(("a", 1)) is resource
-        assert registry.find(("missing",)) is None
-        assert ("a", 1) in registry
-        assert len(registry) == 1
-
-    def test_duplicate_key_rejected(self):
-        registry = ResourceRegistry()
-        registry.register("k", Resource("r", 1.0))
-        with pytest.raises(SimulationError, match="already registered"):
-            registry.register("k", Resource("r2", 1.0))
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(SimulationError, match="no resource registered"):
-            ResourceRegistry().get("nope")
-
-    def test_for_devices_exposes_model_bandwidths(self):
-        ssd = make_ssd()
-        hdd = make_hdd()
-        registry = ResourceRegistry.for_devices(
-            {"hdfs": ssd, "local": hdd}, network_bandwidth=125 * MB
-        )
-        assert registry.bandwidth(("role", "hdfs", False), 30 * KB) == (
-            pytest.approx(ssd.bandwidth(30 * KB, False))
-        )
-        assert registry.bandwidth(("role", "local", True), 1 * MB) == (
-            pytest.approx(hdd.bandwidth(1 * MB, True))
-        )
-        assert registry.bandwidth(("network",), 30 * KB) == pytest.approx(125 * MB)
-
-    def test_for_devices_without_network(self):
-        registry = ResourceRegistry.for_devices({"hdfs": make_ssd()})
-        assert ("network",) not in registry

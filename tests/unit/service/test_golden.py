@@ -22,10 +22,7 @@ COST_DOLLARS = 1.8920851290442253
 
 def test_reference_query_answer_is_unchanged():
     spec = make_svm_workload()
-    query = build_queries(
-        "svm", distinct=24, duplicates=5,
-        optimize_distinct=4, optimize_duplicates=10,
-    )[0]
+    query = build_queries("svm", distinct=24, duplicates=5)[0]
     assert query == {
         "kind": "predict", "workload": "svm", "vcpus": 4,
         "hdfs_kind": "pd-standard", "hdfs_gb": 512.0,

@@ -31,25 +31,6 @@ class TestBuildQueries:
         keys = [tuple(sorted(q.items())) for q in mix]
         assert all(keys.count(key) == 4 for key in set(keys))
 
-    def test_optimize_queries_woven_into_the_stream(self):
-        mix = build_queries(
-            "svm",
-            distinct=8,
-            duplicates=2,
-            optimize_distinct=2,
-            optimize_duplicates=3,
-        )
-        optimizes = [q for q in mix if q["kind"] == "optimize"]
-        predicts = [q for q in mix if q["kind"] == "predict"]
-        assert len(optimizes) == 6
-        assert len(predicts) == 16
-        # Interleaved, not appended: an optimize appears before the last
-        # predict.
-        first_opt = next(i for i, q in enumerate(mix) if q["kind"] == "optimize")
-        assert first_opt < len(mix) - 1
-        grids = {tuple(q["vcpu_grid"]) for q in optimizes}
-        assert len(grids) == 2
-
 
 class TestStats:
     def test_percentile_nearest_rank(self):

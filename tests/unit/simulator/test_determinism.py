@@ -183,12 +183,12 @@ class TestNodeHelpers:
     def test_engine_registers_nic_per_node_only_with_network(self):
         cluster = make_paper_cluster(2, HYBRID_CONFIGS[0])
         plain = SimulationEngine(cluster, cores_per_node=2)
-        assert ("nic", "slave-0") not in plain.registry
+        assert "slave-0" not in plain._nics
         wired = SimulationEngine(
             cluster, cores_per_node=2, network=NetworkModel.from_gbps(10)
         )
-        assert ("nic", "slave-0") in wired.registry
-        assert ("nic", "slave-1") in wired.registry
+        assert "slave-0" in wired._nics
+        assert "slave-1" in wired._nics
 
 
 def _two_member_array_cluster(per_member):

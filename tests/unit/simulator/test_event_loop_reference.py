@@ -67,7 +67,7 @@ class ReferenceEngine(SimulationEngine):
         if dt <= 0.0:
             return
         self.core_busy_seconds += self._num_running * dt
-        for resource in self.registry.values():
+        for resource in self.resources:
             key = _busy_key(resource)
             if key is None:
                 continue
@@ -222,7 +222,7 @@ class GapWatchingEngine(ConservingEngine):
         if dt > 0.0:
             self.positive_gaps += 1
             holders = Counter(
-                _busy_key(resource) for resource in self.registry.values()
+                _busy_key(resource) for resource in self.resources
                 if _busy_key(resource) is not None and resource.num_active
             )
             self.most_holders = max(
@@ -410,7 +410,7 @@ def test_scenarios_reach_the_paths_they_name():
     assert nic_mode(REFERENCE).engine.coupled_components > 0
     per_member = per_member_array(ENGINE)
     m0 = [
-        resource for resource in per_member.engine.registry.values()
+        resource for resource in per_member.engine.resources
         if isinstance(resource, DeviceResource) and resource.device.name == "m0"
     ]
     assert len(m0) == 6  # three nodes x two directions, two busy keys

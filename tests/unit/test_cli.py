@@ -199,6 +199,62 @@ class TestCommands:
             assert "\n" not in captured.err.strip()  # one structured line
             assert "Traceback" not in captured.err
 
+    def test_fault_plan_node_indices_must_be_integers(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        for fault in (
+            {"type": "straggler", "node": 1.5, "slowdown": 2},
+            {"type": "node_failure", "node": 0.5, "at_seconds": 1},
+            {"type": "disk", "node": 1.5, "factor": 0.5},
+            {"type": "nic_jitter", "node": 1.5, "factor": 0.5, "period": 1},
+            {"type": "disk", "node": True, "factor": 0.5},
+        ):
+            plan.write_text(json.dumps({"name": "x", "faults": [fault]}))
+            assert main(
+                ["simulate", "svm", "--slaves", "2", "--cores", "2",
+                 "--fault-plan", str(plan)]
+            ) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error[FaultError]:")
+            assert "node index must be an integer" in captured.err
+            assert "\n" not in captured.err.strip()  # one structured line
+
+    def test_hostile_profiling_reports_exit_3(self, capsys, tmp_path):
+        def report(stage_edit=None, channel_edit=None, **top):
+            channel = {"kind": "hdfs_read", "role": "hdfs",
+                       "total_bytes": 1e9, "request_size": 1e5,
+                       "is_write": False}
+            stage = {"name": "s", "num_tasks": 4, "t_avg": 5.0,
+                     "delta_scale": 0.0, "delta_read": 0.0,
+                     "delta_write": 0.0, "fill_seconds": 5.0,
+                     "channels": [{**channel, **(channel_edit or {})}]}
+            return {"format_version": 1, "workload_name": "svm", "nodes": 2,
+                    "stages": [{**stage, **(stage_edit or {})}], **top}
+
+        path = tmp_path / "report.json"
+        argv = ["predict", "--workload", "svm", "--slaves", "2", "--cores",
+                "2", "--report", str(path)]
+        path.write_text(json.dumps(report()))
+        assert main(argv) == 0
+        capsys.readouterr()
+        for document, message in (
+            (report({"t_avg": float("inf")}), "must be finite"),
+            (report({"t_avg": float("nan")}), "must be finite"),
+            (report(channel_edit={"request_size": float("nan")}),
+             "must be finite"),
+            (report({"num_tasks": float("inf")}), "must be finite"),
+            (report({"name": ["a"]}), "must be a string"),
+            (report(channel_edit={"role": ["hdfs"]}), "must be a string"),
+            (report(workload_name=7), "must be a string"),
+        ):
+            path.write_text(json.dumps(document))
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error[ModelError]:")
+            assert message in captured.err
+            assert "\n" not in captured.err.strip()  # one structured line
+
     def test_mix_plan_volume_scale_that_overflows_is_refused(
         self, capsys, tmp_path
     ):

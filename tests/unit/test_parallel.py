@@ -8,7 +8,6 @@ from repro.parallel import (
     ProcessPoolBackend,
     SerialBackend,
     TaskSupervisor,
-    auto_worker_count,
     available_cpus,
     resolve_backend,
 )
@@ -68,19 +67,17 @@ class TestResolveBackend:
 
     def test_auto_worker_count_is_the_single_sizing_source(self, monkeypatch):
         # Regression guard for the auto-sizing seam: resolve_backend's
-        # workers=0 path and the service's pool sizing must both read
-        # auto_worker_count(), so faking the affinity changes both.
+        # workers=0 path reads available_cpus(), so faking the affinity
+        # changes the pool it builds.
         import repro.parallel.backends as backends
 
         monkeypatch.setattr(backends, "available_cpus", lambda: 3)
-        assert auto_worker_count() == 3
         backend = resolve_backend(AUTO_WORKERS)
         assert isinstance(backend, ProcessPoolBackend)
-        assert backend.workers == auto_worker_count()
+        assert backend.workers == 3
         backend.shutdown()
 
         monkeypatch.setattr(backends, "available_cpus", lambda: 1)
-        assert auto_worker_count() == 1
         assert isinstance(resolve_backend(AUTO_WORKERS), SerialBackend)
 
 
